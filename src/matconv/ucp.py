@@ -38,6 +38,7 @@ from .sets import (
     HermTuple,
     cube_polytope,
     first_violated_sign,
+    re_im_split,
     wmin_member,
     zero_interior_range,
 )
@@ -100,28 +101,6 @@ def _tilde_tuple(X: GenTuple) -> GenTuple:
 # ---------------------------------------------------------------------------
 
 
-def _herm_basis(q: int) -> list[np.ndarray]:
-    """Orthonormal real basis of Hermitian q x q matrices (trace inner
-    product); q^2 elements."""
-    basis = []
-    for i in range(q):
-        E = np.zeros((q, q), dtype=complex)
-        E[i, i] = 1.0
-        basis.append(E)
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(q):
-        for j in range(i + 1, q):
-            E = np.zeros((q, q), dtype=complex)
-            E[i, j] = s
-            E[j, i] = s
-            basis.append(E)
-            F = np.zeros((q, q), dtype=complex)
-            F[i, j] = 1j * s
-            F[j, i] = -1j * s
-            basis.append(F)
-    return basis
-
-
 def apply_choi(C: np.ndarray, X: np.ndarray, k: int, m: int) -> np.ndarray:
     """Evaluate the map encoded by Choi matrix C in M_k (x) M_m at X in M_k."""
     C = np.asarray(C, dtype=complex).reshape(k, m, k, m)
@@ -131,51 +110,65 @@ def apply_choi(C: np.ndarray, X: np.ndarray, k: int, m: int) -> np.ndarray:
     return np.einsum("ab,aibj->ij", X, C)
 
 
+def _choi_family(X: GenTuple) -> np.ndarray:
+    """Columns ``vec I``, ``vec X_i / sqrt 2`` and ``vec X_i* / sqrt 2``.
+
+    The weights make the consistency residual of the projector the distance
+    of ``(I, B_i)`` from the values reachable by Hermitian-preserving maps,
+    each prescribed value counted once.
+    """
+    w = 1.0 / np.sqrt(2.0)
+    mats = ([np.eye(X.n, dtype=complex)] + [w * np.asarray(M) for M in X]
+            + [w * np.asarray(M).conj().T for M in X])
+    return np.stack(mats).reshape(len(mats), X.n * X.n).T
+
+
 def choi_affine_projector(A: GenTuple, B: GenTuple, consistency_tol: float = 1e-9):
     """Orthogonal projector onto Hermitian Choi matrices of maps with
     ``phi(I) = I`` and ``phi(A_i) = B_i``.
 
-    Returns ``(project, None)`` or raises nothing; if the affine system is
-    inconsistent (no Hermitian-preserving linear map at all takes the
-    prescribed values) the second element is a FeasibilityResult short-circuit.
+    Returns ``(project, short_circuit)``.  ``project`` maps a one-block list
+    ``[C]`` with ``C`` of size ``q = k m`` to ``[P(C)]``, the nearest point
+    (Frobenius metric) of the affine set among Hermitian matrices.
+    ``short_circuit`` is ``None``, or an ``Infeasible`` FeasibilityResult
+    with ``iterations`` 0 when the targets break a linear dependency of the
+    sources, so that no Hermitian-preserving linear map takes the prescribed
+    values at all.
+
+    The source family ``{I, A_i, A_i*}`` is orthonormalized in the
+    Hilbert-Schmidt inner product by one thin SVD, giving ``F_r`` and, through
+    the same coefficients, targets ``G_r``.  With ``L_r(C) = phi_C(F_r)`` the
+    constraint map satisfies ``L L* = id``, so ``P(C) = C - sum_r conj(F_r)
+    (x) (L_r(C) - G_r)``.  The family is closed under adjoints, so ``P`` keeps
+    Hermitian inputs Hermitian.  Each call costs O(r q^2) time and O(q^2)
+    memory, with ``r <= 2d + 1`` the rank of the family.
     """
     k, m = A.n, B.n
     q = k * m
-    basis = _herm_basis(q)
-    constraints = [np.eye(k, dtype=complex)] + [np.asarray(M) for M in A]
-    targets = [np.eye(m, dtype=complex)] + [np.asarray(M) for M in B]
-
-    rows = []
-    for X in constraints:
-        rows.append(np.stack([apply_choi(H, X, k, m).ravel() for H in basis],
-                             axis=1))  # (m^2, q^2) complex
-    G = np.vstack(rows)                       # ((d+1) m^2, q^2) complex
-    Areal = np.vstack([G.real, G.imag])       # real rows
-    b = np.concatenate([np.stack([t.ravel() for t in targets]).ravel().real,
-                        np.stack([t.ravel() for t in targets]).ravel().imag])
-    Apinv = np.linalg.pinv(Areal, rcond=1e-12)
+    sources, targets = _choi_family(A), _choi_family(B)
+    U, s, Vh = np.linalg.svd(sources, full_matrices=False)
+    r = int(np.sum(s > 1e-12 * s[0]))
+    Vr = Vh[:r].conj().T                                  # (2d+1, r)
+    TV = targets @ Vr
+    F = U[:, :r].T.reshape(r, k, k)
+    G = (TV / s[:r]).T.reshape(r, m, m)
 
     short_circuit = None
-    lsq = Areal @ (Apinv @ b)
-    scale = max(1.0, float(np.max(np.abs(b))))
-    if np.linalg.norm(lsq - b) > consistency_tol * scale:
+    resid = float(np.linalg.norm(targets - TV @ Vr.conj().T))
+    values = np.stack(list(B))
+    scale = max(1.0, float(np.max(np.abs(values.real))),
+                float(np.max(np.abs(values.imag))))
+    if resid > consistency_tol * scale:
         short_circuit = FeasibilityResult(
-            Status.INFEASIBLE, None, float(np.linalg.norm(lsq - b)), 0,
+            Status.INFEASIBLE, None, resid, 0,
             message="no linear map takes the prescribed values",
         )
 
-    basis_arr = np.stack(basis)  # (q^2, q, q)
-
-    def coords(C: np.ndarray) -> np.ndarray:
-        # Real coordinates of Hermitian C in the orthonormal basis.
-        return np.real(np.einsum("aij,ij->a", basis_arr.conj(), C))
-
     def project(blocks: list[np.ndarray]) -> list[np.ndarray]:
         C = np.asarray(blocks[0], dtype=complex)
-        C = (C + C.conj().T) / 2.0
-        c = coords(C)
-        c = c - Apinv @ (Areal @ c - b)
-        out = np.tensordot(c, basis_arr, axes=(0, 0))
+        C = ((C + C.conj().T) / 2.0).reshape(k, m, k, m)
+        D = np.einsum("rab,aibj->rij", F, C) - G
+        out = (C - np.einsum("rab,rij->aibj", F.conj(), D)).reshape(q, q)
         return [(out + out.conj().T) / 2.0]
 
     return project, short_circuit
@@ -277,7 +270,6 @@ def spectrahedron_inclusion(A: GenTuple, B: GenTuple, max_iter: int = 20000,
         probe = A
     else:
         # General pencils: probe the range of the 2d Hermitian parts instead.
-        from .sets import re_im_split
         probe = re_im_split(A)
     ok, margin = zero_interior_range(probe, samples=samples, seed=seed)
     if not ok:

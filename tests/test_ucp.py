@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import pauli_pair
+from conftest import frob, pauli_pair
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv.sdp import Status
@@ -13,6 +15,7 @@ from matconv.ucp import (
     apply_choi,
     cc_exists,
     ccp_exists,
+    choi_affine_projector,
     choi_constraint_residual,
     cube_in_level1,
     normal_ucp_exists,
@@ -141,6 +144,129 @@ class TestChoiMachinery:
         prob_ccp = ChoiProblem(A, A, MapMode.CCP)
         T = prob_ccp.reduced_source[0]
         assert np.allclose(T, np.array([[1 + 1j, 0], [0, 0]]))
+
+
+def herm_basis(q: int) -> np.ndarray:
+    """Orthonormal real basis of the Hermitian q x q matrices, (q^2, q, q)."""
+    s = 1.0 / np.sqrt(2.0)
+    basis = []
+    for i in range(q):
+        for j in range(q):
+            E = np.zeros((q, q), dtype=complex)
+            if i == j:
+                E[i, i] = 1.0
+            elif i < j:
+                E[i, j] = E[j, i] = s
+            else:
+                E[i, j], E[j, i] = 1j * s, -1j * s
+            basis.append(E)
+    return np.stack(basis)
+
+
+def reference_system(A, B):
+    """Dense oracle: the real constraint system ``M c = b`` on the Hermitian
+    coordinates ``c`` of a Choi matrix, with its coordinate basis."""
+    k, m = A.n, B.n
+    basis = herm_basis(k * m)
+    sources = [np.eye(k)] + list(A)
+    M = np.stack([np.concatenate([apply_choi(H, X, k, m).ravel()
+                                  for X in sources]) for H in basis], axis=1)
+    M = np.vstack([M.real, M.imag])
+    t = np.concatenate([np.eye(m).ravel()] + [np.ravel(T) for T in B])
+    return basis, M, np.concatenate([t.real, t.imag])
+
+
+def reference_projector(A, B):
+    """Projector of the dense oracle, solved by least squares per call."""
+    basis, M, b = reference_system(A, B)
+
+    def project(C):
+        c = np.real(np.einsum("aij,ij->a", basis.conj(), C))
+        c = c - np.linalg.lstsq(M, M @ c - b, rcond=None)[0]
+        return np.tensordot(c, basis, axes=1)
+
+    return project
+
+
+def projector_instance(kind, k, m, rng):
+    """Reduced (source, target) pair: Hermitian UCP data, or the padded
+    CCP embedding of a non-Hermitian source."""
+    if kind == "herm":
+        A = HermTuple(sampling.random_herm_contraction_tuple(2, k, rng))
+        return A, HermTuple([sampling.random_herm(m, rng) for _ in range(2)])
+    A = GenTuple([sampling.random_gen(k, rng) for _ in range(2)])
+    B = GenTuple([sampling.random_gen(m, rng) for _ in range(2)])
+    prob = ChoiProblem(A, B, MapMode.CCP)
+    return prob.reduced_source, prob.reduced_target
+
+
+class TestChoiProjector:
+    @pytest.mark.parametrize("kind", ["herm", "ccp"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_dense_reference(self, kind, k, m, rng):
+        A, B = projector_instance(kind, k, m, rng)
+        project, short = choi_affine_projector(A, B)
+        assert short is None
+        ref = reference_projector(A, B)
+        q = A.n * B.n
+        C, C2 = sampling.random_herm(q, rng), sampling.random_herm(q, rng)
+        P, P2 = project([C])[0], project([C2])[0]
+        assert np.max(np.abs(P - ref(C))) <= 1e-12
+        assert np.max(np.abs(project([P])[0] - P)) <= 1e-12
+        assert nk.herm_deviation(P) <= 1e-12
+        assert choi_constraint_residual(P, A, B) <= 1e-12
+        # Obtuse-angle characterization of the orthogonal projection.
+        inner = np.vdot(C - P, P2 - P)
+        assert abs(inner) <= 1e-12 * (1.0 + frob(C - P) * frob(P2 - P))
+
+    def test_build_memory_at_q64(self, rng):
+        A = HermTuple(sampling.random_herm_contraction_tuple(3, 8, rng))
+        B = HermTuple(sampling.random_herm_contraction_tuple(3, 8, rng))
+        C = sampling.random_herm(64, rng)
+        tracemalloc.start()
+        try:
+            project, short = choi_affine_projector(A, B)
+            P = project([C])[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert short is None
+        assert choi_constraint_residual(P, A, B) <= 1e-12
+        assert peak < 5 * 2 ** 20
+
+
+class TestRankDeficientSources:
+    def dependent_pairs(self, rng):
+        """Sources with A_2 = 2 A_1, and with A_1 = c I."""
+        A1, A2 = sampling.random_herm_contraction_tuple(2, 3, rng, shrink=0.5)
+        yield HermTuple([A1, 2.0 * A1])
+        yield HermTuple([0.3 * np.eye(3), A2])
+
+    def test_consistent_targets_feasible(self, rng):
+        for A in self.dependent_pairs(rng):
+            B = ampliated_compression(A, 2, rng)
+            _, short = choi_affine_projector(A, B)
+            assert short is None
+            res = ucp_exists(A, B)
+            assert res.status is Status.FEASIBLE
+            recheck_witness(res, A, B)
+
+    def test_inconsistent_targets_short_circuit(self, rng):
+        for A in self.dependent_pairs(rng):
+            B = ampliated_compression(A, 2, rng)
+            # Break the dependency in the target the first source pins.
+            bad = np.asarray(B[0]) + 0.1 * np.diag([1.0, -1.0])
+            B = HermTuple([bad, B[1]])
+            res = ucp_exists(A, B)
+            assert res.status is Status.INFEASIBLE
+            assert res.iterations == 0
+            assert res.message == "no linear map takes the prescribed values"
+            # The residual is the least-squares distance of the values.
+            _, M, b = reference_system(A, B)
+            lsq = M @ np.linalg.lstsq(M, b, rcond=None)[0]
+            assert res.residual == pytest.approx(np.linalg.norm(lsq - b),
+                                                 rel=1e-9)
 
 
 class TestCcCcp:

@@ -46,6 +46,7 @@ from .sdp import LpProblem, lp_feasible
 from .sets import (
     GenTuple,
     HermTuple,
+    _first_failing_row,
     cube_member,
     first_violated_sign,
     re_im_split,
@@ -303,13 +304,8 @@ def lambda_dilation(X: HermTuple, fam: LambdaFamily) -> Dilation:
 def lambda_blocks(X: HermTuple, fam: LambdaFamily) -> list[list[np.ndarray]]:
     """The diagonal blocks ``Y^(p)_i = sum_j lam^(p)_ij X_j`` of the
     rank-one-family dilation, without building the big matrices."""
-    out = []
-    for p in range(fam.k):
-        out.append([
-            sum(fam.lambdas[p, i, j] * np.asarray(X[j]) for j in range(fam.d))
-            for i in range(fam.d)
-        ])
-    return out
+    Y = nk.lincomb(fam.lambdas.reshape(fam.k * fam.d, fam.d), X.matrices)
+    return [list(Y[p * fam.d:(p + 1) * fam.d]) for p in range(fam.k)]
 
 
 def joint_spectrum_rank_one(fam: LambdaFamily, X: HermTuple) -> nk.JointSpectrum:
@@ -321,13 +317,11 @@ def joint_spectrum_rank_one(fam: LambdaFamily, X: HermTuple) -> nk.JointSpectrum
     """
     if fam.d != X.d:
         raise DilationError("family dimension mismatch")
-    pts = []
-    for b, u, w in fam.rank_one_factors():
-        M = sum(b * wj * np.asarray(Xj) for wj, Xj in zip(w, X))
-        mus = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
-        for mu in mus:
-            pts.append(mu * u)
-    return nk.JointSpectrum(points=np.asarray(pts))
+    b, U, W = zip(*fam.rank_one_factors())
+    M = nk.lincomb(np.array(b)[:, None] * np.array(W), X.matrices)
+    mus = np.linalg.eigvalsh(nk.hermitize(M, tol=np.inf))    # (k, n)
+    pts = mus[:, :, None] * np.array(U)[:, None, :]           # (k, n, d)
+    return nk.JointSpectrum(points=pts.reshape(-1, fam.d))
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +411,16 @@ def frame_dilation(X: HermTuple, vectors, weights=None,
         raise DilationError("vectors do not form a tight frame")
 
     # Dual-polytope precondition: every signed weighted frame direction obeys
-    # the operator inequality.
-    I = np.eye(X.n)
-    for m in range(N):
-        alpha = c[m] * V[m]
-        Sm = sum(float(a) * np.asarray(M) for a, M in zip(alpha, X))
-        for sgn in (+1.0, -1.0):
-            if nk.min_eig(I - sgn * Sm, tol=np.inf) < -tol:
-                raise DilationError(
-                    f"tuple violates the dual inequality for frame vector {m} "
-                    f"(sign {int(sgn)})")
+    # the operator inequality.  Rows 2m and 2m+1 are +c_m v^(m) and its
+    # negative.
+    alphas = np.repeat(c[:, None] * V, 2, axis=0)
+    alphas[1::2] *= -1.0
+    bad = _first_failing_row(X, 2 * N, lambda lo, hi: (alphas[lo:hi], 1.0),
+                             tol)
+    if bad is not None:
+        raise DilationError(
+            f"tuple violates the dual inequality for frame vector {bad // 2} "
+            f"(sign {1 - 2 * (bad % 2)})")
 
     csum = float(c.sum())
     b = csum / (sigma * c)

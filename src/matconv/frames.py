@@ -29,10 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import numkernel as nk
 from .dilation import Dilation, LambdaFamily, joint_spectrum_rank_one, lambda_dilation
 from .sdp import point_in_hull
-from .sets import HermTuple, MissingRepresentationError, Polytope
+from .sets import HermTuple, MissingRepresentationError, Polytope, wmax_member
 
 DEFAULT_GROUP_TOL = 1e-8
 DEFAULT_CAP = 24
@@ -344,11 +343,8 @@ def vertex_reflexive_pipeline(frame: Frame, X: HermTuple,
             "supply K = conv(frame) facets; no hull computation is done here")
     if not facets.has_facets:
         raise MissingRepresentationError("facet polytope has no facets")
-    I = np.eye(X.n)
-    for alpha, a in facets.facets():
-        S = sum(float(al) * np.asarray(M) for al, M in zip(alpha, X))
-        if nk.min_eig(a * I - S, tol=np.inf) < -tol:
-            raise FrameError("tuple violates a facet inequality of K")
+    if not wmax_member(X, facets, tol=tol):
+        raise FrameError("tuple violates a facet inequality of K")
 
     l2 = frame.norm ** 2
     lams = np.stack([(d / l2) * np.outer(v, v) for v in frame.vectors])

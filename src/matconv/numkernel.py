@@ -2,8 +2,10 @@
 
 Everything here operates on plain ``numpy`` arrays.  Hermitian matrices are
 always symmetrized on entry (``(M + M*)/2``) after a tolerance check, so
-downstream eigensolves never see asymmetric garbage.  Tolerances follow an
-absolute-plus-relative convention: ``tol_abs + tol_rel * scale``.
+downstream eigensolves never see asymmetric garbage.  Linear combinations
+and extreme eigenvalues are batched: :func:`lincomb` builds an ``(F, n, n)``
+stack of combinations, and :func:`min_eig` and :func:`max_eig` take such a
+stack and make one LAPACK call for all of it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-DEFAULT_TOL_ABS = 1e-10
-DEFAULT_TOL_REL = 1e-10
 HERMITICITY_TOL = 1e-12
 
 # Simultaneous diagonalization: eigenvalue clusters of a random combination are
@@ -51,12 +51,6 @@ class NotCommutingError(NumKernelError):
         self.bound = bound
 
 
-def tol_of(scale: float, tol_abs: float = DEFAULT_TOL_ABS,
-           tol_rel: float = DEFAULT_TOL_REL) -> float:
-    """Absolute-plus-relative tolerance at a given scale."""
-    return tol_abs + tol_rel * abs(scale)
-
-
 def as_cmatrix(entries) -> np.ndarray:
     """Coerce to a 2-d complex array, rejecting non-finite entries."""
     M = np.asarray(entries, dtype=complex)
@@ -68,26 +62,31 @@ def as_cmatrix(entries) -> np.ndarray:
 
 
 def herm_deviation(M: np.ndarray) -> float:
-    """Max-entry deviation of M from its adjoint."""
-    return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
+    """Max-entry deviation of M (a matrix or a stack) from its adjoint."""
+    if not M.size:
+        return 0.0
+    return float(np.max(np.abs(M - M.conj().swapaxes(-1, -2))))
 
 
 def hermitize(M, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate hermiticity within ``tol`` (max-entry norm) and symmetrize."""
-    M = as_cmatrix(M)
-    if M.shape[0] != M.shape[1]:
+    """Validate hermiticity within ``tol`` (max-entry norm) and symmetrize.
+
+    ``M`` is a matrix or an ``(F, n, n)`` stack of matrices; a stack is
+    checked and symmetrized matrix by matrix.
+    """
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 3:
+        M = as_cmatrix(M)
+    elif not np.all(np.isfinite(M)):
+        raise ValueError("matrix stack has non-finite entries")
+    if M.shape[-1] != M.shape[-2]:
         raise NotHermitianError(f"matrix is not square: shape {M.shape}")
     dev = herm_deviation(M)
     if dev > tol:
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {dev:.3e} (tolerance {tol:.1e})"
         )
-    return (M + M.conj().T) / 2.0
-
-
-def is_hermitian(M, tol: float = HERMITICITY_TOL) -> bool:
-    M = as_cmatrix(M)
-    return M.shape[0] == M.shape[1] and herm_deviation(M) <= tol
+    return (M + M.conj().swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -117,22 +116,57 @@ def herm_eig(M, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=Q)
 
 
-def min_eig(M, tol: float = HERMITICITY_TOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
+def _eigvalsh(M, tol: float) -> np.ndarray:
+    # Always complex, as ``hermitize`` casts: a real stack would go to
+    # another LAPACK routine and could differ in the last digits.
     H = hermitize(M, tol)
     try:
-        return float(np.linalg.eigvalsh(H)[0])
+        return np.linalg.eigvalsh(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigenSolveError(f"eigensolver failed: {exc}") from exc
 
 
-def max_eig(M, tol: float = HERMITICITY_TOL) -> float:
-    """Largest eigenvalue of a Hermitian matrix."""
-    H = hermitize(M, tol)
-    try:
-        return float(np.linalg.eigvalsh(H)[-1])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigenSolveError(f"eigensolver failed: {exc}") from exc
+def min_eig(M, tol: float = HERMITICITY_TOL):
+    """Smallest eigenvalue of a Hermitian matrix; for an ``(F, n, n)`` stack,
+    an array of the F smallest eigenvalues, from one LAPACK call."""
+    w = _eigvalsh(M, tol)
+    return float(w[0]) if w.ndim == 1 else w[:, 0]
+
+
+def max_eig(M, tol: float = HERMITICITY_TOL):
+    """Largest eigenvalue of a Hermitian matrix; for an ``(F, n, n)`` stack,
+    an array of the F largest eigenvalues, from one LAPACK call."""
+    w = _eigvalsh(M, tol)
+    return float(w[-1]) if w.ndim == 1 else w[:, -1]
+
+
+def lincomb(coeffs, mats) -> np.ndarray:
+    """Stack of linear combinations ``out[f] = sum_j coeffs[f, j] mats[j]``.
+
+    ``coeffs`` is ``(F, d)`` and ``mats`` holds d matrices of one size.  The
+    terms are added in index order onto a zero start, as Python's ``sum``
+    over ``coeffs[f, j] * mats[j]`` adds them, so every slice is
+    bit-identical to that loop.
+    """
+    coeffs = np.asarray(coeffs)
+    mats = np.asarray(mats)
+    if coeffs.ndim != 2 or coeffs.shape[1] != mats.shape[0]:
+        raise ValueError(f"coefficients of shape {coeffs.shape} do not match "
+                         f"{mats.shape[0]} matrices")
+    out = np.zeros(coeffs.shape[:1] + mats.shape[1:],
+                   dtype=np.result_type(coeffs, mats))
+    for j in range(mats.shape[0]):
+        out += coeffs[:, j, None, None] * mats[j]
+    return out
+
+
+def sign_rows(d: int, lo: int, hi: int) -> np.ndarray:
+    """Sign vectors ``lo .. hi-1`` of ``{-1, 1}^d`` as integer rows, in the
+    lexicographic order of ``np.ndindex(*(2,) * d)`` (bit j of the index,
+    most significant first, picks the sign of coordinate j)."""
+    idx = np.arange(lo, hi, dtype=np.int64)
+    bits = (idx[:, None] >> np.arange(d - 1, -1, -1, dtype=np.int64)) & 1
+    return bits * 2 - 1
 
 
 def opnorm(A) -> float:
@@ -243,7 +277,7 @@ def _simdiag_recurse(mats: list[np.ndarray], rng: np.random.Generator,
             residual=dev,
         )
     coeffs = rng.standard_normal(len(mats))
-    M = sum(c * A for c, A in zip(coeffs, mats))
+    M = lincomb(coeffs[None, :], mats)[0]
     w, Q = np.linalg.eigh((M + M.conj().T) / 2.0)
     clusters = _split_clusters(w, cluster_tol)
     if len(clusters) == 1:
@@ -316,6 +350,17 @@ def simultaneous_diagonalize(mats: Sequence, tol: float = 1e-8,
     return U, JointSpectrum(points=points)
 
 
+def re_im_parts(mats: Sequence) -> list[np.ndarray]:
+    """Hermitian real and imaginary parts, interleaved:
+    ``(Re M_1, Im M_1, ..., Re M_d, Im M_d)`` with ``M = Re M + i Im M``."""
+    parts = []
+    for M in mats:
+        M = as_cmatrix(M)
+        parts.append((M + M.conj().T) / 2.0)
+        parts.append((M - M.conj().T) / 2.0j)
+    return parts
+
+
 def joint_spectrum_normal(mats: Sequence, tol: float = 1e-8,
                           seed: int = 0) -> tuple[np.ndarray, JointSpectrum]:
     """Joint spectrum of a commuting *normal* family via real/imaginary parts.
@@ -324,12 +369,7 @@ def joint_spectrum_normal(mats: Sequence, tol: float = 1e-8,
     commuting normal family the 2d-tuple of parts commutes, so the Hermitian
     routine applies and the complex points are recombined afterwards.
     """
-    mats = [as_cmatrix(M) for M in mats]
-    parts = []
-    for M in mats:
-        parts.append((M + M.conj().T) / 2.0)
-        parts.append((M - M.conj().T) / 2.0j)
-    U, spec = simultaneous_diagonalize(parts, tol=tol, seed=seed)
+    U, spec = simultaneous_diagonalize(re_im_parts(mats), tol=tol, seed=seed)
     pts = spec.points
     complex_pts = pts[:, 0::2] + 1j * pts[:, 1::2]
     return U, JointSpectrum(points=complex_pts)

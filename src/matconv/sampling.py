@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import numkernel as nk
+
 
 def rng_from(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -73,11 +75,8 @@ def random_sign_sum_bounded_tuple(d: int, n: int, rng: np.random.Generator,
                                   bound: float = 1.0) -> list[np.ndarray]:
     """Random Hermitian tuple with every sign combination sum <= bound * I."""
     H = [random_herm(n, rng) for _ in range(d)]
-    worst = 0.0
-    for eps in np.ndindex(*(2,) * d):
-        signs = np.array(eps) * 2 - 1
-        S = sum(s * M for s, M in zip(signs, H))
-        worst = max(worst, float(np.linalg.eigvalsh(S)[-1]))
+    S = nk.lincomb(nk.sign_rows(d, 0, 2 ** d), H)
+    worst = max(0.0, float(np.max(nk.max_eig(S, tol=np.inf))))
     t = bound * rng.uniform(0.2, 1.0) / max(worst, 1e-12)
     return [t * M for M in H]
 

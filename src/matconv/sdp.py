@@ -3,8 +3,11 @@
 Two solvers live here:
 
 * :func:`dykstra_solve` -- Dykstra alternating projections for problems of the
-  shape "find a list of PSD blocks inside an affine set".  The affine set is
-  supplied as its orthogonal projector (Frobenius metric).  Infeasibility is
+  shape "find PSD blocks of one size inside an affine set".  The blocks are
+  kept as one ``(N, n, n)`` stack from end to end; the affine set is supplied
+  as its orthogonal projector (Frobenius metric), which maps such a stack to
+  a stack, and the PSD side projects the whole stack with one batched
+  eigensolve.  Infeasibility is
   reported heuristically when the gap between the PSD iterate and the affine
   set plateaus well above the feasibility tolerance; callers must treat an
   ``Infeasible`` verdict as "no feasible point found, residual bounded away
@@ -64,11 +67,12 @@ class FeasibilityResult:
 
 @dataclass
 class BlockPsdProblem:
-    """Find PSD blocks of the given sizes inside an affine set.
+    """Find PSD blocks inside an affine set.
 
-    ``affine_projector`` maps a block list to its closest point (Frobenius
-    metric) in the affine constraint set and must be idempotent to 1e-12 on
-    its own output.
+    The blocks share one size: ``block_dims`` lists it once per block.
+    ``affine_projector`` maps an ``(N, n, n)`` stack of blocks to its closest
+    point (Frobenius metric) in the affine constraint set, again an
+    ``(N, n, n)`` stack, and must be idempotent to 1e-12 on its own output.
     """
 
     block_dims: list[int]
@@ -79,44 +83,35 @@ class BlockPsdProblem:
     stall_rel: float = 1e-4
 
 
-def _zero_blocks(dims: Sequence[int]) -> list[np.ndarray]:
-    return [np.zeros((n, n), dtype=complex) for n in dims]
+def _sym(K: np.ndarray) -> np.ndarray:
+    """Hermitian part of each block of a stack."""
+    return (K + K.conj().swapaxes(1, 2)) / 2.0
 
 
 def _frob(blocks: Sequence[np.ndarray]) -> float:
+    # Block by block: the reported residual keeps this summation order.
     return float(np.sqrt(sum(np.linalg.norm(B) ** 2 for B in blocks)))
 
 
-def _diff(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> list[np.ndarray]:
-    return [x - y for x, y in zip(a, b)]
-
-
-def psd_project(M: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest PSD matrix (eigenvalue clipping); also returns min eigenvalue."""
-    H = (M + M.conj().T) / 2.0
+def psd_project(K: np.ndarray) -> np.ndarray:
+    """Nearest PSD point of an ``(N, n, n)`` stack, block by block, from one
+    batched ``eigh``: each block is symmetrized, and a block with a negative
+    eigenvalue is rebuilt with its negative eigenvalues clipped to zero.
+    Blocks that are already PSD come back as their symmetrized input."""
+    H = _sym(K)
     w, Q = np.linalg.eigh(H)
-    if w[0] >= 0.0:
-        return H, float(w[0])
-    P = (Q * np.clip(w, 0.0, None)) @ Q.conj().T
-    return (P + P.conj().T) / 2.0, float(w[0])
-
-
-def _psd_project_blocks(blocks: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
-    out = []
-    min_w = np.inf
-    for B in blocks:
-        P, w0 = psd_project(B)
-        out.append(P)
-        min_w = min(min_w, w0)
-    return out, float(min_w)
-
-
-def _min_eig_blocks(blocks: Sequence[np.ndarray]) -> float:
-    vals = []
-    for B in blocks:
-        H = (B + B.conj().T) / 2.0
-        vals.append(float(np.linalg.eigvalsh(H)[0]))
-    return min(vals)
+    neg = w[:, 0] < 0.0
+    clipped = np.count_nonzero(neg)
+    if clipped == 0:
+        return H
+    some = clipped < len(w)  # else rebuild every block without gathering
+    if some:
+        w, Q = w[neg], Q[neg]
+    P = _sym((Q * np.clip(w, 0.0, None)[:, None, :]) @ Q.conj().swapaxes(1, 2))
+    if not some:
+        return P
+    H[neg] = P
+    return H
 
 
 def dykstra_solve(problem: BlockPsdProblem,
@@ -129,41 +124,51 @@ def dykstra_solve(problem: BlockPsdProblem,
     its Frobenius distance to the affine set is small, or the affine-side
     point when its blocks are PSD up to ``-tol_feas``.  ``Infeasible`` is the
     plateau heuristic described in the module docstring; hitting ``max_iter``
-    without a plateau yields ``Undecided``.
+    without a plateau yields ``Undecided``.  A feasible witness is the list of
+    the N blocks.  Blocks of unequal size raise :class:`SdpError`.
     """
-    project = problem.affine_projector
+    dims = list(problem.block_dims)
+    if len(set(dims)) != 1:
+        raise SdpError(
+            f"blocks must share one size, got sizes {sorted(set(dims))}")
+    shape = (len(dims), dims[0], dims[0])
+
+    def project(K: np.ndarray) -> np.ndarray:
+        return np.asarray(problem.affine_projector(K), dtype=complex)
+
     if start is None:
-        x = project(_zero_blocks(problem.block_dims))
+        x = project(np.zeros(shape, dtype=complex))
     else:
-        if [B.shape[0] for B in start] != list(problem.block_dims):
+        if [B.shape[0] for B in start] != dims:
             raise SdpError("start blocks do not match block_dims")
-        x = project([hermitize(B, tol=np.inf) for B in start])
+        x = project(np.stack([hermitize(B, tol=np.inf) for B in start]))
     # Projector contract: idempotent on its own output.
-    drift = _frob(_diff(project(x), x))
+    drift = _frob(project(x) - x)
     if drift > PROJECTOR_IDEMPOTENCY_TOL * (1.0 + _frob(x)):
         raise SdpError(
             f"affine projector is not idempotent (drift {drift:.3e})")
-    p = _zero_blocks(problem.block_dims)  # Dykstra correction, PSD side
-    q = _zero_blocks(problem.block_dims)  # Dykstra correction, affine side
+    p = np.zeros(shape, dtype=complex)  # Dykstra correction, PSD side
+    q = np.zeros(shape, dtype=complex)  # Dykstra correction, affine side
     gaps: list[float] = []
     tol = problem.tol_feas
     for it in range(1, problem.max_iter + 1):
-        y_in = [a + b for a, b in zip(x, p)]
-        y, _ = _psd_project_blocks(y_in)
-        p = _diff(y_in, y)
+        y_in = x + p
+        y = psd_project(y_in)
+        p = y_in - y
 
         y_aff = project(y)
-        gap = _frob(_diff(y_aff, y))
+        gap = _frob(y_aff - y)
         gaps.append(gap)
         if gap <= tol:
-            return FeasibilityResult(Status.FEASIBLE, y, gap, it)
-        neg = _min_eig_blocks(y_aff)
+            return FeasibilityResult(Status.FEASIBLE, list(y), gap, it)
+        neg = float(np.linalg.eigvalsh(_sym(y_aff))[:, 0].min())
         if neg >= -tol:
-            return FeasibilityResult(Status.FEASIBLE, y_aff, max(0.0, -neg), it)
+            return FeasibilityResult(Status.FEASIBLE, list(y_aff),
+                                     max(0.0, -neg), it)
 
-        z_in = [a + b for a, b in zip(y, q)]
+        z_in = y + q
         x = project(z_in)
-        q = _diff(z_in, x)
+        q = z_in - x
 
         w = problem.stall_window
         if len(gaps) >= w and gaps[-1] > 10 * tol:
@@ -186,13 +191,14 @@ def dykstra_solve(problem: BlockPsdProblem,
 
 def affine_projector_povm(vertices, X: Sequence[np.ndarray],
                           consistency_tol: float = 1e-9,
-                          ) -> Callable[[list[np.ndarray]], list[np.ndarray]]:
+                          ) -> Callable[[np.ndarray], np.ndarray]:
     """Projector onto ``{(K_v): sum_v K_v = I, sum_v v K_v = X}``.
 
     The constraints decouple per matrix entry ``(r, s)``: each entry vector
     ``(K_v[r,s])_v`` solves a fixed ``(d+1) x N`` linear system whose rows are
     the all-ones row and the vertex coordinates.  The projector applies the
-    precomputed pseudoinverse of that matrix entrywise.
+    precomputed pseudoinverse of that matrix entrywise, mapping an
+    ``(N, n, n)`` stack of blocks (or a list of N blocks) to a stack.
 
     Raises
     ------
@@ -223,12 +229,11 @@ def affine_projector_povm(vertices, X: Sequence[np.ndarray],
                 "vertex constraint system is inconsistent for this tuple"
             )
 
-    def project(blocks: list[np.ndarray]) -> list[np.ndarray]:
-        K = np.stack([np.asarray(B, dtype=complex) for B in blocks])
+    def project(blocks) -> np.ndarray:
+        K = np.asarray(blocks, dtype=complex)
         M = np.tensordot(A, K, axes=(1, 0))         # (d+1, n, n)
         K = K - np.tensordot(Apinv, M - target, axes=(1, 0))
-        K = (K + np.conj(np.transpose(K, (0, 2, 1)))) / 2.0
-        return list(K)
+        return (K + np.conj(np.transpose(K, (0, 2, 1)))) / 2.0
 
     return project
 

@@ -32,6 +32,9 @@ from .sdp import (
 
 DEFAULT_MEMBER_TOL = 1e-9
 SIGN_ENUMERATION_CAP = 24  # refuse 2^d sign sweeps beyond this many variables
+# Rows per batched eigensolve in the early-exit sweeps: a sweep that fails
+# early stops after one chunk, and one chunk bounds the memory of any sweep.
+SWEEP_CHUNK = 256
 
 
 class SetsError(Exception):
@@ -99,11 +102,7 @@ class HermTuple(GenTuple):
 
 def re_im_split(X: GenTuple) -> HermTuple:
     """Interleave real and imaginary parts: (Re X_1, Im X_1, ..., Im X_d)."""
-    parts = []
-    for M in X:
-        parts.append((M + M.conj().T) / 2.0)
-        parts.append((M - M.conj().T) / 2.0j)
-    return HermTuple(parts)
+    return HermTuple(nk.re_im_parts(X))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +187,7 @@ def cube_polytope(d: int) -> Polytope:
     """[-1, 1]^d with both representations (2^d vertices, 2d facets)."""
     if d > SIGN_ENUMERATION_CAP:
         raise SetsError(f"refusing 2^{d} cube vertices (cap {SIGN_ENUMERATION_CAP})")
-    verts = np.array(list(np.ndindex(*(2,) * d)), dtype=float) * 2 - 1
+    verts = nk.sign_rows(d, 0, 2 ** d).astype(float)
     normals = np.vstack([np.eye(d), -np.eye(d)])
     offsets = np.ones(2 * d)
     return Polytope(d, vertices=verts, facet_normals=normals,
@@ -200,22 +199,10 @@ def diamond_polytope(d: int) -> Polytope:
     if d > SIGN_ENUMERATION_CAP:
         raise SetsError(f"refusing 2^{d} diamond facets (cap {SIGN_ENUMERATION_CAP})")
     verts = np.vstack([np.eye(d), -np.eye(d)])
-    normals = np.array(list(np.ndindex(*(2,) * d)), dtype=float) * 2 - 1
+    normals = nk.sign_rows(d, 0, 2 ** d).astype(float)
     offsets = np.ones(normals.shape[0])
     return Polytope(d, vertices=verts, facet_normals=normals,
                     facet_offsets=offsets)
-
-
-def scaled_polytope(P: Polytope, t: float) -> Polytope:
-    """t * P; vertices scale by t, facet offsets scale by t."""
-    if t <= 0:
-        raise ValueError("scale must be positive")
-    return Polytope(
-        P.dim,
-        vertices=None if P.vertices is None else t * P.vertices,
-        facet_normals=None if P.facet_normals is None else P.facet_normals.copy(),
-        facet_offsets=None if P.facet_offsets is None else t * P.facet_offsets,
-    )
 
 
 def polar_dual_polytope(P: Polytope, margin: float = 1e-6) -> Polytope:
@@ -320,19 +307,32 @@ def cube_pencil(d: int) -> Pencil:
     return Pencil(HermTuple(coeffs))
 
 
-def diamond_wmax_pencil(d: int) -> Pencil:
-    """Diagonal pencil over all sign vectors; its domain is the largest
-    matrix convex set over the l1 ball."""
-    if d > SIGN_ENUMERATION_CAP:
-        raise SetsError(f"refusing 2^{d} sign rows (cap {SIGN_ENUMERATION_CAP})")
-    signs = np.array(list(np.ndindex(*(2,) * d)), dtype=float) * 2 - 1
-    coeffs = [np.diag(signs[:, j]) for j in range(d)]
-    return Pencil(HermTuple(coeffs))
-
-
 # ---------------------------------------------------------------------------
 # Membership oracles
 # ---------------------------------------------------------------------------
+
+
+def _first_failing_row(X: GenTuple, count: int, chunk, tol: float,
+                       ) -> Optional[int]:
+    """Index of the first of ``count`` rows whose inequality
+    ``sum_j c_j X_j <= a I`` fails by more than ``tol``, or None.
+
+    ``chunk(lo, hi)`` returns the coefficient rows ``c`` (shape
+    ``(hi - lo, d)``) and offsets ``a`` (a scalar or ``hi - lo`` values) of
+    rows ``lo .. hi-1``.  Rows are built and checked ``SWEEP_CHUNK`` at a
+    time, with one batched eigensolve per chunk, and the sweep stops at the
+    first chunk that holds a failing row.
+    """
+    I = np.eye(X.n)
+    for lo in range(0, count, SWEEP_CHUNK):
+        hi = min(lo + SWEEP_CHUNK, count)
+        coeffs, offsets = chunk(lo, hi)
+        S = (np.reshape(offsets, (-1, 1, 1)) * I
+             - nk.lincomb(coeffs, X.matrices))
+        bad = np.flatnonzero(nk.min_eig(S, tol=np.inf) < -tol)
+        if bad.size:
+            return lo + int(bad[0])
+    return None
 
 
 def wmax_member(X: HermTuple, P: Polytope,
@@ -345,12 +345,10 @@ def wmax_member(X: HermTuple, P: Polytope,
             "wmax membership needs the H-representation; supply facets")
     if P.dim != X.d:
         raise ValueError("polytope dimension does not match tuple length")
-    I = np.eye(X.n)
-    for alpha, a in P.facets():
-        S = a * I - sum(float(al) * M for al, M in zip(alpha, X))
-        if nk.min_eig(S, tol=np.inf) < -tol:
-            return False
-    return True
+    normals, offsets = P.facet_normals, P.facet_offsets
+    bad = _first_failing_row(
+        X, len(offsets), lambda lo, hi: (normals[lo:hi], offsets[lo:hi]), tol)
+    return bad is None
 
 
 def wmin_member(X: HermTuple, P: Polytope, max_iter: int = 20000,
@@ -414,13 +412,9 @@ def first_violated_sign(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL,
     if X.d > SIGN_ENUMERATION_CAP:
         raise SetsError(
             f"refusing 2^{X.d} sign combinations (cap {SIGN_ENUMERATION_CAP})")
-    I = np.eye(X.n)
-    for eps in np.ndindex(*(2,) * X.d):
-        signs = np.array(eps) * 2 - 1
-        S = sum(float(s) * M for s, M in zip(signs, X))
-        if nk.min_eig(bound * I - S, tol=np.inf) < -tol:
-            return signs
-    return None
+    bad = _first_failing_row(
+        X, 2 ** X.d, lambda lo, hi: (nk.sign_rows(X.d, lo, hi), bound), tol)
+    return None if bad is None else nk.sign_rows(X.d, bad, bad + 1)[0]
 
 
 def ball_wmax_member(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL,
@@ -433,12 +427,9 @@ def ball_wmax_member(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL,
     """
     rng = sampling.rng_from(seed)
     dirs = sampling.sphere_points(X.d, num_facets, rng)
-    I = np.eye(X.n)
-    for u in dirs:
-        S = sum(float(c) * M for c, M in zip(u, X))
-        if nk.min_eig(I - S, tol=np.inf) < -tol:
-            return False
-    return True
+    bad = _first_failing_row(X, len(dirs), lambda lo, hi: (dirs[lo:hi], 1.0),
+                             tol)
+    return bad is None
 
 
 def zero_interior_range(A: HermTuple, samples: int = 512,
@@ -455,11 +446,10 @@ def zero_interior_range(A: HermTuple, samples: int = 512,
     rng = sampling.rng_from(seed)
     dirs = sampling.sphere_points(A.d, samples, rng)
 
-    def support(u):
-        S = sum(float(c) * M for c, M in zip(u, A))
-        return nk.max_eig(S, tol=np.inf)
+    def support(U):
+        return nk.max_eig(nk.lincomb(U, A.matrices), tol=np.inf)
 
-    vals = np.array([support(u) for u in dirs])
+    vals = support(dirs)
     k = int(np.argmin(vals))
     best_u, best = dirs[k], float(vals[k])
     step = 0.5
@@ -467,19 +457,8 @@ def zero_interior_range(A: HermTuple, samples: int = 512,
         for _ in range(32):
             cand = best_u + step * rng.standard_normal(A.d)
             cand /= np.linalg.norm(cand)
-            v = support(cand)
+            v = float(support(cand[None, :])[0])
             if v < best:
                 best, best_u = v, cand
         step /= 4.0
     return best > 0.0, best
-
-
-# ---------------------------------------------------------------------------
-# Scalar collapse helper
-# ---------------------------------------------------------------------------
-
-
-def level1_member(P: Polytope, x, tol: float = DEFAULT_MEMBER_TOL) -> bool:
-    """Point-in-polytope LP; at matrix size 1 both graded oracles reduce to
-    this."""
-    return P.contains_point(x, tol=tol)

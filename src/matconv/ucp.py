@@ -127,9 +127,10 @@ def choi_affine_projector(A: GenTuple, B: GenTuple, consistency_tol: float = 1e-
     """Orthogonal projector onto Hermitian Choi matrices of maps with
     ``phi(I) = I`` and ``phi(A_i) = B_i``.
 
-    Returns ``(project, short_circuit)``.  ``project`` maps a one-block list
-    ``[C]`` with ``C`` of size ``q = k m`` to ``[P(C)]``, the nearest point
-    (Frobenius metric) of the affine set among Hermitian matrices.
+    Returns ``(project, short_circuit)``.  ``project`` maps a one-block
+    stack ``[C]`` with ``C`` of size ``q = k m`` to the one-block stack
+    ``[P(C)]``, the nearest point (Frobenius metric) of the affine set among
+    Hermitian matrices.
     ``short_circuit`` is ``None``, or an ``Infeasible`` FeasibilityResult
     with ``iterations`` 0 when the targets break a linear dependency of the
     sources, so that no Hermitian-preserving linear map takes the prescribed
@@ -164,12 +165,12 @@ def choi_affine_projector(A: GenTuple, B: GenTuple, consistency_tol: float = 1e-
             message="no linear map takes the prescribed values",
         )
 
-    def project(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    def project(blocks) -> np.ndarray:
         C = np.asarray(blocks[0], dtype=complex)
         C = ((C + C.conj().T) / 2.0).reshape(k, m, k, m)
         D = np.einsum("rab,aibj->rij", F, C) - G
         out = (C - np.einsum("rab,rij->aibj", F.conj(), D)).reshape(q, q)
-        return [(out + out.conj().T) / 2.0]
+        return ((out + out.conj().T) / 2.0)[None]
 
     return project, short_circuit
 

@@ -189,28 +189,15 @@ def sharpness_check(d: int, num_dirs: int = 32, seed: int = 0) -> dict:
 
     rng = sampling.rng_from(seed)
     dirs = sampling.sphere_points(d, num_dirs, rng)
-    worst_norm = 0.0
-    worst_square = 0.0
-    for v in dirs:
-        S = sum(float(c) * M for c, M in zip(v, mats))
-        worst_norm = max(worst_norm, nk.max_eig(S, tol=np.inf))
-        worst_square = max(
-            worst_square, float(np.max(np.abs(S @ S - np.eye(B.size)))))
+    S = nk.lincomb(dirs, mats)
+    worst_norm = max(0.0, float(np.max(nk.max_eig(S, tol=np.inf))))
+    worst_square = max(0.0, float(np.max(np.abs(S @ S - np.eye(B.size)))))
 
-    # Spectral mapping: min eig of I - M/C is 1 - lam_max(M)/C, evaluated
-    # densely where the tensor fits and through lam_max beyond.
     grid = [d * (1.0 - 1e-6), float(d), d * (1.0 + 1e-6), d / 2.0, 2.0 * d]
     crossing = {}
-    dense = B.size * B.size <= _DENSE_TENSOR_CUTOFF
-    if dense:
-        M = _tensor_sum_dense(mats, conj_right=False)
-        w_all = np.linalg.eigvalsh((M + M.T) / 2.0)
-        top = float(w_all[-1])
-    else:
-        top = lam_max
     for C in grid:
         # Spectral mapping: min eig of I - M/C equals 1 - lam_max(M)/C.
-        crossing[f"{C:.9f}"] = float(1.0 - top / C)
+        crossing[f"{C:.9f}"] = float(1.0 - lam_max / C)
     return {
         "d": d,
         "size": B.size,
@@ -411,9 +398,7 @@ def tau_rho_harness(set_name: str, samples: int = 10, d: int = 2,
         def sampler(n):
             H = [sampling.random_herm(n, rng) for _ in range(d)]
             dirs = sampling.sphere_points(d, 400, rng)
-            worst = max(
-                nk.max_eig(sum(float(c) * M for c, M in zip(u, H)), tol=np.inf)
-                for u in dirs)
+            worst = float(np.max(nk.max_eig(nk.lincomb(dirs, H), tol=np.inf)))
             t = rng.uniform(0.2, 1.0) / max(worst, 1e-12)
             return [t * M for M in H]
         lam = tensor_square_top_eig(clifford_tuple(d))
@@ -422,10 +407,8 @@ def tau_rho_harness(set_name: str, samples: int = 10, d: int = 2,
         target = _simplex_polytope()
         def sampler(n):
             H = [sampling.random_herm(n, rng) for _ in range(3)]
-            worst = max(
-                nk.max_eig(-sum(float(v) * M for v, M in zip(vert, H)),
-                           tol=np.inf)
-                for vert in target.vertices)
+            worst = float(np.max(
+                nk.max_eig(-nk.lincomb(target.vertices, H), tol=np.inf)))
             t = rng.uniform(0.2, 1.0) / max(worst, 1e-12)
             return [t * M for M in H]
         extra["witness_upper_bound"] = 1.0

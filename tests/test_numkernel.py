@@ -53,6 +53,52 @@ class TestScalarReductions:
         assert nk.opnorm(np.diag([-4.0, 3.0])) == pytest.approx(4.0)
 
 
+def _herm_stack(rng, F, n, real):
+    A = rng.standard_normal((F, n, n))
+    if not real:
+        A = A + 1j * rng.standard_normal((F, n, n))
+    return (A + A.conj().swapaxes(1, 2)) / 2
+
+
+class TestBatched:
+    @pytest.mark.parametrize("real", [True, False])
+    def test_lincomb_bit_identical_to_python_sum(self, rng, real):
+        mats = list(_herm_stack(rng, 5, 4, real))
+        for coeffs in (rng.standard_normal((7, 5)), nk.sign_rows(5, 3, 20)):
+            got = nk.lincomb(coeffs, mats)
+            assert got.shape == (len(coeffs), 4, 4)
+            for f, row in enumerate(coeffs):
+                want = sum(float(c) * M for c, M in zip(row, mats))
+                assert got[f].dtype == want.dtype
+                assert got[f].tobytes() == want.tobytes()
+
+    def test_lincomb_rejects_shape_mismatch(self, rng):
+        with pytest.raises(ValueError):
+            nk.lincomb(np.ones((2, 3)), list(_herm_stack(rng, 2, 2, True)))
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_stacked_extreme_eigs_match_per_matrix(self, rng, real):
+        S = _herm_stack(rng, 9, 5, real)
+        lo, hi = nk.min_eig(S), nk.max_eig(S)
+        assert lo.shape == hi.shape == (9,)
+        for f in range(9):
+            assert lo[f] == nk.min_eig(S[f])
+            assert hi[f] == nk.max_eig(S[f])
+
+    def test_stack_hermiticity_checked(self):
+        S = np.zeros((3, 2, 2))
+        S[2, 0, 1] = 1.0
+        with pytest.raises(nk.NotHermitianError):
+            nk.min_eig(S)
+
+    def test_sign_rows_follow_ndindex(self):
+        for d in range(1, 7):
+            want = np.array(list(np.ndindex(*(2,) * d))) * 2 - 1
+            assert np.array_equal(nk.sign_rows(d, 0, 2 ** d), want)
+            assert np.array_equal(nk.sign_rows(d, 1, 2 ** d - 1),
+                                  want[1:-1])
+
+
 class TestKronConjDirectSum:
     def test_kron_identities(self):
         assert np.array_equal(nk.kron(np.eye(2), np.eye(3)), np.eye(6))

@@ -55,6 +55,26 @@ class TestDykstra:
         M = sum(np.kron(np.asarray(Mj), np.conj(np.asarray(Mj))) for Mj in X)
         assert np.abs(np.linalg.eigvalsh(M)).max() == pytest.approx(2.0)
 
+    def test_unequal_block_sizes_rejected(self):
+        with pytest.raises(sdp.SdpError, match="one size"):
+            dykstra_solve(BlockPsdProblem([2, 3], lambda blocks: blocks))
+
+    def test_psd_project_matches_per_block_clipping(self, rng):
+        A = (rng.standard_normal((6, 3, 3))
+             + 1j * rng.standard_normal((6, 3, 3)))
+        K = A + A.conj().swapaxes(1, 2)
+        K[:2] = A[:2] @ A[:2].conj().swapaxes(1, 2)     # already PSD
+        got = sdp.psd_project(K)
+        for B, P in zip(K, got):
+            H = (B + B.conj().T) / 2.0
+            w, Q = np.linalg.eigh(H)
+            if w[0] >= 0.0:
+                want = H
+            else:
+                R = (Q * np.clip(w, 0.0, None)) @ Q.conj().T
+                want = (R + R.conj().T) / 2.0
+            assert P.tobytes() == want.tobytes()
+
     def test_deterministic(self):
         X = pauli_pair()
         r1 = wmin_member(X, diamond_polytope(2))

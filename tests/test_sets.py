@@ -239,6 +239,67 @@ class TestBallOracles:
             diamond_wmax_member(X)
 
 
+def _first_violated_sign_loop(X, tol, bound=1.0):
+    """Reference: one Python sum and one eigensolve per sign vector."""
+    I = np.eye(X.n)
+    for eps in np.ndindex(*(2,) * X.d):
+        signs = np.array(eps) * 2 - 1
+        S = sum(float(s) * M for s, M in zip(signs, X))
+        if nk.min_eig(bound * I - S, tol=np.inf) < -tol:
+            return signs
+    return None
+
+
+class TestSignSweep:
+    def test_only_violator_is_last_sign(self):
+        # sum eps_j c I peaks at d c > 1 for the all-plus sign, the last one
+        # in lexicographic order; every other sign stays at (d - 2) c < 1.
+        d = 11
+        assert 2 ** d > sets.SWEEP_CHUNK
+        X = HermTuple([np.eye(2) / (d - 1)] * d)
+        bad = sets.first_violated_sign(X, tol=1e-12)
+        assert bad.dtype.kind == "i"
+        assert bad.tolist() == [1] * d
+
+    def test_first_of_several_violating_chunks(self):
+        # Violation needs eps_0 = eps_1 = +1 and more plus than minus signs
+        # among the other nine: every chunk past index 3 * 2^9 holds
+        # violators, and the first is 1536 + 0b000011111.
+        d = 11
+        X = HermTuple([0.5 * np.eye(2)] * 2 + [0.01 * np.eye(2)] * (d - 2))
+        bad = sets.first_violated_sign(X, tol=1e-12)
+        k = int("".join("1" if s > 0 else "0" for s in bad), 2)
+        assert k == 3 * 2 ** 9 + 0b11111
+        assert k > 2 * sets.SWEEP_CHUNK
+        assert bad.tolist() == _first_violated_sign_loop(X, 1e-12).tolist()
+
+    def test_matches_per_sign_loop(self, rng):
+        for trial in range(6):
+            X = HermTuple(sampling.random_herm_contraction_tuple(9, 3, rng))
+            X = X.scaled(0.15 + 0.1 * trial)
+            want = _first_violated_sign_loop(X, 1e-9)
+            got = sets.first_violated_sign(X, tol=1e-9)
+            if want is None:
+                assert got is None
+            else:
+                assert np.array_equal(got, want)
+
+    def test_early_violator_sweeps_in_bounded_memory(self):
+        import tracemalloc
+
+        # The first sign (all minus) already violates at d = 20; the sweep
+        # must not build the 2^20 sign rows or their signed sums.
+        X = HermTuple([-0.2 * np.eye(2)] * 20)
+        tracemalloc.start()
+        try:
+            bad = sets.first_violated_sign(X, tol=1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bad.tolist() == [-1] * 20
+        assert peak < 2 * 2 ** 20
+
+
 class TestPolarDual:
     def test_cube_to_diamond(self):
         D = polar_dual_polytope(cube_polytope(2))

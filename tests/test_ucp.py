@@ -121,11 +121,6 @@ class TestUcpExists:
 class TestChoiMachinery:
     def test_apply_choi_identity_map(self, rng):
         k = 3
-        C = np.zeros((k * k, k * k), dtype=complex)
-        for a in range(k):
-            for b in range(k):
-                C4 = C.reshape(k, k, k, k)
-                C4[a, :, b, :][a, b] += 0  # keep shape explicit
         # Choi of the identity: C[a, i, b, j] = delta_ai delta_bj.
         C4 = np.zeros((k, k, k, k), dtype=complex)
         for a in range(k):

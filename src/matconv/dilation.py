@@ -46,8 +46,8 @@ from .sdp import LpProblem, lp_feasible
 from .sets import (
     GenTuple,
     HermTuple,
-    _first_failing_row,
     cube_member,
+    first_failing_row,
     first_violated_sign,
     re_im_split,
 )
@@ -415,7 +415,7 @@ def frame_dilation(X: HermTuple, vectors, weights=None,
     # negative.
     alphas = np.repeat(c[:, None] * V, 2, axis=0)
     alphas[1::2] *= -1.0
-    bad = _first_failing_row(X, 2 * N, lambda lo, hi: (alphas[lo:hi], 1.0),
+    bad = first_failing_row(X, 2 * N, lambda lo, hi: (alphas[lo:hi], 1.0),
                              tol)
     if bad is not None:
         raise DilationError(

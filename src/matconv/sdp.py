@@ -76,7 +76,7 @@ class BlockPsdProblem:
     """
 
     block_dims: list[int]
-    affine_projector: Callable[[list[np.ndarray]], list[np.ndarray]]
+    affine_projector: Callable[[np.ndarray], np.ndarray]
     max_iter: int = 20000
     tol_feas: float = 1e-8
     stall_window: int = 200
@@ -101,16 +101,11 @@ def psd_project(K: np.ndarray) -> np.ndarray:
     H = _sym(K)
     w, Q = np.linalg.eigh(H)
     neg = w[:, 0] < 0.0
-    clipped = np.count_nonzero(neg)
-    if clipped == 0:
+    if not neg.any():
         return H
-    some = clipped < len(w)  # else rebuild every block without gathering
-    if some:
-        w, Q = w[neg], Q[neg]
-    P = _sym((Q * np.clip(w, 0.0, None)[:, None, :]) @ Q.conj().swapaxes(1, 2))
-    if not some:
-        return P
-    H[neg] = P
+    w, Q = w[neg], Q[neg]
+    H[neg] = _sym((Q * np.clip(w, 0.0, None)[:, None, :])
+                  @ Q.conj().swapaxes(1, 2))
     return H
 
 

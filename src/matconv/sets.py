@@ -312,8 +312,8 @@ def cube_pencil(d: int) -> Pencil:
 # ---------------------------------------------------------------------------
 
 
-def _first_failing_row(X: GenTuple, count: int, chunk, tol: float,
-                       ) -> Optional[int]:
+def first_failing_row(X: GenTuple, count: int, chunk, tol: float,
+                      ) -> Optional[int]:
     """Index of the first of ``count`` rows whose inequality
     ``sum_j c_j X_j <= a I`` fails by more than ``tol``, or None.
 
@@ -321,7 +321,8 @@ def _first_failing_row(X: GenTuple, count: int, chunk, tol: float,
     ``(hi - lo, d)``) and offsets ``a`` (a scalar or ``hi - lo`` values) of
     rows ``lo .. hi-1``.  Rows are built and checked ``SWEEP_CHUNK`` at a
     time, with one batched eigensolve per chunk, and the sweep stops at the
-    first chunk that holds a failing row.
+    first chunk that holds a failing row.  This is the one early-exit sweep
+    shared by the facet, sign and direction checks here and in ``dilation``.
     """
     I = np.eye(X.n)
     for lo in range(0, count, SWEEP_CHUNK):
@@ -346,7 +347,7 @@ def wmax_member(X: HermTuple, P: Polytope,
     if P.dim != X.d:
         raise ValueError("polytope dimension does not match tuple length")
     normals, offsets = P.facet_normals, P.facet_offsets
-    bad = _first_failing_row(
+    bad = first_failing_row(
         X, len(offsets), lambda lo, hi: (normals[lo:hi], offsets[lo:hi]), tol)
     return bad is None
 
@@ -412,7 +413,7 @@ def first_violated_sign(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL,
     if X.d > SIGN_ENUMERATION_CAP:
         raise SetsError(
             f"refusing 2^{X.d} sign combinations (cap {SIGN_ENUMERATION_CAP})")
-    bad = _first_failing_row(
+    bad = first_failing_row(
         X, 2 ** X.d, lambda lo, hi: (nk.sign_rows(X.d, lo, hi), bound), tol)
     return None if bad is None else nk.sign_rows(X.d, bad, bad + 1)[0]
 
@@ -427,7 +428,7 @@ def ball_wmax_member(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL,
     """
     rng = sampling.rng_from(seed)
     dirs = sampling.sphere_points(X.d, num_facets, rng)
-    bad = _first_failing_row(X, len(dirs), lambda lo, hi: (dirs[lo:hi], 1.0),
+    bad = first_failing_row(X, len(dirs), lambda lo, hi: (dirs[lo:hi], 1.0),
                              tol)
     return bad is None
 

@@ -12,9 +12,6 @@ from .numkernel import (  # noqa: F401
     JointSpectrum,
     herm_eig,
     hermitize,
-    kron,
-    conj_mat,
-    direct_sum,
     min_eig,
     max_eig,
     opnorm,

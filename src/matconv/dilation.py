@@ -1,27 +1,33 @@
 """Constructive commuting dilations and positive-measure dilations.
 
-Three families of constructions live here.
-
-Flip construction.  A Hermitian contraction tuple ``X`` on C^n dilates to a
-commuting self-adjoint tuple on ``C^n (x) (C^2)^(d-1)``: tensor the entries
-against products of the two-point swap acting in separate factor slots, so
-``T_1 = sum_j X_j (x) W_j`` and ``T_i = T_1 U_i``.  Each ``T_i`` is a sum of d
-contractions, so ``||T_i|| <= d``, and the embedding along the first basis
-vector of every factor compresses ``T`` back to ``X`` exactly.  General
-(nonself-adjoint) contractions route through their real/imaginary parts on a
-doubled variable count and recombine, giving commuting normal dilations with
-``||T_i|| <= 2 sqrt(2) d``.
-
 Rank-one family construction.  Given rank-one real d x d matrices
-``lam^(1..k)`` whose convex hull contains the identity, the block-diagonal
-recipe ``T_i = sum_j X_j (x) S_ij`` with ``S_ij = diag(lam^(p)_ij)_p``
-commutes (rank-one-ness kills every commutator block), and the isometry
-``h -> h (x) sum_p sqrt(beta_p) e_p`` compresses it to ``X``.  Block ``p`` of
-``T`` is the tuple ``Y^(p)_i = sum_j lam^(p)_ij X_j``, so joint spectra come
-for free from the rank-one factorization.  The flip construction is the
-special case of the sign-vector family; coordinate projections scaled by d
-give the cube-to-scaled-diamond dilation; weighted frame families give
-spectra inside a prescribed polytope.
+``lam^(1..k)`` and convex weights with ``sum_p beta_p lam^(p) = I``, the
+block-diagonal recipe ``T_i = sum_j X_j (x) S_ij`` with
+``S_ij = diag(lam^(p)_ij)_p`` commutes (rank-one-ness kills every commutator
+block), and the isometry ``h -> h (x) sum_p sqrt(beta_p) e_p`` compresses it
+to ``X``.  Block ``p`` of ``T`` is the tuple ``Y^(p)_i = sum_j lam^(p)_ij
+X_j``, so joint spectra come for free from the rank-one factorization.  Every
+Hermitian dilation below is this recipe applied to some family: one builder
+makes ``(T, V)`` and one finisher recomputes and checks the residual record.
+Coordinate projections scaled by d give the cube-to-scaled-diamond
+dilation; weighted frame families give spectra inside a prescribed polytope.
+
+Flip construction.  The sign-vector family, ``u u^T`` for every u in
+``{-1, 1}^d`` with leading entry +1 and uniform weights ``2^(1-d)``, dilates
+a Hermitian contraction tuple on C^n to a commuting self-adjoint tuple on
+``C^n (x) C^(2^(d-1))``.  Block u of ``T_i`` is ``u_i sum_j u_j X_j``, a sum
+of d contractions, so ``||T_i|| <= d``.  The classical swap form
+(``T_1 = sum_j X_j (x) W_j`` with ``W_j`` the swap of factor j-1 of
+``(C^2)^(d-1)``, ``T_i = T_1 (I (x) W_i)``, isometry along the first basis
+vector) is the same dilation seen through the Hadamard transform on
+``(C^2)^(d-1)``: column u of that transform is the joint eigenvector of the
+swaps with eigenvalues ``u_2, ..., u_d``.  Tuples whose signed sums stay
+below I get the same family with norm bound 1.  General (nonself-adjoint)
+contractions route through their real/imaginary parts on a doubled variable
+count and recombine ``T_i = S_2i + i S_2i+1``, giving commuting normal
+dilations with ``||T_i|| <= 2 sqrt(2) d`` (sign vectors) or ``<= 2d``
+(scaled coordinate projections).  The family has 2^(d-1) members, so d is
+capped at ``FLIP_D_CAP``.
 
 Positive-measure dilation.  A finite positive decomposition of the identity
 (effects ``A_j >= 0`` summing to I, tagged by spectral atoms) dilates to a
@@ -30,8 +36,7 @@ projection-valued one: stack the square roots ``A_j^(1/2)`` into an isometry
 ``W* E_j W = A_j`` exactly and ``Y_i = sum_j w_i^(j) E_j`` is a commuting
 normal tuple with spectrum in the atom set compressing to ``sum w^(j) A_j``.
 Continuous measures are out of scope: inputs must already be finitely
-supported (every producer in this package is), though the textbook dimension
-counting is recorded in :func:`normal_dilation_dim_bound`.
+supported (every producer in this package is).
 """
 
 from __future__ import annotations
@@ -52,8 +57,9 @@ from .sets import (
     re_im_split,
 )
 
-FLIP_D_CAP_SA = 16
-FLIP_D_CAP_GEN = 8
+# Largest d for which the n = 1 flip dilation (dense build plus residuals,
+# dimension 2^(d-1)) finishes within a minute on one BLAS thread.
+FLIP_D_CAP = 10
 RANK_ONE_REL_TOL = 1e-9
 IDENTITY_RECON_TOL = 1e-9
 
@@ -66,9 +72,9 @@ class DilationError(Exception):
 class Dilation:
     """A commuting dilation with recomputable diagnostics.
 
-    ``compress()`` applied to ``T`` returns ``scale * X`` for the source
-    tuple ``X``; the residual record carries nothing that cannot be recomputed
-    from ``(T, V, scale)`` and the source.
+    ``V* T_i V`` equals ``scale * X_i`` for the source tuple ``X``; the
+    residual record carries nothing that cannot be recomputed from
+    ``(T, V, scale)`` and the source.
     """
 
     T: tuple[np.ndarray, ...]
@@ -83,9 +89,6 @@ class Dilation:
     @property
     def d(self) -> int:
         return len(self.T)
-
-    def compress(self) -> list[np.ndarray]:
-        return [self.V.conj().T @ Ti @ self.V for Ti in self.T]
 
 
 def dilation_residuals(T: Sequence[np.ndarray], V: np.ndarray,
@@ -119,7 +122,7 @@ def _require_contractions(X: GenTuple, tol: float = 1e-9) -> None:
                 f"entry {idx} is not a contraction: norm {nrm:.6f}")
 
 
-def _validate(dil: Dilation, source_scale: float = 1.0) -> Dilation:
+def _validate(dil: Dilation) -> Dilation:
     """Hard caps on the residual record; a violation is a construction bug,
     not an input problem."""
     r = dil.residuals
@@ -128,84 +131,38 @@ def _validate(dil: Dilation, source_scale: float = 1.0) -> Dilation:
         raise DilationError(f"isometry defect {r['isometry']:.3e}")
     if r["commutator"] > 1e-9 * big * big:
         raise DilationError(f"commutator residual {r['commutator']:.3e}")
-    if r["compression"] > 1e-9 * max(1.0, abs(source_scale)):
+    if r["compression"] > 1e-9 * max(1.0, abs(dil.scale)):
         raise DilationError(f"compression residual {r['compression']:.3e}")
     return dil
 
 
-# ---------------------------------------------------------------------------
-# Flip construction
-# ---------------------------------------------------------------------------
+def _build(X: HermTuple, fam: LambdaFamily,
+           ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Dense ``(T, V)`` of the rank-one-family dilation of ``X``.
 
-_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def _flip_factors(d: int) -> list[np.ndarray]:
-    """W_1 = I and, for i >= 2, the swap acting in factor slot i-1."""
-    size = 2 ** (d - 1)
-    Ws = [np.eye(size)]
-    for i in range(2, d + 1):
-        mats = [np.eye(2)] * (d - 1)
-        mats[i - 2] = _FLIP
-        W = mats[0]
-        for M in mats[1:]:
-            W = np.kron(W, M)
-        Ws.append(W)
-    return Ws
-
-
-def flip_dilation(X: HermTuple, tol: float = 1e-9) -> Dilation:
-    """Commuting self-adjoint dilation of a Hermitian contraction tuple on
-    dimension ``n * 2^(d-1)`` with ``||T_i|| <= d`` and exact compression."""
+    ``T_i`` is laid out as ``sum_j X_j (x) diag(lam^(p)_ij)_p``, so its
+    entry ``(a, p), (b, p)`` is block p entry ``(a, b)`` and every entry
+    between two blocks is zero; ``V = I_n (x) sqrt(beta)``.  The blocks are
+    real combinations of the exactly Hermitian entries of a ``HermTuple``,
+    so T is exactly self-adjoint without a symmetrizing pass.
+    """
     if not X.hermitian:
-        raise DilationError("flip dilation needs a Hermitian tuple")
-    if X.d > FLIP_D_CAP_SA:
-        raise DilationError(f"refusing flip construction beyond d={FLIP_D_CAP_SA}")
-    _require_contractions(X, tol)
-    d, n = X.d, X.n
-    Ws = _flip_factors(d)
-    T1 = sum(np.kron(Xj, Wj) for Xj, Wj in zip(X, Ws))
-    T = [T1]
-    for i in range(1, d):
-        Ui = np.kron(np.eye(n), Ws[i])
-        T.append(T1 @ Ui)
-    e = np.zeros(2 ** (d - 1))
-    e[0] = 1.0
-    V = np.kron(np.eye(n), e[:, None])
-    T = tuple((Ti + Ti.conj().T) / 2.0 for Ti in T)
-    dil = Dilation(T=T, V=V, scale=1.0,
-                   residuals=dilation_residuals(T, V, X, 1.0))
-    dil.residuals["norm_bound"] = float(d)
-    return _validate(dil)
+        raise DilationError("rank-one-family dilation needs a Hermitian tuple")
+    n, k = X.n, fam.k
+    T = np.zeros((fam.d, n, k, n, k), dtype=complex)
+    p = np.arange(k)
+    T[:, :, p, :, p] = lambda_blocks(X, fam)
+    V = np.kron(np.eye(n), np.sqrt(fam.betas)[:, None])
+    return tuple(T.reshape(fam.d, n * k, n * k)), V
 
 
-def flip_sign_family(d: int) -> "LambdaFamily":
-    """The rank-one family equivalent to the flip construction: one matrix
-    ``u u^T`` per sign vector u with leading entry +1, uniform weights."""
-    if d > FLIP_D_CAP_SA:
-        raise DilationError(f"refusing 2^{d - 1} sign patterns")
-    lams = []
-    for bits in np.ndindex(*(2,) * (d - 1)):
-        u = np.concatenate([[1.0], np.asarray(bits, dtype=float) * 2 - 1])
-        lams.append(np.outer(u, u))
-    betas = np.full(len(lams), 1.0 / len(lams))
-    return LambdaFamily(np.stack(lams), betas)
-
-
-def nonsa_flip_dilation(X: GenTuple, tol: float = 1e-9) -> Dilation:
-    """Commuting normal dilation of a general contraction tuple with
-    ``||T_i|| <= 2 sqrt(2) d``: flip-dilate the 2d real/imaginary parts and
-    recombine ``T_i = S_(2i-1) + i S_(2i)``."""
-    if X.d > FLIP_D_CAP_GEN:
-        raise DilationError(f"refusing general flip construction beyond d={FLIP_D_CAP_GEN}")
-    _require_contractions(X, tol)
-    parts = re_im_split(X)
-    inner = flip_dilation(parts, tol=tol)
-    S = inner.T
-    T = tuple(S[2 * i] + 1j * S[2 * i + 1] for i in range(X.d))
-    dil = Dilation(T=T, V=inner.V, scale=1.0,
-                   residuals=dilation_residuals(T, inner.V, X, 1.0))
-    dil.residuals["norm_bound"] = float(2 * np.sqrt(2) * X.d)
+def _finish(T: Sequence[np.ndarray], V: np.ndarray, X: GenTuple,
+            scale: float = 1.0, **extra: float) -> Dilation:
+    """Wrap ``(T, V)`` with its recomputed residuals plus ``extra`` and
+    check them."""
+    dil = Dilation(T=tuple(T), V=V, scale=scale,
+                   residuals=dilation_residuals(T, V, X, scale))
+    dil.residuals.update(extra)
     return _validate(dil)
 
 
@@ -228,10 +185,12 @@ class LambdaFamily:
             raise ValueError("lambdas must be a stack of square matrices")
         if self.betas.shape != (self.lambdas.shape[0],):
             raise ValueError("betas length mismatch")
-        for p, lam in enumerate(self.lambdas):
-            sv = np.linalg.svd(lam, compute_uv=False)
-            if sv[0] == 0.0 or (len(sv) > 1 and sv[1] > RANK_ONE_REL_TOL * sv[0]):
-                raise ValueError(f"family member {p} is not numerically rank one")
+        sv = np.linalg.svd(self.lambdas, compute_uv=False)      # (k, d)
+        bad = (sv[:, 0] == 0.0) | np.any(
+            sv[:, 1:] > RANK_ONE_REL_TOL * sv[:, :1], axis=1)
+        if bad.any():
+            raise ValueError(
+                f"family member {int(np.argmax(bad))} is not numerically rank one")
         if np.any(self.betas < -1e-12):
             raise ValueError("betas must be nonnegative")
         if abs(self.betas.sum() - 1.0) > 1e-9:
@@ -258,6 +217,28 @@ class LambdaFamily:
         return out
 
 
+def flip_sign_family(d: int) -> LambdaFamily:
+    """The flip construction's rank-one family: one matrix ``u u^T`` per sign
+    vector u with leading entry +1, in the order of ``np.ndindex`` over the
+    other d-1 signs, with uniform weights.  Refuses d beyond ``FLIP_D_CAP``
+    before any of the 2^(d-1) members is built."""
+    if d > FLIP_D_CAP:
+        raise DilationError(
+            f"refusing 2^{d - 1} sign patterns: the flip construction is "
+            f"capped at d={FLIP_D_CAP}")
+    k = 2 ** (d - 1)
+    u = np.hstack([np.ones((k, 1)), nk.sign_rows(d - 1, 0, k)])
+    return LambdaFamily(u[:, :, None] * u[:, None, :], np.full(k, 1.0 / k))
+
+
+def _coordinate_family(d: int) -> LambdaFamily:
+    """Coordinate projections ``d e_m e_m^T`` with uniform weights."""
+    lams = np.zeros((d, d, d))
+    m = np.arange(d)
+    lams[m, m, m] = d
+    return LambdaFamily(lams, np.full(d, 1.0 / d))
+
+
 def decompose_identity(lambdas: Sequence, pivot_tol: float = 1e-9,
                        ) -> LambdaFamily:
     """Find convex weights beta with ``sum_p beta_p lam^(p) = I`` by linear
@@ -279,33 +260,15 @@ def decompose_identity(lambdas: Sequence, pivot_tol: float = 1e-9,
     return LambdaFamily(lams, beta)
 
 
-def lambda_dilation(X: HermTuple, fam: LambdaFamily) -> Dilation:
-    """Commuting self-adjoint dilation on dimension ``n * k`` built from a
-    rank-one family; block p of the dilation is ``sum_j lam^(p)_ij X_j``."""
+def lambda_blocks(X: HermTuple, fam: LambdaFamily) -> np.ndarray:
+    """The diagonal blocks ``Y[p, i] = sum_j lam^(p)_ij X_j`` of the
+    rank-one-family dilation, as a ``(k, d, n, n)`` array, without building
+    the big matrices."""
     if fam.d != X.d:
         raise DilationError(
             f"family dimension {fam.d} does not match tuple length {X.d}")
-    n, k = X.n, fam.k
-    T = []
-    for i in range(fam.d):
-        S_diag = fam.lambdas[:, i, :]            # (k, d): S_ij = diag over p
-        Ti = np.zeros((n * k, n * k), dtype=complex)
-        for j in range(fam.d):
-            Ti += np.kron(np.asarray(X[j]), np.diag(S_diag[:, j]))
-        T.append((Ti + Ti.conj().T) / 2.0)
-    v = np.sqrt(fam.betas)
-    V = np.kron(np.eye(n), v[:, None])
-    T = tuple(T)
-    dil = Dilation(T=T, V=V, scale=1.0,
-                   residuals=dilation_residuals(T, V, X, 1.0))
-    return _validate(dil)
-
-
-def lambda_blocks(X: HermTuple, fam: LambdaFamily) -> list[list[np.ndarray]]:
-    """The diagonal blocks ``Y^(p)_i = sum_j lam^(p)_ij X_j`` of the
-    rank-one-family dilation, without building the big matrices."""
     Y = nk.lincomb(fam.lambdas.reshape(fam.k * fam.d, fam.d), X.matrices)
-    return [list(Y[p * fam.d:(p + 1) * fam.d]) for p in range(fam.k)]
+    return Y.reshape(fam.k, fam.d, X.n, X.n)
 
 
 def joint_spectrum_rank_one(fam: LambdaFamily, X: HermTuple) -> nk.JointSpectrum:
@@ -325,40 +288,36 @@ def joint_spectrum_rank_one(fam: LambdaFamily, X: HermTuple) -> nk.JointSpectrum
 
 
 # ---------------------------------------------------------------------------
-# Specializations
+# Dilations from the families
 # ---------------------------------------------------------------------------
 
 
-def coordinate_projection_dilation(X: GenTuple, tol: float = 1e-9) -> Dilation:
-    """Commuting normal dilation of general contractions with
-    ``||T_i|| <= 2d``: scaled coordinate projections on the 2d real
-    coordinates, recombined as ``Y_(2j-1) + i Y_(2j)``."""
+def lambda_dilation(X: HermTuple, fam: LambdaFamily) -> Dilation:
+    """Commuting self-adjoint dilation on dimension ``n * k`` built from a
+    rank-one family; block p of the dilation is ``sum_j lam^(p)_ij X_j``."""
+    return _finish(*_build(X, fam), X)
+
+
+def flip_dilation(X: HermTuple, tol: float = 1e-9) -> Dilation:
+    """Commuting self-adjoint dilation of a Hermitian contraction tuple on
+    dimension ``n * 2^(d-1)`` with ``||T_i|| <= d`` and exact compression."""
+    fam = flip_sign_family(X.d)
     _require_contractions(X, tol)
-    d = X.d
-    parts = re_im_split(X)
-    dd = 2 * d
-    lams = np.stack([dd * np.outer(np.eye(dd)[m], np.eye(dd)[m])
-                     for m in range(dd)])
-    fam = LambdaFamily(lams, np.full(dd, 1.0 / dd))
-    inner = lambda_dilation(parts, fam)
-    Y = inner.T
-    T = tuple(Y[2 * j] + 1j * Y[2 * j + 1] for j in range(d))
-    dil = Dilation(T=T, V=inner.V, scale=1.0,
-                   residuals=dilation_residuals(T, inner.V, X, 1.0))
-    dil.residuals["norm_bound"] = float(2 * d)
-    return _validate(dil)
+    return _finish(*_build(X, fam), X, norm_bound=float(X.d))
 
 
 def diamond_dilation(X: HermTuple, tol: float = 1e-9) -> Dilation:
     """Commuting self-adjoint *contraction* dilation for tuples whose signed
-    sums are all below the identity; the joint spectrum lands in the cube."""
+    sums are all below the identity; the joint spectrum lands in the cube.
+
+    The flip construction: block u of ``T_i`` is ``u_i`` times a signed sum.
+    """
+    fam = flip_sign_family(X.d)
     bad = first_violated_sign(X, tol=tol)
     if bad is not None:
         raise DilationError(
             f"signed sum with signs {bad.astype(int).tolist()} exceeds I")
-    dil = flip_dilation(X, tol=np.inf)
-    dil.residuals["norm_bound"] = 1.0
-    return dil
+    return _finish(*_build(X, fam), X, norm_bound=1.0)
 
 
 def cube_to_diamond_dilation(X: HermTuple, tol: float = 1e-9) -> Dilation:
@@ -370,13 +329,33 @@ def cube_to_diamond_dilation(X: HermTuple, tol: float = 1e-9) -> Dilation:
     """
     if not cube_member(X, tol):
         raise DilationError("input is not a tuple of contractions")
-    d = X.d
-    lams = np.stack([d * np.outer(np.eye(d)[m], np.eye(d)[m])
-                     for m in range(d)])
-    fam = LambdaFamily(lams, np.full(d, 1.0 / d))
-    dil = lambda_dilation(X, fam)
-    dil.residuals["sign_sum_bound"] = float(d)
-    return dil
+    return _finish(*_build(X, _coordinate_family(X.d)), X,
+                   sign_sum_bound=float(X.d))
+
+
+def _normal_dilation(X: GenTuple, fam: LambdaFamily, tol: float,
+                     norm_bound: float) -> Dilation:
+    """Dilate the 2d real/imaginary parts of general contractions with
+    ``fam`` and recombine ``T_i = S_2i + i S_2i+1``: commuting, since all S
+    commute, and normal, since ``T_i* = S_2i - i S_2i+1``."""
+    _require_contractions(X, tol)
+    S, V = _build(re_im_split(X), fam)
+    T = tuple(S[2 * i] + 1j * S[2 * i + 1] for i in range(X.d))
+    return _finish(T, V, X, norm_bound=norm_bound)
+
+
+def nonsa_flip_dilation(X: GenTuple, tol: float = 1e-9) -> Dilation:
+    """Commuting normal dilation of a general contraction tuple with
+    ``||T_i|| <= 2 sqrt(2) d``: the flip construction on the 2d real parts."""
+    return _normal_dilation(X, flip_sign_family(2 * X.d), tol,
+                            float(2 * np.sqrt(2) * X.d))
+
+
+def coordinate_projection_dilation(X: GenTuple, tol: float = 1e-9) -> Dilation:
+    """Commuting normal dilation of general contractions with
+    ``||T_i|| <= 2d``: scaled coordinate projections on the 2d real parts."""
+    return _normal_dilation(X, _coordinate_family(2 * X.d), tol,
+                            float(2 * X.d))
 
 
 def frame_dilation(X: HermTuple, vectors, weights=None,
@@ -425,16 +404,10 @@ def frame_dilation(X: HermTuple, vectors, weights=None,
     csum = float(c.sum())
     b = csum / (sigma * c)
     lams = np.stack([b[m] * np.outer(V[m], V[m]) for m in range(N)])
-    betas = c / csum
-    fam = LambdaFamily(lams, betas)
-    inner = lambda_dilation(X, fam)
+    T, W = _build(X, LambdaFamily(lams, c / csum))
     kappa = sigma * float(np.min(c) ** 3) / csum
-    T = tuple(kappa * Ti for Ti in inner.T)
-    dil = Dilation(T=T, V=inner.V, scale=kappa,
-                   residuals=dilation_residuals(T, inner.V, X, kappa))
-    dil.residuals["kappa"] = kappa
-    dil.residuals["sigma"] = sigma
-    return _validate(dil, source_scale=kappa)
+    return _finish([kappa * Ti for Ti in T], W, X, kappa,
+                   kappa=kappa, sigma=sigma)
 
 
 def frame_spectrum_vertices(vectors, weights=None) -> np.ndarray:
@@ -530,13 +503,3 @@ def finite_normal_dilation(p: Povm) -> tuple[tuple[np.ndarray, ...], np.ndarray]
         Yi = sum(p.atoms[j, i] * proj.projections[j] for j in range(p.count))
         Y.append(Yi)
     return tuple(Y), proj.isometry
-
-
-def normal_dilation_dim_bound(n: int, d: int) -> tuple[int, int]:
-    """Textbook dimension bounds for dilating an n x n tuple through a finite
-    positive measure: at most ``2 n^2 (d+1) + 1`` atoms suffice for the
-    measure, hence an ambient dimension of at most ``n`` times that.  Both
-    numbers are recorded for reference; no atom-reduction step is implemented
-    here (inputs are already finitely supported)."""
-    atoms = 2 * n * n * (d + 1) + 1
-    return atoms, n * atoms

@@ -183,32 +183,6 @@ def opnorm(A) -> float:
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
-def kron(A, B) -> np.ndarray:
-    """Kronecker product; the left factor indexes the coarse blocks."""
-    return np.kron(as_cmatrix(A), as_cmatrix(B))
-
-
-def conj_mat(A) -> np.ndarray:
-    """Entrywise complex conjugate (equivalently, adjoint of the transpose)."""
-    return np.conj(as_cmatrix(A))
-
-
-def direct_sum(mats: Sequence) -> np.ndarray:
-    """Block-diagonal direct sum of a list of matrices."""
-    mats = [as_cmatrix(M) for M in mats]
-    if not mats:
-        return np.zeros((0, 0), dtype=complex)
-    rows = sum(M.shape[0] for M in mats)
-    cols = sum(M.shape[1] for M in mats)
-    out = np.zeros((rows, cols), dtype=complex)
-    r = c = 0
-    for M in mats:
-        out[r:r + M.shape[0], c:c + M.shape[1]] = M
-        r += M.shape[0]
-        c += M.shape[1]
-    return out
-
-
 @dataclass(frozen=True)
 class JointSpectrum:
     """Joint eigenvalue tuples of a commuting family, listed with multiplicity.

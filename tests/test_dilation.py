@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import pauli_pair
+from matconv import dilation
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv.dilation import (
+    FLIP_D_CAP,
     Dilation,
     DilationError,
     LambdaFamily,
@@ -24,7 +28,6 @@ from matconv.dilation import (
     lambda_dilation,
     naimark_dilation,
     nonsa_flip_dilation,
-    normal_dilation_dim_bound,
 )
 from matconv.sdp import Status, point_in_hull, povm_constraint_residual
 from matconv.sets import GenTuple, HermTuple, cube_polytope, diamond_polytope, wmin_member
@@ -169,6 +172,10 @@ class TestLambdaFamilies:
     def test_rank_one_validation(self):
         with pytest.raises(ValueError, match="rank one"):
             LambdaFamily(np.array([np.eye(2)]), np.array([1.0]))
+        lams = np.stack([np.outer([1.0, 0.0], [1.0, 0.0]), np.eye(2),
+                         np.eye(2)])
+        with pytest.raises(ValueError, match="member 1 is not"):
+            LambdaFamily(lams, np.full(3, 1 / 3))
 
 
 class TestLambdaDilation:
@@ -443,15 +450,136 @@ class TestNaimark:
                              - Y[0].conj().T @ Y[0])) <= 1e-12
 
 
-def test_dim_bound_record():
-    atoms, dim = normal_dilation_dim_bound(3, 2)
-    assert atoms == 2 * 9 * 3 + 1
-    assert dim == 3 * atoms
-
-
 def test_residuals_recomputable(rng):
     X = HermTuple(sampling.random_herm_contraction_tuple(2, 2, rng))
     D = flip_dilation(X)
     rec = dilation_residuals(D.T, D.V, X, D.scale)
     for key, val in rec.items():
         assert D.residuals[key] == pytest.approx(val, abs=1e-14)
+
+
+def _kron_reference(X, fam):
+    """``T_i = sum_j X_j (x) diag(lam^(p)_ij)_p``, one Kronecker product per
+    term added in j order, then symmetrized."""
+    T = []
+    for i in range(fam.d):
+        Ti = np.zeros((X.n * fam.k, X.n * fam.k), dtype=complex)
+        for j in range(fam.d):
+            Ti += np.kron(np.asarray(X[j]), np.diag(fam.lambdas[:, i, j]))
+        T.append((Ti + Ti.conj().T) / 2.0)
+    return T
+
+
+def _swap_reference(X):
+    """The flip construction in the swap basis: ``T_1 = sum_j X_j (x) W_j``
+    with ``W_1 = I`` and ``W_j`` the swap of factor j-1 of (C^2)^(d-1),
+    ``T_i = T_1 (I (x) W_i)``, and V along the first basis vector."""
+    d, n = X.d, X.n
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    Ws = [np.eye(2 ** (d - 1))]
+    for slot in range(d - 1):
+        W = np.eye(1)
+        for m in range(d - 1):
+            W = np.kron(W, swap if m == slot else np.eye(2))
+        Ws.append(W)
+    T1 = sum(np.kron(np.asarray(Xj), Wj) for Xj, Wj in zip(X, Ws))
+    T = [T1 @ np.kron(np.eye(n), W) for W in Ws]
+    e = np.zeros((2 ** (d - 1), 1))
+    e[0] = 1.0
+    return [(Ti + Ti.conj().T) / 2.0 for Ti in T], np.kron(np.eye(n), e)
+
+
+def _parseval_family(d, rng):
+    """``lam^(p) = (d / |r_p|^2) r_p r_p^T`` with weights ``|r_p|^2 / d``
+    over the rows r_p of a random 2d x d isometry."""
+    Q, _ = np.linalg.qr(rng.standard_normal((2 * d, d)))
+    norms2 = np.sum(Q * Q, axis=1)
+    lams = (d / norms2)[:, None, None] * Q[:, :, None] * Q[:, None, :]
+    return LambdaFamily(lams, norms2 / d)
+
+
+class TestRankOneBuilder:
+    @pytest.mark.parametrize("family", ["sign", "coordinate", "parseval"])
+    def test_matches_kron_reference_bytes(self, rng, family):
+        for d in (1, 2, 3, 4):
+            n = int(rng.integers(1, 4))
+            X = HermTuple(sampling.random_herm_contraction_tuple(d, n, rng))
+            if family == "sign":
+                fam = flip_sign_family(d)
+            elif family == "coordinate":
+                fam = LambdaFamily(
+                    np.stack([d * np.outer(np.eye(d)[m], np.eye(d)[m])
+                              for m in range(d)]), np.full(d, 1 / d))
+            else:
+                fam = _parseval_family(d, rng)
+            D = lambda_dilation(X, fam)
+            for got, want in zip(D.T, _kron_reference(X, fam), strict=True):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_flip_is_swap_form_in_hadamard_basis(self, rng):
+        # Column c of G is the swap's eigenvector with eigenvalue 2c - 1, the
+        # sign that bit c stands for in the rows of flip_sign_family.
+        G = np.array([[1.0, 1.0], [-1.0, 1.0]])
+        for d in (1, 2, 3, 4, 5):
+            n = int(rng.integers(1, 4))
+            X = HermTuple(sampling.random_herm_contraction_tuple(d, n, rng))
+            D = flip_dilation(X)
+            H = np.eye(1)
+            for _ in range(d - 1):
+                H = np.kron(H, G)
+            U = np.kron(np.eye(n), H / np.sqrt(2 ** (d - 1)))
+            T_swap, V_swap = _swap_reference(X)
+            for Ti, Si in zip(D.T, T_swap, strict=True):
+                assert np.max(np.abs(U @ Ti @ U.T - Si)) <= 1e-12
+            assert np.max(np.abs(U @ D.V - V_swap)) <= 1e-12
+
+    def test_flip_family_rows_in_ndindex_order(self):
+        fam = flip_sign_family(4)
+        for p, bits in enumerate(np.ndindex(2, 2, 2)):
+            u = np.concatenate([[1.0], np.asarray(bits, dtype=float) * 2 - 1])
+            assert np.array_equal(fam.lambdas[p], np.outer(u, u))
+        assert np.array_equal(fam.betas, np.full(8, 1 / 8))
+
+    def test_cap_refused_before_any_sign_pattern(self):
+        zero = np.zeros((1, 1))
+        H = HermTuple([zero] * (FLIP_D_CAP + 1))
+        G = GenTuple([zero] * (FLIP_D_CAP // 2 + 1))
+        for build, X in ((flip_dilation, H), (diamond_dilation, H),
+                         (nonsa_flip_dilation, G)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DilationError, match="capped at d="):
+                    build(X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20, build.__name__
+
+
+@pytest.mark.parametrize("name", [
+    "flip", "diamond", "lambda", "cube_to_diamond", "frame", "nonsa_flip",
+    "coordinate_projection"])
+def test_each_dilation_verified_once(rng, monkeypatch, name):
+    calls = []
+    residuals = dilation.dilation_residuals
+
+    def counting(*args):
+        calls.append(args)
+        return residuals(*args)
+
+    monkeypatch.setattr(dilation, "dilation_residuals", counting)
+    H = HermTuple(sampling.random_sign_sum_bounded_tuple(2, 2, rng))
+    G = GenTuple(sampling.random_gen_contraction_tuple(2, 2, rng))
+    build = {
+        "flip": lambda: flip_dilation(H),
+        "diamond": lambda: diamond_dilation(H),
+        "lambda": lambda: lambda_dilation(H, flip_sign_family(2)),
+        "cube_to_diamond": lambda: cube_to_diamond_dilation(H),
+        "frame": lambda: frame_dilation(H, np.eye(2)),
+        "nonsa_flip": lambda: nonsa_flip_dilation(G),
+        "coordinate_projection": lambda: coordinate_projection_dilation(G),
+    }[name]
+    D = build()
+    assert len(calls) == 1
+    assert D.residuals["compression"] <= 1e-9

@@ -99,37 +99,6 @@ class TestBatched:
                                   want[1:-1])
 
 
-class TestKronConjDirectSum:
-    def test_kron_identities(self):
-        assert np.array_equal(nk.kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_conj_real(self):
-        M = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(nk.conj_mat(M), M)
-
-    def test_kron_hand_expansion(self):
-        got = nk.kron(FLIP, np.diag([1.0, -1.0]))
-        want = np.zeros((4, 4))
-        want[0, 2] = want[2, 0] = 1.0
-        want[1, 3] = want[3, 1] = -1.0
-        assert np.allclose(got, want)
-
-    def test_kron_associative_and_multiplicative(self, rng):
-        for _ in range(5):
-            A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            C = rng.standard_normal((2, 2))
-            assert np.allclose(nk.kron(nk.kron(A, B), C),
-                               nk.kron(A, nk.kron(B, C)), atol=1e-12)
-            assert abs(nk.opnorm(nk.kron(A, B))
-                       - nk.opnorm(A) * nk.opnorm(B)) <= 1e-10 * (
-                1 + nk.opnorm(A) * nk.opnorm(B))
-
-    def test_direct_sum(self):
-        got = nk.direct_sum([np.eye(1), 2 * np.eye(2)])
-        assert np.allclose(got, np.diag([1.0, 2.0, 2.0]))
-
-
 class TestSimultaneousDiagonalize:
     def test_already_diagonal_exact(self):
         U, spec = nk.simultaneous_diagonalize([np.diag([1.0, 2.0]),

@@ -77,18 +77,21 @@ def _load(path: str):
         raise CliInputError(f"{path}: {exc}") from exc
 
 
-def _tuple_arg(path: str, hermitian: bool = True):
+def _decoded(decode, path: str, **kwargs):
+    """``decode`` applied to the JSON at ``path``; a schema error names the
+    file."""
     try:
-        return jsonio.decode_tuple(_load(path), hermitian=hermitian)
+        return decode(_load(path), **kwargs)
     except jsonio.SchemaError as exc:
         raise CliInputError(f"{path}: {exc}") from exc
+
+
+def _tuple_arg(path: str, hermitian: bool = True):
+    return _decoded(jsonio.decode_tuple, path, hermitian=hermitian)
 
 
 def _polytope_arg(path: str):
-    try:
-        return jsonio.decode_polytope(_load(path))
-    except jsonio.SchemaError as exc:
-        raise CliInputError(f"{path}: {exc}") from exc
+    return _decoded(jsonio.decode_polytope, path)
 
 
 def _frame_arg(spec: str, d: Optional[int]):
@@ -121,7 +124,7 @@ def _feas_report(res, with_witness: bool = False) -> dict:
     if res.message:
         out["message"] = res.message
     if with_witness and res.witness is not None:
-        out["witness"] = [jsonio.encode_matrix(B) for B in res.witness]
+        out["witness"] = list(res.witness)
     return out
 
 
@@ -170,16 +173,10 @@ def _cmd_dilate(args) -> tuple[int, dict]:
         if args.kind == "flip":
             D = flip_dilation(X, tol=args.tol)
         elif args.kind == "lambda":
-            try:
-                fam = jsonio.decode_lambda_family(_load(args.family))
-            except jsonio.SchemaError as exc:
-                raise CliInputError(f"{args.family}: {exc}") from exc
+            fam = _decoded(jsonio.decode_lambda_family, args.family)
             D = lambda_dilation(X, fam)
         elif args.kind == "frame":
-            try:
-                vecs = jsonio.decode_frame_vectors(_load(args.family))
-            except jsonio.SchemaError as exc:
-                raise CliInputError(f"{args.family}: {exc}") from exc
+            vecs = _decoded(jsonio.decode_frame_vectors, args.family)
             weights = None
             if args.weights:
                 weights = [float(w) for w in args.weights.split(",")]
@@ -195,11 +192,8 @@ def _cmd_dilate(args) -> tuple[int, dict]:
 
 def _cmd_map(args) -> tuple[int, dict]:
     if args.kind == "normal":
-        try:
-            atoms_a = jsonio.decode_atoms(_load(args.source))
-            atoms_b = jsonio.decode_atoms(_load(args.target))
-        except jsonio.SchemaError as exc:
-            raise CliInputError(str(exc)) from exc
+        atoms_a = _decoded(jsonio.decode_atoms, args.source)
+        atoms_b = _decoded(jsonio.decode_atoms, args.target)
         mode = ucpmod.MapMode[args.mode.upper()]
         ok = ucpmod.normal_ucp_exists(atoms_a, atoms_b, mode)
         return _bool_exit(ok), {"exists": ok, "mode": mode.value}
@@ -214,7 +208,7 @@ def _cmd_map(args) -> tuple[int, dict]:
         report["message"] = (f"no {args.kind.upper()} map found "
                              f"(residual {res.residual:.3e})")
     if args.witness and res.witness is not None:
-        report["choi"] = jsonio.encode_matrix(res.witness[0])
+        report["choi"] = res.witness[0]
     return _status_exit(res.status), report
 
 
@@ -246,10 +240,7 @@ def _cmd_frame(args) -> tuple[int, dict]:
         if args.frame in FRAME_BUILDERS:
             f = _frame_arg(args.frame, args.d)
         else:
-            try:
-                vecs = jsonio.decode_frame_vectors(_load(args.frame))
-            except jsonio.SchemaError as exc:
-                raise CliInputError(f"{args.frame}: {exc}") from exc
+            vecs = _decoded(jsonio.decode_frame_vectors, args.frame)
             try:
                 f = check_tight(vecs)
             except FrameError as exc:
@@ -282,11 +273,10 @@ def _cmd_frame(args) -> tuple[int, dict]:
 def _cmd_witness(args) -> tuple[int, dict]:
     if args.kind == "clifford":
         B = wit.clifford_tuple(args.d)
-        exact = B.size > 256 or B.verify_anticommutation()
+        exact = B.anticommutation_exact
         report = {
             "d": args.d, "size": B.size, "anticommutation_exact": exact,
-            "matrices": [jsonio.encode_matrix(M.astype(complex))
-                         for M in B.matrices] if args.d <= 5 else None,
+            "matrices": list(B.matrices) if args.d <= 5 else None,
         }
         return _bool_exit(exact), report
     if args.kind == "sharpness":

@@ -15,11 +15,21 @@ Conventions (lossless and language-neutral):
   optional; recomputed when absent);
 * dilation        -> ``{"T": [...], "V": matrix, "scale": c,
                        "residuals": {...}}``.
+
+Reports are written in one canonical text format, the bytes of
+``json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1)``
+plus a newline: keys sorted, one space of indent per level, ``": "``
+between key and value, non-ASCII characters as ``\\uXXXX`` escapes, floats
+as ``repr`` (``NaN``, ``Infinity`` and ``-Infinity`` for the non-finite
+ones), and every matrix entry as an ``[re, im]`` pair.  ``dumps_report`` is
+the only writer of that format; ``cli --out`` writes the same bytes to a
+file.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -47,9 +57,17 @@ def decode_scalar(obj) -> complex:
     raise SchemaError(f"expected a number or [re, im] pair, got {obj!r}")
 
 
+def _re_im(M) -> np.ndarray:
+    """``(r, c, 2)`` float array of the real and imaginary parts of the
+    2-D matrix ``M``: one contiguous complex cast, viewed as floats."""
+    M = np.ascontiguousarray(M, dtype=complex)
+    if M.ndim != 2:
+        raise TypeError(f"expected a 2-D matrix, got shape {M.shape}")
+    return M.view(float).reshape(M.shape + (2,))
+
+
 def encode_matrix(M) -> list[list[list[float]]]:
-    M = np.asarray(M, dtype=complex)
-    return [[encode_scalar(z) for z in row] for row in M]
+    return _re_im(M).tolist()
 
 
 def decode_matrix(obj) -> np.ndarray:
@@ -135,6 +153,8 @@ def decode_povm(obj, psd_tol: float = 1e-8, sum_tol: float = 1e-8) -> Povm:
     if not isinstance(obj, dict) or "atoms" not in obj or "effects" not in obj:
         raise SchemaError('expected {"atoms", "effects"}')
     atoms = np.array([[decode_scalar(z) for z in row] for row in obj["atoms"]])
+    if atoms.size == 0:
+        raise SchemaError("expected a non-empty list of atoms")
     if np.max(np.abs(atoms.imag)) == 0.0:
         atoms = atoms.real
     effects = [decode_matrix(E) for E in obj["effects"]]
@@ -163,24 +183,124 @@ def decode_atoms(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "points" not in obj:
         raise SchemaError('expected {"points": [[...]]}')
     pts = np.array([[decode_scalar(z) for z in row] for row in obj["points"]])
+    if pts.size == 0:
+        raise SchemaError("expected a non-empty list of points")
     if np.max(np.abs(pts.imag)) == 0.0:
         pts = pts.real
     return pts
 
 
 def encode_dilation(D: Dilation) -> dict:
+    """Report body of a dilation; ``T`` and ``V`` stay arrays for
+    ``dumps_report`` to write as matrices."""
     return {
-        "T": [encode_matrix(T) for T in D.T],
-        "V": encode_matrix(D.V),
+        "T": list(D.T),
+        "V": D.V,
         "scale": float(D.scale),
         "residuals": {k: float(v) for k, v in D.residuals.items()},
     }
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _matrix_text(M: np.ndarray, level: int) -> str:
+    """A 2-D array at nesting depth ``level`` as the indented ``[re, im]``
+    matrix schema, in one join over every float of the matrix."""
+    P = _re_im(M)
+    rows, cols = M.shape
+    if rows == 0:
+        return "[]"
+    n0 = "\n" + " " * level
+    n1, n2, n3 = n0 + " ", n0 + "  ", n0 + "   "
+    if cols == 0:
+        return "[" + n1 + ("[]," + n1) * (rows - 1) + "[]" + n0 + "]"
+    # Dilation and witness matrices are mostly exact zeros, so only the
+    # other floats are spelled (``-0.0`` has a nonzero bit pattern).
+    flat = P.ravel()
+    values = ["0.0"] * flat.size
+    nonzero = np.flatnonzero(flat.view(np.int64)).tolist()
+    spell = float.__repr__ if np.isfinite(P).all() else _float_text
+    for i, text in zip(nonzero, map(spell, flat[nonzero].tolist())):
+        values[i] = text
+    # The separator written before each float: ``im`` within an entry,
+    # ``entry`` between entries of a row, ``row`` between rows.
+    im = "," + n3
+    entry = n2 + "]," + n2 + "[" + n3
+    row = n2 + "]" + n1 + "]," + n1 + "[" + n2 + "[" + n3
+    seps = ([row, im] + [entry, im] * (cols - 1)) * rows
+    seps[0] = "[" + n1 + "[" + n2 + "[" + n3
+    parts = [""] * (2 * len(seps) + 1)
+    parts[0:-1:2] = seps
+    parts[1::2] = values
+    parts[-1] = n2 + "]" + n1 + "]" + n0 + "]"
+    return "".join(parts)
+
+
+def _write(obj, level: int, out: list[str]) -> None:
+    """Append the canonical text of ``obj`` at nesting depth ``level``."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2:
+        out.append(_matrix_text(obj, level))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = "\n" + " " * (level + 1)
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, level + 1, out)
+            sep = "," + inner
+        out.append("\n" + " " * level + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = "\n" + " " * (level + 1)
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(obj[key], level + 1, out)
+            sep = "," + inner
+        out.append("\n" + " " * level + "}")
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} into a report")
+
+
 def dumps_report(report: dict) -> str:
-    """Canonical serialization: sorted keys, fixed separators, newline."""
-    return json.dumps(report, sort_keys=True, separators=(",", ": "),
-                      indent=1) + "\n"
+    """Canonical report text: the bytes of ``json.dumps(report,
+    sort_keys=True, separators=(",", ": "), indent=1) + "\\n"``.
+
+    Keys are sorted, each level indents by one space, key and value are
+    separated by ``": "``, strings are ASCII with ``\\uXXXX`` escapes and
+    floats are written as ``repr`` (``NaN``, ``Infinity``, ``-Infinity``).
+    A 2-D numpy array is written as the ``[re, im]`` matrix schema of
+    ``encode_matrix`` straight from the array.  Any other array, any other
+    non-JSON type and any non-str key raise ``TypeError``.
+    """
+    out: list[str] = []
+    _write(report, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def load_json(path: str):

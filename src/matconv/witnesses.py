@@ -53,10 +53,16 @@ _E2 = np.array([[1, 0], [0, -1]], dtype=np.int64)
 
 @dataclass
 class CliffordTuple:
-    """d anticommuting integer symmetric matrices of size 2^(d-1)."""
+    """d anticommuting integer symmetric matrices of size 2^(d-1).
+
+    ``anticommutation_exact`` is the outcome established at build time by
+    ``clifford_tuple``: the exact check up to size 256, the construction
+    itself beyond.
+    """
 
     d: int
     matrices: tuple[np.ndarray, ...]   # int64, exact
+    anticommutation_exact: bool = True
 
     @property
     def size(self) -> int:
@@ -96,7 +102,8 @@ def clifford_tuple(d: int) -> CliffordTuple:
         new.append(np.kron(_E2, np.eye(size, dtype=np.int64)))
         mats = new
     out = CliffordTuple(d=d, matrices=tuple(mats))
-    if out.size <= 256 and not out.verify_anticommutation():
+    out.anticommutation_exact = out.size > 256 or out.verify_anticommutation()
+    if not out.anticommutation_exact:
         raise WitnessError("anticommutation check failed")  # pragma: no cover
     return out
 
@@ -201,7 +208,7 @@ def sharpness_check(d: int, num_dirs: int = 32, seed: int = 0) -> dict:
     return {
         "d": d,
         "size": B.size,
-        "anticommutation_exact": B.size > 256 or B.verify_anticommutation(),
+        "anticommutation_exact": B.anticommutation_exact,
         "lambda_max": float(lam_max),
         "lambda_max_minus_d": float(lam_max - d),
         "unit_direction_max_eig": float(worst_norm),

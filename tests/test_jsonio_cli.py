@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import pauli_pair
 from matconv import jsonio
@@ -60,7 +62,7 @@ class TestSchemas:
 
     def test_dilation_encode(self):
         D = flip_dilation(pauli_pair())
-        obj = jsonio.encode_dilation(D)
+        obj = json.loads(jsonio.dumps_report(jsonio.encode_dilation(D)))
         assert obj["scale"] == 1.0
         T0 = jsonio.decode_matrix(obj["T"][0])
         assert np.allclose(T0, D.T[0])
@@ -77,6 +79,97 @@ class TestSchemas:
                "effects": [jsonio.encode_matrix(E) for E in effs]}
         p = jsonio.decode_povm(obj)
         assert p.count == 3
+
+    def test_povm_decode_rejects_empty_atoms(self):
+        with pytest.raises(jsonio.SchemaError,
+                           match="non-empty list of atoms"):
+            jsonio.decode_povm({"atoms": [], "effects": []})
+
+    def test_atoms_decode_rejects_empty_points(self):
+        with pytest.raises(jsonio.SchemaError,
+                           match="non-empty list of points"):
+            jsonio.decode_atoms({"points": []})
+        with pytest.raises(jsonio.SchemaError,
+                           match="non-empty list of points"):
+            jsonio.decode_atoms({"points": [[]]})
+
+
+# ---------------------------------------------------------------------------
+# The canonical report writer
+# ---------------------------------------------------------------------------
+
+
+def canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "),
+                      indent=1) + "\n"
+
+
+def per_scalar_lists(obj):
+    """The report tree with every array replaced by the per-scalar
+    ``[re, im]`` lists that reports were once built from."""
+    if isinstance(obj, np.ndarray):
+        return [[[float(complex(z).real), float(complex(z).imag)]
+                 for z in row] for row in np.asarray(obj, dtype=complex)]
+    if isinstance(obj, dict):
+        return {k: per_scalar_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [per_scalar_lists(v) for v in obj]
+    return obj
+
+
+EDGE_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+               5e-324, -5e-324, 1e308, -1e308, 0.1, 1e-17, 1e16]
+report_floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+report_arrays = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                            max_side=4),
+               elements=report_floats),
+    hnp.arrays(np.complex128, hnp.array_shapes(min_dims=2, max_dims=2,
+                                               max_side=4),
+               elements=st.builds(complex, report_floats, report_floats)),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                          max_side=4)),
+)
+report_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | report_floats
+    | st.text(max_size=6) | report_arrays,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=4)),
+    max_leaves=24)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(tree=report_trees)
+    def test_matches_json_of_per_scalar_lists(self, tree):
+        assert jsonio.dumps_report(tree) == \
+            canonical_json(per_scalar_lists(tree))
+
+    def test_edge_cases(self):
+        tree = {"\u00e9\u20ac \"q\"\\": [np.array([[-0.0, float("nan")],
+                                                   [float("-inf"), 5e-324]]),
+                                         np.zeros((0, 2)), np.zeros((2, 0)),
+                                         {}, [], (1, 2.5), None, True],
+                "a": np.eye(2, dtype=np.int64) * (1 + 1j)}
+        assert jsonio.dumps_report(tree) == \
+            canonical_json(per_scalar_lists(tree))
+
+    def test_encode_matrix_matches_written_matrix(self, rng):
+        M = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        assert jsonio.encode_matrix(M) == per_scalar_lists(M)
+        assert jsonio.dumps_report({"m": M}) == \
+            canonical_json({"m": jsonio.encode_matrix(M)})
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros(3), np.zeros((2, 2, 2)), np.array(1.0),
+        {1: 0.0}, {None: 0.0}, {(1, 2): 0.0}, np.int64(3), np.bool_(True),
+        object(), {1.5, 2.5},
+    ], ids=["1d", "3d", "0d", "int_key", "none_key", "tuple_key", "int64",
+            "bool_", "object", "set"])
+    def test_rejects(self, bad):
+        with pytest.raises(TypeError):
+            jsonio.dumps_report({"a": [bad]})
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +407,15 @@ class TestCliPlumbing:
         code = main(["member", "ball", str(p)])
         assert code == 4
 
+    def test_empty_points_schema_error_names_file(self, workdir, capsys,
+                                                  tmp_path):
+        p = tmp_path / "empty.json"
+        p.write_text('{"points": []}')
+        code = main(["map", "normal", str(p), workdir["atoms_cube.json"]])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert f"{p}: expected a non-empty list of points" in err
+
     def test_missing_file_exit_4(self, capsys):
         code = main(["member", "ball", "/nonexistent/x.json"])
         assert code == 4
@@ -353,3 +455,58 @@ class TestCliPlumbing:
         rep = json.loads(proc.stdout)
         assert rep["result"]["member"] is True
         assert "timing" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# Every subcommand prints canonical text
+# ---------------------------------------------------------------------------
+
+
+FIXPOINT_ARGV = [
+    "member wmax {pauli} {cube}",
+    "member wmin {scalar} {cube} --witness",
+    "member ball {half_pauli}",
+    "member dball {half_pauli}",
+    "member cube {pauli}",
+    "member diamond {pauli}",
+    "member pencil {pauli} {half_pauli}",
+    "dilate flip {half_pauli}",
+    "dilate lambda {half_pauli} {family}",
+    "dilate frame {half_pauli} {frame}",
+    "dilate diamond {half_pauli}",
+    "dilate cube2diamond {pauli}",
+    "map ucp {pauli} {half_pauli} --witness",
+    "map ccp {pauli} {half_pauli} --witness",
+    "map cc {pauli} {half_pauli} --witness",
+    "map normal {atoms_cube} {atoms_diamond} --witness",
+    "include spectra {half_pauli} {pauli} --max-iter 200",
+    "include relax-cube {pauli}",
+    "frame check pm_basis --d 3",
+    "frame sym pentagon",
+    "frame reflexive s5_orbit",
+    "frame invariance simplex3",
+    "witness clifford --d 3",
+    "witness sharpness --d 3",
+    "witness sqrtd --d 3",
+    "witness nonscalable --count 20 --rows",
+    "witness chain --d 2",
+    "witness taurho --set cube --d 2 --samples 2",
+    "dual polytope {cube}",
+]
+
+
+@pytest.mark.parametrize("argv", FIXPOINT_ARGV,
+                         ids=[" ".join(a.split()[:2]) for a in FIXPOINT_ARGV])
+def test_report_is_load_dump_fixpoint(argv, workdir, capsys, tmp_path):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({
+        "lambdas": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]]]}))
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(
+        {"dim": 2, "vectors": [[1.0, 0.0], [0.0, 1.0]]}))
+    names = {k.removesuffix(".json"): v for k, v in workdir.items()}
+    args = argv.format(family=str(family), frame=str(frame), **names).split()
+    code = main(args)
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2)
+    assert out == canonical_json(json.loads(out))

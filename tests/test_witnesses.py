@@ -3,7 +3,9 @@ import pytest
 
 from matconv import numkernel as nk
 from matconv.sets import selfdual_member
+from matconv.cli import main
 from matconv.witnesses import (
+    CliffordTuple,
     WitnessError,
     ball_chain_witnesses,
     clifford_tuple,
@@ -77,6 +79,31 @@ class TestSharpness:
         assert vals[0] < 0 < vals[-1]
         root = float(np.interp(0.0, vals, grid))
         assert root == pytest.approx(d, abs=1e-9)
+
+
+class TestAnticommutationCheckedOnce:
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = CliffordTuple.verify_anticommutation
+
+        def counted(self):
+            calls.append(self.d)
+            return check(self)
+
+        monkeypatch.setattr(CliffordTuple, "verify_anticommutation", counted)
+        return calls
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_sharpness_check(self, checks, d):
+        r = sharpness_check(d)
+        assert checks == [d]
+        assert r["anticommutation_exact"] is True
+
+    def test_witness_clifford_cli(self, checks, capsys):
+        assert main(["witness", "clifford", "--d", "4"]) == 0
+        assert '"anticommutation_exact": true' in capsys.readouterr().out
+        assert checks == [4]
 
 
 class TestSqrtD:

@@ -34,7 +34,6 @@ from .sets import (  # noqa: F401
     Pencil,
     Polytope,
     ball_member,
-    ball_pencil,
     cube_member,
     cube_pencil,
     cube_polytope,

@@ -31,8 +31,8 @@ from .dilation import (
 )
 from .frames import (
     FRAME_BUILDERS,
+    Frame,
     FrameError,
-    NotTightError,
     build_frame,
     check_tight,
     is_vertex_reflexive,
@@ -65,7 +65,9 @@ class CliInputError(Exception):
         self.code = code
 
 
-def _load(path: str):
+def _load(path: Optional[str]):
+    if path is None:  # an optional positional the subcommand needs
+        raise CliInputError("a required JSON file argument is missing")
     try:
         return jsonio.load_json(path)
     except json.JSONDecodeError as exc:
@@ -94,16 +96,19 @@ def _polytope_arg(path: str):
     return _decoded(jsonio.decode_polytope, path)
 
 
-def _frame_arg(spec: str, d: Optional[int]):
-    """A frame argument is a JSON path or a builder name."""
+def _frame_arg(spec: str, d: Optional[int]) -> Frame:
+    """A frame argument: a builder name or a JSON path.  Every builder error
+    is an input error; so is a file that decodes to a degenerate frame.  A
+    file that is not tight raises the ``FrameError`` of ``check_tight``."""
     if spec in FRAME_BUILDERS:
         try:
             return build_frame(spec, d=d)
-        except ValueError as exc:
+        except (ValueError, FrameError) as exc:
             raise CliInputError(str(exc)) from exc
+    vecs = _decoded(jsonio.decode_frame_vectors, spec)
     try:
-        return jsonio.decode_frame(_load(spec))
-    except (jsonio.SchemaError, NotTightError, FrameError, ValueError) as exc:
+        return check_tight(vecs)
+    except ValueError as exc:  # zero, repeated or too few vectors
         raise CliInputError(f"{spec}: {exc}") from exc
 
 
@@ -236,20 +241,17 @@ def _cmd_include(args) -> tuple[int, dict]:
 
 
 def _cmd_frame(args) -> tuple[int, dict]:
+    try:
+        f = _frame_arg(args.frame, args.d)
+    except FrameError as exc:  # a frame file that is not tight
+        if args.kind == "check":
+            return EXIT_NEGATIVE, {"tight": False, "error": str(exc)}
+        raise CliInputError(f"{args.frame}: {exc}") from exc
     if args.kind == "check":
-        if args.frame in FRAME_BUILDERS:
-            f = _frame_arg(args.frame, args.d)
-        else:
-            vecs = _decoded(jsonio.decode_frame_vectors, args.frame)
-            try:
-                f = check_tight(vecs)
-            except FrameError as exc:
-                return EXIT_NEGATIVE, {"tight": False, "error": str(exc)}
         return EXIT_POSITIVE, {
             "tight": True, "count": f.count, "dim": f.dim,
             "norm": f.norm, "sigma": f.sigma,
         }
-    f = _frame_arg(args.frame, args.d)
     g = symmetry_group(f, cap=args.cap)
     if args.kind == "sym":
         return EXIT_POSITIVE, {
@@ -431,7 +433,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliInputError as exc:
         print(f"matconv: {exc}", file=sys.stderr)
         return exc.code
-    except (FrameError, NotTightError, MissingRepresentationError,
+    except (FrameError, MissingRepresentationError,
             sets.SetsError, wit.WitnessError, ValueError) as exc:
         print(f"matconv: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -410,14 +410,6 @@ def frame_dilation(X: HermTuple, vectors, weights=None,
                    kappa=kappa, sigma=sigma)
 
 
-def frame_spectrum_vertices(vectors, weights=None) -> np.ndarray:
-    """Vertices ``+- c_m v^(m)`` of the polytope the scaled spectrum lands in."""
-    V = np.atleast_2d(np.asarray(vectors, dtype=float))
-    c = np.ones(V.shape[0]) if weights is None else np.asarray(weights, float)
-    W = V * c[:, None]
-    return np.vstack([W, -W])
-
-
 # ---------------------------------------------------------------------------
 # Positive-measure dilation
 # ---------------------------------------------------------------------------

@@ -433,24 +433,6 @@ def s5_orbit_frame() -> Frame:
     return check_tight(V5 @ H)
 
 
-def combine_frames(f1: Frame, f2: Frame, tol: float = 1e-9) -> Frame:
-    """Union of two frames supported on orthogonal coordinate blocks.
-
-    Requires equal vector norms and equal frame constants so the union is
-    again an isometric tight frame on the direct-sum space.
-    """
-    if abs(f1.norm - f2.norm) > tol * max(f1.norm, 1.0):
-        raise FrameError("frames must share the common vector norm")
-    if abs(f1.sigma - f2.sigma) > tol * max(f1.sigma, 1.0):
-        raise FrameError("frames must share the frame constant")
-    d1, d2 = f1.dim, f2.dim
-    V = np.vstack([
-        np.hstack([f1.vectors, np.zeros((f1.count, d2))]),
-        np.hstack([np.zeros((f2.count, d1)), f2.vectors]),
-    ])
-    return check_tight(V, tol=tol)
-
-
 FRAME_BUILDERS = {
     "simplex3": lambda: simplex3_frame(),
     "pentagon": lambda: pentagon_frame(),

@@ -1,20 +1,30 @@
 """JSON schemas for the data the CLI moves around.
 
-Conventions (lossless and language-neutral):
+Input schemas (``?`` marks an optional key):
 
-* complex scalar  -> two-element array ``[re, im]``; plain numbers are
-  accepted on input as reals;
-* matrix          -> row-major nested arrays of scalars;
-* tuple           -> ``{"d": d, "n": n, "matrices": [matrix, ...]}``;
-* polytope        -> ``{"dim": d, "vertices": [[...]],
-                       "facets": [{"alpha": [...], "a": r}]}``
-  (either representation may be omitted);
-* frame           -> ``{"dim": d, "vectors": [[...]]}``;
+* matrix          -> row-major nested arrays of entries, each a number
+  (read as a real) or an ``[re, im]`` pair;
+* tuple           -> ``{"d"?, "n"?, "matrices": [matrix, ...]}``;
+* polytope        -> ``{"dim", "vertices"?: [[...]],
+                       "facets"?: [{"alpha": [...], "a": r}]}``;
+* frame           -> ``{"dim"?, "vectors": [[...]]}``;
+* atom list       -> ``{"points": [[...]]}``, entries as in a matrix;
 * positive decomposition -> ``{"atoms": [[...]], "effects": [matrix, ...]}``;
-* rank-one family -> ``{"lambdas": [matrix, ...], "betas": [...]}`` (betas
-  optional; recomputed when absent);
-* dilation        -> ``{"T": [...], "V": matrix, "scale": c,
-                       "residuals": {...}}``.
+* rank-one family -> ``{"lambdas": [matrix, ...], "betas"?: [...]}`` (only
+  the real parts of the lambdas are used; betas are recomputed when
+  absent, and a family whose hull misses the identity then raises the
+  ``DilationError`` of ``decompose_identity``).
+
+Vertices, facets, frame vectors and betas take plain numbers only.  Every
+list is non-empty, the lists at one level have equal length, every entry is
+a finite number (a boolean is not a number), and a declared ``d``, ``n`` or
+``dim`` is a positive integer that matches the data.  One converter,
+``_numbers``, and one size check, ``_size``, enforce this for every schema;
+a violation raises ``SchemaError``, which the CLI reports with the file
+name and exit code 4.
+
+Reports carry dilations as ``{"T": [...], "V": matrix, "scale": c,
+"residuals": {...}}``.
 
 Reports are written in one canonical text format, the bytes of
 ``json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1)``
@@ -29,13 +39,15 @@ file.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 
 from .dilation import Dilation, LambdaFamily, Povm, decompose_identity
 from .frames import Frame, check_tight
+from .numkernel import NumKernelError
 from .sets import GenTuple, HermTuple, Polytope
 
 
@@ -43,18 +55,75 @@ class SchemaError(ValueError):
     """Structurally valid JSON that does not match the expected schema."""
 
 
-def encode_scalar(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+_NUMBER_TYPES = {int, float}
 
 
-def decode_scalar(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if (isinstance(obj, list) and len(obj) == 2
-            and all(isinstance(t, (int, float)) for t in obj)):
-        return complex(obj[0], obj[1])
-    raise SchemaError(f"expected a number or [re, im] pair, got {obj!r}")
+def _numbers(obj, what: str, ndim: int, pairs: bool = False) -> np.ndarray:
+    """The JSON value ``obj`` as a finite float array with ``ndim`` axes.
+
+    ``obj`` must be ``ndim`` levels of non-empty lists of equal length whose
+    entries are numbers (not booleans) or, with ``pairs``, also ``[re, im]``
+    pairs; the array is then complex, plain numbers giving reals.  Anything
+    else raises ``SchemaError`` naming ``what``.  This is the only place
+    where JSON numbers become arrays.
+    """
+    shape = []
+    level = [obj]
+    for _ in range(ndim):
+        if (set(map(type, level)) != {list} or len(set(map(len, level))) != 1
+                or not level[0]):
+            equal = " of equal shape" if ndim > 1 else ""
+            raise SchemaError(f"expected a non-empty list of {what}{equal}")
+        shape.append(len(level[0]))
+        level = list(chain.from_iterable(level))
+    if pairs:
+        level = [z if type(z) is list and len(z) == 2 else [z, 0]
+                 for z in level]
+    flat = list(chain.from_iterable(level)) if pairs else level
+    if not set(map(type, flat)) <= _NUMBER_TYPES:
+        bad = next(t for t in flat if type(t) not in _NUMBER_TYPES)
+        kind = "numbers or [re, im] pairs" if pairs else "numbers"
+        raise SchemaError(f"{what}: expected {kind}, got {bad!r:.40}")
+    finite = f"{what}: entries must be finite"
+    try:
+        values = np.array(level, dtype=float)
+    except OverflowError:
+        raise SchemaError(finite) from None
+    if not np.isfinite(values).all():
+        raise SchemaError(finite)
+    if pairs:
+        values = values.view(complex)
+    return values.reshape(shape)
+
+
+def _size(obj: dict, key: str, actual: Optional[int] = None) -> int:
+    """The declared size field ``key`` of ``obj`` (``actual`` when absent):
+    a positive whole number, equal to ``actual`` when the data gives one."""
+    value = obj.get(key, actual)
+    whole = (type(value) is int
+             or type(value) is float and value.is_integer())
+    if not whole or value < 1:
+        raise SchemaError(
+            f"declared {key} must be a positive integer, got {value!r:.40}")
+    if actual is not None and value != actual:
+        raise SchemaError(
+            f"declared {key} does not match the data: {value!r} against "
+            f"{actual}")
+    return int(value)
+
+
+def _field(obj, key: str, schema: str):
+    """``obj[key]`` of a JSON object, or a ``SchemaError`` quoting
+    ``schema``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise SchemaError(f"expected {schema}")
+    return obj[key]
+
+
+def _labels(obj, key: str, schema: str) -> np.ndarray:
+    """An atom list: real when every imaginary part is 0.0."""
+    pts = _numbers(_field(obj, key, schema), key, 2, pairs=True)
+    return pts.real if np.max(np.abs(pts.imag)) == 0.0 else pts
 
 
 def _re_im(M) -> np.ndarray:
@@ -71,13 +140,7 @@ def encode_matrix(M) -> list[list[list[float]]]:
 
 
 def decode_matrix(obj) -> np.ndarray:
-    if not isinstance(obj, list) or not obj or not isinstance(obj[0], list):
-        raise SchemaError("expected a matrix as nested arrays")
-    rows = [[decode_scalar(z) for z in row] for row in obj]
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise SchemaError("matrix rows have unequal lengths")
-    return np.array(rows, dtype=complex)
+    return _numbers(obj, "matrix rows", 2, pairs=True)
 
 
 def encode_tuple(X: GenTuple) -> dict:
@@ -87,16 +150,14 @@ def encode_tuple(X: GenTuple) -> dict:
 
 def decode_tuple(obj, hermitian: bool = True,
                  herm_tol: float = 1e-9) -> GenTuple:
-    if not isinstance(obj, dict) or "matrices" not in obj:
-        raise SchemaError('expected {"d", "n", "matrices"}')
-    mats = [decode_matrix(M) for M in obj["matrices"]]
-    if "d" in obj and int(obj["d"]) != len(mats):
-        raise SchemaError("declared d does not match matrix count")
-    if "n" in obj and mats and int(obj["n"]) != mats[0].shape[0]:
-        raise SchemaError("declared n does not match matrix size")
+    mats = _numbers(_field(obj, "matrices", '{"d", "n", "matrices"}'),
+                    "matrices", 3, pairs=True)
+    _size(obj, "d", mats.shape[0])
+    _size(obj, "n", mats.shape[1])
     try:
-        return HermTuple(mats, herm_tol=herm_tol) if hermitian else GenTuple(mats)
-    except Exception as exc:
+        return (HermTuple(mats, herm_tol=herm_tol) if hermitian
+                else GenTuple(mats))
+    except (ValueError, NumKernelError) as exc:
         raise SchemaError(str(exc)) from exc
 
 
@@ -111,83 +172,67 @@ def encode_polytope(P: Polytope) -> dict:
 
 
 def decode_polytope(obj) -> Polytope:
-    if not isinstance(obj, dict) or "dim" not in obj:
-        raise SchemaError('expected {"dim", "vertices"?, "facets"?}')
+    schema = '{"dim", "vertices"?, "facets": [{"alpha", "a"}]?}'
+    _field(obj, "dim", schema)
+    dim = _size(obj, "dim")
     verts = obj.get("vertices")
     facets = obj.get("facets")
     normals = offsets = None
+    if verts is not None:
+        verts = _numbers(verts, "vertices", 2)
     if facets is not None:
         try:
-            normals = np.array([f["alpha"] for f in facets], dtype=float)
-            offsets = np.array([f["a"] for f in facets], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad facet list: {exc}") from exc
+            alphas = [f["alpha"] for f in facets]
+            offsets = [f["a"] for f in facets]
+        except (KeyError, TypeError) as exc:
+            raise SchemaError(f"expected {schema}") from exc
+        normals = _numbers(alphas, "facet normals", 2)
+        offsets = _numbers(offsets, "facet offsets", 1)
     try:
-        return Polytope(int(obj["dim"]),
-                        vertices=None if verts is None else np.array(verts, float),
-                        facet_normals=normals, facet_offsets=offsets)
+        return Polytope(dim, vertices=verts, facet_normals=normals,
+                        facet_offsets=offsets)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
-def encode_frame(f: Frame) -> dict:
-    return {"dim": f.dim, "vectors": [[float(x) for x in v] for v in f.vectors]}
-
-
 def decode_frame(obj, tol: float = 1e-9) -> Frame:
-    if not isinstance(obj, dict) or "vectors" not in obj:
-        raise SchemaError('expected {"dim", "vectors"}')
-    V = np.array(obj["vectors"], dtype=float)
-    if "dim" in obj and int(obj["dim"]) != V.shape[1]:
-        raise SchemaError("declared dim does not match vectors")
-    return check_tight(V, tol=tol)
+    return check_tight(decode_frame_vectors(obj), tol=tol)
 
 
 def decode_frame_vectors(obj) -> np.ndarray:
-    if not isinstance(obj, dict) or "vectors" not in obj:
-        raise SchemaError('expected {"dim", "vectors"}')
-    return np.array(obj["vectors"], dtype=float)
+    V = _numbers(_field(obj, "vectors", '{"dim"?, "vectors"}'), "vectors", 2)
+    _size(obj, "dim", V.shape[1])
+    return V
 
 
 def decode_povm(obj, psd_tol: float = 1e-8, sum_tol: float = 1e-8) -> Povm:
-    if not isinstance(obj, dict) or "atoms" not in obj or "effects" not in obj:
-        raise SchemaError('expected {"atoms", "effects"}')
-    atoms = np.array([[decode_scalar(z) for z in row] for row in obj["atoms"]])
-    if atoms.size == 0:
-        raise SchemaError("expected a non-empty list of atoms")
-    if np.max(np.abs(atoms.imag)) == 0.0:
-        atoms = atoms.real
-    effects = [decode_matrix(E) for E in obj["effects"]]
+    schema = '{"atoms", "effects"}'
+    atoms = _labels(obj, "atoms", schema)
+    effects = _numbers(_field(obj, "effects", schema), "effects", 3,
+                       pairs=True)
     try:
-        return Povm(atoms=atoms, effects=effects, psd_tol=psd_tol,
+        return Povm(atoms=atoms, effects=list(effects), psd_tol=psd_tol,
                     sum_tol=sum_tol)
-    except ValueError as exc:
+    except (ValueError, NumKernelError) as exc:
         raise SchemaError(str(exc)) from exc
 
 
 def decode_lambda_family(obj) -> LambdaFamily:
-    if not isinstance(obj, dict) or "lambdas" not in obj:
-        raise SchemaError('expected {"lambdas", "betas"?}')
-    lams = [np.real(decode_matrix(L)) for L in obj["lambdas"]]
-    if "betas" in obj:
-        betas = np.array(obj["betas"], dtype=float)
-        try:
-            return LambdaFamily(np.stack(lams), betas)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-    return decompose_identity(lams)
+    lams = _numbers(_field(obj, "lambdas", '{"lambdas", "betas"?}'),
+                    "lambdas", 3, pairs=True).real.copy()
+    if lams.shape[1] != lams.shape[2]:
+        raise SchemaError("lambdas must be square matrices")
+    betas = _numbers(obj["betas"], "betas", 1) if "betas" in obj else None
+    try:
+        return (decompose_identity(lams) if betas is None
+                else LambdaFamily(lams, betas))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def decode_atoms(obj) -> np.ndarray:
     """Atom list format: {"points": [[...]]} with real or [re, im] entries."""
-    if not isinstance(obj, dict) or "points" not in obj:
-        raise SchemaError('expected {"points": [[...]]}')
-    pts = np.array([[decode_scalar(z) for z in row] for row in obj["points"]])
-    if pts.size == 0:
-        raise SchemaError("expected a non-empty list of points")
-    if np.max(np.abs(pts.imag)) == 0.0:
-        pts = pts.real
-    return pts
+    return _labels(obj, "points", '{"points": [[...]]}')
 
 
 def encode_dilation(D: Dilation) -> dict:

@@ -209,13 +209,6 @@ class JointSpectrum:
         return pts[order]
 
 
-def joint_spectra_match(a: JointSpectrum, b: JointSpectrum, tol: float = 1e-8) -> bool:
-    """Compare two joint spectra as multisets, within ``tol`` per coordinate."""
-    if a.points.shape != b.points.shape:
-        return False
-    return bool(np.max(np.abs(a.sorted_points() - b.sorted_points())) <= tol)
-
-
 def _offdiag_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M - np.diag(np.diag(M))))
 

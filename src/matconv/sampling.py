@@ -1,4 +1,4 @@
-"""Seeded random generators for matrices, tuples, isometries and POVMs.
+"""Seeded random generators for matrices, tuples and sphere points.
 
 Every function takes an explicit ``numpy.random.Generator`` so callers stay
 deterministic under a fixed seed.
@@ -27,18 +27,6 @@ def random_gen(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    Q, R = np.linalg.qr(random_gen(n, rng))
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
-
-
-def random_isometry(big: int, small: int, rng: np.random.Generator) -> np.ndarray:
-    """Random (big x small) complex isometry, V* V = I_small."""
-    if small > big:
-        raise ValueError("isometry needs big >= small")
-    return random_unitary(big, rng)[:, :small]
-
-
 def random_herm_contraction_tuple(d: int, n: int, rng: np.random.Generator,
                                   shrink: float = 1.0) -> list[np.ndarray]:
     """d Hermitian matrices, each of operator norm <= shrink (<= 1)."""
@@ -48,16 +36,6 @@ def random_herm_contraction_tuple(d: int, n: int, rng: np.random.Generator,
         nrm = float(np.max(np.abs(np.linalg.eigvalsh(H))))
         scale = shrink * rng.uniform(0.2, 1.0) / max(nrm, 1e-12)
         out.append(H * scale)
-    return out
-
-
-def random_gen_contraction_tuple(d: int, n: int, rng: np.random.Generator,
-                                 shrink: float = 1.0) -> list[np.ndarray]:
-    out = []
-    for _ in range(d):
-        A = random_gen(n, rng)
-        nrm = float(np.linalg.svd(A, compute_uv=False)[0])
-        out.append(A * (shrink * rng.uniform(0.2, 1.0) / max(nrm, 1e-12)))
     return out
 
 
@@ -79,18 +57,6 @@ def random_sign_sum_bounded_tuple(d: int, n: int, rng: np.random.Generator,
     worst = max(0.0, float(np.max(nk.max_eig(S, tol=np.inf))))
     t = bound * rng.uniform(0.2, 1.0) / max(worst, 1e-12)
     return [t * M for M in H]
-
-
-def random_povm(n: int, atoms: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Random POVM: PSD effects summing exactly (numerically) to the identity."""
-    G = []
-    for _ in range(atoms):
-        A = random_gen(n, rng)
-        G.append(A @ A.conj().T)
-    S = sum(G)
-    w, Q = np.linalg.eigh((S + S.conj().T) / 2.0)
-    S_isqrt = (Q / np.sqrt(w)) @ Q.conj().T
-    return [S_isqrt @ g @ S_isqrt for g in G]
 
 
 def sphere_points(d: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -251,10 +251,6 @@ class Pencil:
     coefficients: GenTuple
 
     @property
-    def selfadjoint(self) -> bool:
-        return isinstance(self.coefficients, HermTuple)
-
-    @property
     def d(self) -> int:
         return self.coefficients.d
 
@@ -280,20 +276,6 @@ def pencil_member(pencil: Pencil, X: GenTuple,
                   tol: float = DEFAULT_MEMBER_TOL) -> bool:
     """Positivity-domain membership: smallest eigenvalue >= -tol."""
     return nk.min_eig(pencil_eval(pencil, X), tol=np.inf) >= -tol
-
-
-def ball_pencil(d: int) -> Pencil:
-    """Self-adjoint pencil whose positivity domain is the quadratic ball.
-
-    Coefficient j switches the 0th and jth basis vectors of C^(d+1); a Schur
-    complement turns positivity of the pencil value into sum X_j^2 <= I.
-    """
-    coeffs = []
-    for j in range(d):
-        B = np.zeros((d + 1, d + 1))
-        B[0, j + 1] = B[j + 1, 0] = 1.0
-        coeffs.append(B)
-    return Pencil(HermTuple(coeffs))
 
 
 def cube_pencil(d: int) -> Pencil:
@@ -416,21 +398,6 @@ def first_violated_sign(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL,
     bad = first_failing_row(
         X, 2 ** X.d, lambda lo, hi: (nk.sign_rows(X.d, lo, hi), bound), tol)
     return None if bad is None else nk.sign_rows(X.d, bad, bad + 1)[0]
-
-
-def ball_wmax_member(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL,
-                     num_facets: int = 2000, seed: int = 0) -> bool:
-    """Approximate largest-set membership over the Euclidean unit ball.
-
-    The ball is not a polytope; its facets are sampled as ``num_facets``
-    seeded directions u with half-spaces ``<u, x> <= 1``.  A True verdict is
-    therefore only approximate (outer sampling); False verdicts are exact.
-    """
-    rng = sampling.rng_from(seed)
-    dirs = sampling.sphere_points(X.d, num_facets, rng)
-    bad = first_failing_row(X, len(dirs), lambda lo, hi: (dirs[lo:hi], 1.0),
-                             tol)
-    return bad is None
 
 
 def zero_interior_range(A: HermTuple, samples: int = 512,

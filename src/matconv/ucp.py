@@ -301,13 +301,6 @@ class RelaxCubeResult:
     violated_sign: Optional[np.ndarray]
 
 
-def cube_in_level1(B: HermTuple, tol: float = 0.0) -> bool:
-    """Exact test that [-1,1]^d lies in the level-1 positivity domain of B's
-    pencil: by convexity the 2^d vertices suffice, i.e. every signed sum
-    satisfies ``sum eps_j B_j <= I``."""
-    return first_violated_sign(B, tol=tol) is None
-
-
 def relax_cube(B: HermTuple, max_iter: int = 20000, tol_feas: float = 1e-8,
                ) -> RelaxCubeResult:
     """Relaxation that can rule the cube out of a pencil's level-1 domain.

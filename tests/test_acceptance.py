@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import combine_frames, random_isometry, random_povm
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv.dilation import (
@@ -22,7 +23,6 @@ from matconv.dilation import (
     naimark_dilation,
 )
 from matconv.frames import (
-    combine_frames,
     is_vertex_reflexive,
     pentagon_frame,
     s5_orbit_frame,
@@ -136,7 +136,7 @@ def test_ac05_wmin_soundness():
         extra = rng.integers(0, verts.shape[0], size=int(rng.integers(0, 4)))
         picks = np.concatenate([picks, extra])
         N = [np.diag(verts[picks, i].astype(complex)) for i in range(d)]
-        V = sampling.random_isometry(picks.size, n, rng)
+        V = random_isometry(picks.size, n, rng)
         X = HermTuple([V.conj().T @ Ni @ V for Ni in N])
         res = wmin_member(X, P, max_iter=20000, tol_feas=1e-8)
         if res.status is not Status.FEASIBLE or res.iterations > 20000:
@@ -247,7 +247,7 @@ def test_ac09_choi_suite():
     for k, m, d in ((2, 2, 2), (3, 2, 2), (3, 3, 3), (4, 3, 2)):
         A = HermTuple(sampling.random_herm_contraction_tuple(d, k, rng))
         r = k * m
-        W = sampling.random_isometry(k * r, m, rng)
+        W = random_isometry(k * r, m, rng)
         B = HermTuple([W.conj().T @ np.kron(np.asarray(M), np.eye(r)) @ W
                        for M in A])
         res = ucp_exists(A, B)
@@ -256,7 +256,7 @@ def test_ac09_choi_suite():
             ok = ok and choi_constraint_residual(res.witness[0], A, B) <= 1e-8
     for k, m in ((3, 2), (4, 2)):
         A = HermTuple(sampling.random_herm_contraction_tuple(2, k, rng))
-        Viso = sampling.random_isometry(k, m, rng)
+        Viso = random_isometry(k, m, rng)
         B = HermTuple([Viso.conj().T @ np.asarray(M) @ Viso for M in A])
         res = ucp_exists(A, B)
         ok = ok and res.status is Status.FEASIBLE
@@ -330,7 +330,7 @@ def test_ac13_naimark_suite():
     for _ in range(100):
         n = int(rng.integers(1, 5))
         M = int(rng.integers(1, 7))
-        effects = sampling.random_povm(n, M, rng)
+        effects = random_povm(n, M, rng)
         atoms = rng.standard_normal((M, int(rng.integers(1, 4))))
         p = Povm(atoms=atoms, effects=effects)
         nd = naimark_dilation(p)
@@ -352,7 +352,7 @@ def test_ac13_naimark_suite():
         P = cube_polytope(d)
         picks = np.repeat(np.arange(4), 2)
         N = [np.diag(P.vertices[picks, i].astype(complex)) for i in range(d)]
-        V = sampling.random_isometry(8, 2, rng)
+        V = random_isometry(8, 2, rng)
         X = HermTuple([V.conj().T @ Ni @ V for Ni in N])
         res = wmin_member(X, P, tol_feas=1e-9)
         if res.status is not Status.FEASIBLE:

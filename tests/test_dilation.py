@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import pauli_pair
+from conftest import (
+    pauli_pair,
+    random_gen_contraction_tuple,
+    random_isometry,
+    random_povm,
+    spectra_match,
+)
 from matconv import dilation
 from matconv import numkernel as nk
 from matconv import sampling
@@ -22,7 +28,6 @@ from matconv.dilation import (
     flip_dilation,
     flip_sign_family,
     frame_dilation,
-    frame_spectrum_vertices,
     joint_spectrum_rank_one,
     lambda_blocks,
     lambda_dilation,
@@ -91,10 +96,9 @@ class TestFlipDilation:
                 pts.append(mu * u)
         want = nk.JointSpectrum(points=np.array(pts))
         _, got = nk.simultaneous_diagonalize(D.T, tol=1e-8, seed=3)
-        assert nk.joint_spectra_match(want, got, tol=1e-8)
+        assert spectra_match(want, got, tol=1e-8)
         fam = flip_sign_family(3)
-        assert nk.joint_spectra_match(joint_spectrum_rank_one(fam, X), got,
-                                      tol=1e-8)
+        assert spectra_match(joint_spectrum_rank_one(fam, X), got, tol=1e-8)
 
 
 class TestNonsaFlip:
@@ -114,7 +118,7 @@ class TestNonsaFlip:
         assert D.residuals["commutator"] <= 1e-9
 
     def test_random_pairs(self, rng):
-        X = GenTuple(sampling.random_gen_contraction_tuple(2, 2, rng))
+        X = GenTuple(random_gen_contraction_tuple(2, 2, rng))
         D = nonsa_flip_dilation(X)
         assert D.residuals["max_norm"] <= 4 * np.sqrt(2) + 1e-9
         assert D.residuals["normality"] <= 1e-9
@@ -123,7 +127,7 @@ class TestNonsaFlip:
 
 class TestCoordinateProjectionDilation:
     def test_d1_norm_bound(self, rng):
-        X = GenTuple(sampling.random_gen_contraction_tuple(1, 3, rng))
+        X = GenTuple(random_gen_contraction_tuple(1, 3, rng))
         D = coordinate_projection_dilation(X)
         assert D.residuals["max_norm"] <= 2.0 + 1e-9
         assert D.residuals["normality"] <= 1e-9
@@ -138,7 +142,7 @@ class TestCoordinateProjectionDilation:
         assert D.residuals["compression"] <= 1e-12
 
     def test_random_pair(self, rng):
-        X = GenTuple(sampling.random_gen_contraction_tuple(2, 2, rng))
+        X = GenTuple(random_gen_contraction_tuple(2, 2, rng))
         D = coordinate_projection_dilation(X)
         assert D.residuals["max_norm"] <= 4.0 + 1e-9
         assert_tight_dilation(D)
@@ -200,7 +204,7 @@ class TestLambdaDilation:
         D2 = lambda_dilation(X, fam)
         _, s1 = nk.simultaneous_diagonalize(D1.T, seed=1)
         _, s2 = nk.simultaneous_diagonalize(D2.T, seed=1)
-        assert nk.joint_spectra_match(s1, s2, tol=1e-8)
+        assert spectra_match(s1, s2, tol=1e-8)
 
     def test_scalar_simplex_points(self):
         lams = np.stack([np.outer(v, v) for v in SIMPLEX_V])
@@ -210,7 +214,7 @@ class TestLambdaDilation:
         spec = joint_spectrum_rank_one(fam, X)
         want = np.array([v * float(v @ x) for v in SIMPLEX_V])
         got = np.asarray(spec.points, dtype=float)
-        assert nk.joint_spectra_match(
+        assert spectra_match(
             nk.JointSpectrum(points=want), nk.JointSpectrum(points=got),
             tol=1e-10)
         D = lambda_dilation(X, fam)
@@ -229,7 +233,7 @@ class TestJointSpectrumRankOne:
         for m in range(d):
             for mu in np.linalg.eigvalsh(np.asarray(X[m])):
                 want.append(d * mu * np.eye(d)[m])
-        assert nk.joint_spectra_match(
+        assert spectra_match(
             spec, nk.JointSpectrum(points=np.array(want)), tol=1e-10)
 
     def test_scalar_points_are_lambda_images(self):
@@ -239,7 +243,7 @@ class TestJointSpectrumRankOne:
         X = HermTuple([np.array([[c]]) for c in x])
         spec = joint_spectrum_rank_one(fam, X)
         want = np.array([lam @ x for lam in lams])
-        assert nk.joint_spectra_match(
+        assert spectra_match(
             spec, nk.JointSpectrum(points=want), tol=1e-10)
 
 
@@ -358,7 +362,7 @@ class TestFrameDilation:
         assert D.residuals["sigma"] == pytest.approx(2.0 ** d)
         assert D.residuals["kappa"] == pytest.approx(1.0)
         _, spec = nk.simultaneous_diagonalize(D.T, seed=2)
-        K = frame_spectrum_vertices(corners)
+        K = np.vstack([corners, -corners])
         for pt in spec.points:
             assert point_in_hull(K, pt)
 
@@ -372,7 +376,7 @@ class TestFrameDilation:
         assert D.residuals["sigma"] == pytest.approx(2.5, abs=1e-12)
         assert D.residuals["kappa"] == pytest.approx(0.5, abs=1e-12)
         _, spec = nk.simultaneous_diagonalize(D.T, seed=3)
-        K = frame_spectrum_vertices(pent)
+        K = np.vstack([pent, -pent])
         for pt in spec.points:
             assert point_in_hull(K, pt)
 
@@ -408,7 +412,7 @@ class TestNaimark:
     def test_random_povms(self, rng):
         for _ in range(10):
             n, M = int(rng.integers(1, 5)), int(rng.integers(1, 6))
-            effs = sampling.random_povm(n, M, rng)
+            effs = random_povm(n, M, rng)
             atoms = rng.standard_normal((M, 2))
             p = Povm(atoms=atoms, effects=effs)
             nd = naimark_dilation(p)
@@ -434,7 +438,7 @@ class TestNaimark:
         P = cube_polytope(2)
         picks = np.repeat(np.arange(4), 2)
         N = [np.diag(P.vertices[picks, i].astype(complex)) for i in range(2)]
-        V = sampling.random_isometry(8, 2, rng)
+        V = random_isometry(8, 2, rng)
         X = HermTuple([V.conj().T @ Ni @ V for Ni in N])
         res = wmin_member(X, P, tol_feas=1e-9)
         assert res.status is Status.FEASIBLE
@@ -570,7 +574,7 @@ def test_each_dilation_verified_once(rng, monkeypatch, name):
 
     monkeypatch.setattr(dilation, "dilation_residuals", counting)
     H = HermTuple(sampling.random_sign_sum_bounded_tuple(2, 2, rng))
-    G = GenTuple(sampling.random_gen_contraction_tuple(2, 2, rng))
+    G = GenTuple(random_gen_contraction_tuple(2, 2, rng))
     build = {
         "flip": lambda: flip_dilation(H),
         "diamond": lambda: diamond_dilation(H),

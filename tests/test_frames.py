@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import combine_frames, random_povm
 from matconv import sampling
 from matconv.frames import (
     FrameError,
@@ -8,7 +9,6 @@ from matconv.frames import (
     NotTightError,
     build_frame,
     check_tight,
-    combine_frames,
     cube_corners_frame,
     is_vertex_reflexive,
     pentagon_frame,
@@ -216,7 +216,7 @@ class TestPipeline:
         K_vertices = np.vstack([np.zeros(3), np.eye(3)])
         for _ in range(5):
             # Members: X_i >= 0 with sum X_i <= I.
-            G = sampling.random_povm(2, 4, rng)
+            G = random_povm(2, 4, rng)
             X = HermTuple([g.astype(complex) for g in G[:3]])
             D = lambda_dilation(X, fam)
             assert D.residuals["compression"] <= 1e-10

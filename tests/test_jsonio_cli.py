@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import pauli_pair
+from conftest import pauli_pair, random_povm
 from matconv import jsonio
 from matconv.cli import main
 from matconv.dilation import flip_dilation
@@ -23,10 +25,13 @@ from matconv.sets import HermTuple, cube_polytope, diamond_polytope
 class TestSchemas:
     def test_scalar_round_trip(self):
         for z in (0.0, 1.5, -2 + 3j, 1e-12j):
-            assert jsonio.decode_scalar(jsonio.encode_scalar(z)) == complex(z)
+            got = jsonio.decode_matrix(jsonio.encode_matrix([[z]]))
+            assert got[0, 0] == complex(z)
 
     def test_plain_number_is_real(self):
-        assert jsonio.decode_scalar(2.5) == 2.5 + 0j
+        got = jsonio.decode_matrix([[2.5, [1, -2.0]]])
+        assert got.dtype == complex
+        assert got.tolist() == [[2.5 + 0j, 1 - 2j]]
 
     def test_matrix_round_trip(self, rng):
         M = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
@@ -56,7 +61,7 @@ class TestSchemas:
 
     def test_frame_round_trip(self):
         f = pentagon_frame()
-        obj = jsonio.encode_frame(f)
+        obj = {"dim": f.dim, "vectors": f.vectors.tolist()}
         g = jsonio.decode_frame(obj)
         assert np.allclose(g.vectors, f.vectors)
 
@@ -73,8 +78,7 @@ class TestSchemas:
         assert np.allclose(fam.betas, [0.5, 0.5], atol=1e-9)
 
     def test_povm_decode(self, rng):
-        from matconv import sampling
-        effs = sampling.random_povm(2, 3, rng)
+        effs = random_povm(2, 3, rng)
         obj = {"atoms": [[1.0], [0.0], [-1.0]],
                "effects": [jsonio.encode_matrix(E) for E in effs]}
         p = jsonio.decode_povm(obj)
@@ -510,3 +514,223 @@ def test_report_is_load_dump_fixpoint(argv, workdir, capsys, tmp_path):
     out = capsys.readouterr().out
     assert code in (0, 1, 2)
     assert out == canonical_json(json.loads(out))
+
+
+# ---------------------------------------------------------------------------
+# Malformed input files: exit 3 or 4, the file named, nothing on stdout
+# ---------------------------------------------------------------------------
+
+
+VALID_INPUTS = {
+    "tuple": jsonio.encode_tuple(pauli_pair().scaled(0.5)),
+    "polytope": jsonio.encode_polytope(cube_polytope(2)),
+    "frame": {"dim": 2, "vectors": pentagon_frame().vectors.tolist()},
+    "atoms": {"points": cube_polytope(2).vertices.tolist()},
+    "family": {"lambdas": [jsonio.encode_matrix(np.diag([2.0, 0.0])),
+                           jsonio.encode_matrix(np.diag([0.0, 2.0]))],
+               "betas": [0.5, 0.5]},
+}
+
+# Every subcommand that reads a file, with the schema of each file argument.
+FILE_COMMANDS = (
+    [(f"member {k}", ("tuple", "polytope")) for k in ("wmax", "wmin")]
+    + [(f"member {k}", ("tuple",))
+       for k in ("ball", "dball", "cube", "diamond")]
+    + [("member pencil", ("tuple", "tuple"))]
+    + [(f"dilate {k}", ("tuple",))
+       for k in ("flip", "diamond", "cube2diamond")]
+    + [("dilate lambda", ("tuple", "family")),
+       ("dilate frame", ("tuple", "frame"))]
+    + [(f"map {k}", ("tuple", "tuple")) for k in ("ucp", "ccp", "cc")]
+    + [("map normal", ("atoms", "atoms")),
+       ("include spectra", ("tuple", "tuple")),
+       ("include relax-cube", ("tuple",))]
+    + [(f"frame {k}", ("frame",))
+       for k in ("check", "sym", "reflexive", "invariance")]
+    + [("dual polytope", ("polytope",))]
+)
+
+
+def _nodes(doc, path=(), in_list=False):
+    """``(path, value, parent is a list)`` for every node below the root."""
+    items = (enumerate(doc) if isinstance(doc, list)
+             else doc.items() if isinstance(doc, dict) else ())
+    for key, value in items:
+        yield path + (key,), value, isinstance(doc, list)
+        yield from _nodes(value, path + (key,))
+
+
+def _replace(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+@st.composite
+def malformed_text(draw, schema):
+    """The JSON text of a ``schema`` document broken in one way."""
+    doc = json.loads(json.dumps(VALID_INPUTS[schema]))
+    nodes = list(_nodes(doc))
+    numbers = [n for n in nodes if _is_number(n[1])]
+    lists = [n for n in nodes if isinstance(n[1], list)]
+    declared = [k for k in ("d", "n", "dim") if k in doc]
+    kinds = ["mistyped", "empty", "ragged", "boolean", "nonfinite",
+             "truncated", "root"] + (["size"] if declared else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "mistyped":
+        path, value, in_list = draw(st.sampled_from(numbers + lists))
+        # A number in place of an [re, im] pair would still be valid.
+        bad = (["1.0", {}, [1.0, 2.0, 3.0], None] if _is_number(value)
+               else ["x", {}, [[[1.0]]]] + ([] if in_list else [5]))
+        _replace(doc, path, draw(st.sampled_from(bad)))
+    elif kind == "empty":
+        _replace(doc, draw(st.sampled_from(lists))[0], [])
+    elif kind == "ragged":
+        path, value, _ = draw(st.sampled_from([n for n in lists if n[2]]))
+        value.append(value[-1])
+    elif kind == "boolean":
+        _replace(doc, draw(st.sampled_from(numbers))[0], draw(st.booleans()))
+    elif kind == "nonfinite":
+        _replace(doc, draw(st.sampled_from(numbers))[0],
+                 draw(st.sampled_from([float("nan"), float("inf"),
+                                       float("-inf")])))
+    elif kind == "size":
+        key = draw(st.sampled_from(declared))
+        doc[key] = draw(st.sampled_from([doc[key] + 1, 0, -1, 1.5, "2",
+                                         True, [doc[key]]]))
+    elif kind == "root":
+        doc = draw(st.sampled_from([5, "x", [], [[1.0]], {}, None]))
+    text = json.dumps(doc)
+    if kind == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def write_inputs(directory, schemas, bad_slot, bad_text):
+    paths = []
+    for slot, schema in enumerate(schemas):
+        path = directory / f"{slot}_{schema}.json"
+        path.write_text(bad_text if slot == bad_slot
+                        else json.dumps(VALID_INPUTS[schema]))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("command,schemas", FILE_COMMANDS,
+                         ids=[c for c, _ in FILE_COMMANDS])
+def test_valid_inputs_are_accepted(command, schemas, tmp_path):
+    # The documents the property test below breaks are themselves valid.
+    paths = write_inputs(tmp_path, schemas, None, "")
+    code, out, _ = run_quiet(command.split() + paths + ["--max-iter", "50"])
+    assert code in (0, 1, 2) and out
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_malformed_file_exits_3_or_4_naming_it(data, tmp_path_factory):
+    command, schemas = data.draw(st.sampled_from(FILE_COMMANDS))
+    slot = data.draw(st.integers(0, len(schemas) - 1))
+    text = data.draw(malformed_text(schemas[slot]))
+    paths = write_inputs(tmp_path_factory.mktemp("bad"), schemas, slot, text)
+    code, out, err = run_quiet(command.split() + paths
+                               + ["--max-iter", "50"])
+    assert code in (3, 4)
+    assert paths[slot] in err
+    assert out == ""
+    assert "Traceback" not in err
+
+
+SEEN_MALFORMED = [
+    ("map normal {bad} {atoms}", {"points": 5}),
+    ("member ball {bad}", {"d": 1, "n": 1, "matrices": 5}),
+    ("member ball {bad}", {"d": [1], "n": 1, "matrices": [[[0.5]]]}),
+    ("dilate lambda {tuple} {bad}", {"lambdas": 5}),
+    ("dilate frame {tuple} {bad}", {"vectors": 5}),
+    ("frame check {bad}", {"dim": 2, "vectors": 5}),
+    ("frame check {bad}", {"dim": 3, "vectors": [[1.0, 0.0], [0.0, 1.0]]}),
+    ("frame sym {bad}", {"dim": 3, "vectors": [[1.0, 0.0], [0.0, 1.0]]}),
+    ("member ball {bad}", {"d": 1, "n": 1, "matrices": [[[True]]]}),
+    ("map normal {bad} {atoms}", {"points": [[1.0, 2.0], [3.0]]}),
+]
+
+
+@pytest.mark.parametrize("argv,doc", SEEN_MALFORMED,
+                         ids=[f"{a.split()[0]}_{a.split()[1]}_{i}"
+                              for i, (a, _) in enumerate(SEEN_MALFORMED)])
+def test_seen_malformed_input_exits_4(argv, doc, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    names = {"bad": str(bad)}
+    for schema in ("tuple", "atoms"):
+        path = tmp_path / f"{schema}.json"
+        path.write_text(json.dumps(VALID_INPUTS[schema]))
+        names[schema] = str(path)
+    code, out, err = run_quiet(argv.format(**names).split())
+    assert code == 4
+    assert f"matconv: {bad}: " in err
+    assert out == ""
+
+
+def test_missing_file_argument_exits_4(workdir, capsys):
+    code = main(["member", "wmax", workdir["pauli.json"]])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "missing" in captured.err and captured.out == ""
+
+
+FRAME_KINDS = ["check", "sym", "reflexive", "invariance"]
+
+
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+def test_refused_builder_exits_4(kind):
+    # A builder that refuses its dimension is an input error, never a frame
+    # that is not tight.
+    code, out, err = run_quiet(["frame", kind, "cube_corners", "--d", "17"])
+    assert code == 4
+    assert "beyond d=16" in err and out == ""
+
+
+@pytest.mark.parametrize("kind", FRAME_KINDS[1:])
+def test_frame_file_not_tight_is_input_error(kind, tmp_path):
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps(
+        {"dim": 2, "vectors": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}))
+    code, out, err = run_quiet(["frame", kind, str(loose)])
+    assert code == 4
+    assert f"matconv: {loose}: " in err and out == ""
+
+
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+@pytest.mark.parametrize("spec", ["pentagon", "cube_corners", "file"])
+def test_frame_checked_tight_once(kind, spec, monkeypatch, tmp_path):
+    import matconv.cli as cli
+    import matconv.frames as frames
+    if spec == "file":
+        spec = str(tmp_path / "frame.json")
+        (tmp_path / "frame.json").write_text(
+            json.dumps({"vectors": pentagon_frame().vectors.tolist()}))
+    calls = []
+    real = frames.check_tight
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (frames, jsonio, cli):  # every module that binds it
+        if hasattr(module, "check_tight"):
+            monkeypatch.setattr(module, "check_tight", counting)
+    code, out, _ = run_quiet(["frame", kind, spec, "--d", "3"])
+    assert code in (0, 1) and out
+    assert len(calls) == 1

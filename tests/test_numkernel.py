@@ -152,11 +152,3 @@ class TestNormalJointSpectrum:
         pts = spec.sorted_points()
         want = np.array([[1 + 1j, 3j], [2 - 1j, 4.0]])
         assert np.allclose(pts, want, atol=1e-10)
-
-
-def test_joint_spectra_match_is_order_insensitive():
-    a = nk.JointSpectrum(points=np.array([[1.0, 2.0], [0.0, 1.0]]))
-    b = nk.JointSpectrum(points=np.array([[0.0, 1.0], [1.0, 2.0]]))
-    assert nk.joint_spectra_match(a, b)
-    c = nk.JointSpectrum(points=np.array([[0.0, 1.0], [1.0, 2.5]]))
-    assert not nk.joint_spectra_match(a, c)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import pauli_pair
+from conftest import pauli_pair, random_isometry, random_povm
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv import sets
@@ -13,8 +13,6 @@ from matconv.sets import (
     Pencil,
     Polytope,
     ball_member,
-    ball_pencil,
-    ball_wmax_member,
     cube_member,
     cube_pencil,
     cube_polytope,
@@ -28,7 +26,7 @@ from matconv.sets import (
     wmin_member,
     zero_interior_range,
 )
-from matconv.witnesses import clifford_tuple
+from matconv.witnesses import clifford_tuple, switch_tuple
 
 
 class TestTupleTypes:
@@ -88,14 +86,14 @@ class TestPencils:
         assert cube_member(X) == pencil_member(cube_pencil(d), X)
 
     def test_ball_pencil_scalar(self):
-        L = ball_pencil(3)
+        L = Pencil(switch_tuple(3))
         inside = HermTuple([np.array([[c]]) for c in (0.5, 0.5, 0.5)])
         outside = HermTuple([np.array([[c]]) for c in (0.8, 0.8, 0.0)])
         assert pencil_member(L, inside)
         assert not pencil_member(L, outside)
 
     def test_ball_pencil_matches_ball_oracle(self, rng):
-        L = ball_pencil(2)
+        L = Pencil(switch_tuple(2))
         for _ in range(10):
             X = HermTuple(sampling.random_herm_contraction_tuple(2, 3, rng))
             assert pencil_member(L, X, tol=1e-7) == ball_member(X, tol=1e-7)
@@ -164,7 +162,7 @@ class TestWmin:
         verts = P.vertices
         picks = np.repeat(np.arange(4), 3)
         N = [np.diag(verts[picks, i].astype(complex)) for i in range(2)]
-        V = sampling.random_isometry(12, 3, rng)
+        V = random_isometry(12, 3, rng)
         X = HermTuple([V.conj().T @ Ni @ V for Ni in N])
         res = wmin_member(X, P)
         assert res.status is Status.FEASIBLE
@@ -391,19 +389,18 @@ class TestGradedInvariants:
 
     def test_containment_chain(self, rng):
         # Members of the smallest set over an inscribed polytope pass the
-        # quadratic ball, then the tensor ball, then sampled ball facets.
+        # quadratic ball, then the tensor ball.
         for d in (2, 3, 4):
             dirs = sampling.sphere_points(d, 6, rng)
             for _ in range(4):
                 n = int(rng.integers(1, 4))
-                K = sampling.random_povm(n, dirs.shape[0], rng)
+                K = random_povm(n, dirs.shape[0], rng)
                 X = HermTuple([
                     sum(dirs[j, i] * K[j] for j in range(dirs.shape[0]))
                     for i in range(d)
                 ])
                 assert ball_member(X, tol=1e-9)
                 assert selfdual_member(X, tol=1e-9)
-                assert ball_wmax_member(X, tol=1e-9, num_facets=500, seed=1)
 
     def test_wmax_bounded_by_box_radius(self, rng):
         # Any polytope inside [-r, r]^d forces wmax members below norm r.

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import frob, pauli_pair
+from conftest import frob, pauli_pair, random_isometry
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv.sdp import Status
@@ -17,7 +17,6 @@ from matconv.ucp import (
     ccp_exists,
     choi_affine_projector,
     choi_constraint_residual,
-    cube_in_level1,
     normal_ucp_exists,
     relax_cube,
     spectrahedron_inclusion,
@@ -30,7 +29,7 @@ def ampliated_compression(A: HermTuple, m: int, rng) -> HermTuple:
     """B = W*(A (x) I_r)W with r = k*m: a compression with a strictly
     feasible Choi witness."""
     r = A.n * m
-    W = sampling.random_isometry(A.n * r, m, rng)
+    W = random_isometry(A.n * r, m, rng)
     return HermTuple([W.conj().T @ np.kron(np.asarray(M), np.eye(r)) @ W
                       for M in A])
 
@@ -56,7 +55,7 @@ class TestUcpExists:
         feasible_seen = 0
         for k, m, d in ((3, 2, 2), (4, 2, 2), (2, 2, 2)):
             A = HermTuple(sampling.random_herm_contraction_tuple(d, k, rng))
-            V = sampling.random_isometry(k, m, rng)
+            V = random_isometry(k, m, rng)
             B = HermTuple([V.conj().T @ np.asarray(M) @ V for M in A])
             # Analytic oracle: the Choi matrix of X -> V* X V is PSD and
             # meets every constraint, so the instance is feasible.
@@ -111,7 +110,7 @@ class TestUcpExists:
         A = HermTuple(sampling.random_herm_contraction_tuple(2, 3, rng))
         B = ampliated_compression(A, 3, rng)
         assert ucp_exists(A, B).status is Status.FEASIBLE
-        W = sampling.random_isometry(3, 2, rng)
+        W = random_isometry(3, 2, rng)
         BW = HermTuple([W.conj().T @ np.asarray(M) @ W for M in B])
         res = ucp_exists(A, BW)
         assert res.status is Status.FEASIBLE
@@ -358,8 +357,8 @@ class TestRelaxCube:
 
     def test_clifford_pair_excluded(self):
         B = clifford_tuple(2).as_herm_tuple()
-        assert not cube_in_level1(B)
         out = relax_cube(B)
+        assert not out.cube_in_level1
         assert out.verdict is RelaxVerdict.CUBE_EXCLUDED
         # Dual-pair certificate: Y = B / sqrt(2) satisfies every signed-sum
         # inequality, yet the tensor pairing with B tops 1, so B is outside

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_isometry
 from matconv import sampling
 from matconv.sets import GenTuple, HermTuple
 from matconv.ucp import choi_affine_projector, choi_constraint_residual
@@ -26,7 +27,7 @@ def test_projector_idempotent_and_feasible(k, m, d, hermitian, dependent,
     # Targets from a unital compression of an ampliation: a linear map takes
     # them, so the affine set is nonempty whatever the sources' rank.
     r = k * m
-    W = sampling.random_isometry(k * r, m, rng)
+    W = random_isometry(k * r, m, rng)
     B = GenTuple([W.conj().T @ np.kron(M, np.eye(r)) @ W for M in mats])
     project, short = choi_affine_projector(A, B)
     assert short is None

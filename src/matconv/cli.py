@@ -130,6 +130,9 @@ def _feas_report(res, with_witness: bool = False) -> dict:
         out["message"] = res.message
     if with_witness and res.witness is not None:
         out["witness"] = list(res.witness)
+    if with_witness and res.certificate is not None:
+        out["certificate"] = {"pencil": list(res.certificate.dual),
+                              "value": res.certificate.value}
     return out
 
 
@@ -185,6 +188,11 @@ def _cmd_dilate(args) -> tuple[int, dict]:
             weights = None
             if args.weights:
                 weights = [float(w) for w in args.weights.split(",")]
+                if (len(weights) != len(vecs)
+                        or not all(w > 0 for w in weights)):
+                    raise CliInputError(
+                        f"--weights needs {len(vecs)} positive values, one "
+                        "per frame vector")
             D = frame_dilation(X, vecs, weights=weights, tol=args.tol)
         elif args.kind == "diamond":
             D = diamond_dilation(X, tol=args.tol)
@@ -214,6 +222,9 @@ def _cmd_map(args) -> tuple[int, dict]:
                              f"(residual {res.residual:.3e})")
     if args.witness and res.witness is not None:
         report["choi"] = res.witness[0]
+    if args.witness and res.certificate is not None:
+        report["certificate"] = {"functional": res.certificate.functional[0],
+                                 "value": res.certificate.value}
     return _status_exit(res.status), report
 
 
@@ -353,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--general", action="store_true",
                    help="treat tuples as general (non-Hermitian)")
     p.add_argument("--witness", action="store_true",
-                   help="include the witness blocks in the report")
+                   help="include the witness blocks, or the separating "
+                        "pencil of an Infeasible verdict, in the report")
     _add_common(p)
     p.set_defaults(handler=_cmd_member)
 
@@ -376,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mode for atom-list queries (map normal)")
     p.add_argument("--general", action="store_true")
     p.add_argument("--witness", action="store_true",
-                   help="include the Choi witness in the report")
+                   help="include the Choi witness, or the separating "
+                        "functional of an Infeasible verdict, in the report")
     _add_common(p)
     p.set_defaults(handler=_cmd_map)
 

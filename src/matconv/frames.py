@@ -445,14 +445,15 @@ FRAME_BUILDERS = {
 def build_frame(name: str, d: Optional[int] = None) -> Frame:
     """Builders exposed by name: simplex3, pentagon, pm_basis, cube_corners,
     s5_orbit (the dimensioned ones need d)."""
-    if name == "pm_basis":
+    dimensioned = {"pm_basis": pm_basis_frame,
+                   "cube_corners": cube_corners_frame}
+    if name in dimensioned:
         if d is None:
-            raise ValueError("pm_basis needs a dimension")
-        return pm_basis_frame(d)
-    if name == "cube_corners":
-        if d is None:
-            raise ValueError("cube_corners needs a dimension")
-        return cube_corners_frame(d)
+            raise ValueError(f"{name} needs a dimension")
+        if d < 1:
+            raise ValueError(
+                f"{name} needs a dimension of at least 1, got {d}")
+        return dimensioned[name](d)
     builder = FRAME_BUILDERS.get(name)
     if builder is None:
         raise ValueError(f"unknown frame builder {name!r}")

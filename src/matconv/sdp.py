@@ -7,12 +7,14 @@ Two solvers live here:
   kept as one ``(N, n, n)`` stack from end to end; the affine set is supplied
   as its orthogonal projector (Frobenius metric), which maps such a stack to
   a stack, and the PSD side projects the whole stack with one batched
-  eigensolve.  Infeasibility is
-  reported heuristically when the gap between the PSD iterate and the affine
-  set plateaus well above the feasibility tolerance; callers must treat an
-  ``Infeasible`` verdict as "no feasible point found, residual bounded away
-  from zero" and pair it with an independent oracle where a hard claim is
-  needed.
+  eigensolve.  ``Infeasible`` is returned only with a separation certificate
+  that the problem's own verifier accepted: a PSD functional that is
+  constant and negative on the affine set, so that no PSD point can lie in
+  it.  When the PSD cone and the affine set do not meet, the gap between the
+  two iterates tends to the displacement vector between them (Bauschke and
+  Borwein, J. Approx. Theory 79, 1994), which is such a functional; the
+  solver reads a candidate off it every ``CERTIFICATE_EVERY`` iterations.  A
+  gap that stops moving without a certificate gives ``Undecided``.
 
 * :func:`lp_feasible` -- a phase-1 dense simplex with Bland's rule for linear
   feasibility systems ``A x = b`` with selected variables constrained
@@ -28,10 +30,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numkernel import hermitize
+from .numkernel import hermitize, min_eig
 
 PIVOT_TOL = 1e-9
 PROJECTOR_IDEMPOTENCY_TOL = 1e-12
+CERTIFICATE_EVERY = 10     # iterations between separation candidates
+CERTIFICATE_MARGIN = 1e-9  # relative margin a separating value must clear
+WITNESS_TOL = 1e-7         # re-verified constraint residual and PSD slack
 
 
 class SdpError(Exception):
@@ -53,12 +58,28 @@ class Status(Enum):
 
 
 @dataclass
+class Certificate:
+    """A verified separation certificate for ``L = {K : A(K) = b}``.
+
+    ``dual`` is the stack ``y`` and ``functional`` the block stack
+    ``A*(y)``, PSD block by block.  Every ``K`` in ``L`` has
+    ``<A*(y), K> = <y, b> = value < 0``, while every PSD ``K`` has
+    ``<A*(y), K> >= 0``: no PSD point lies in ``L``.
+    """
+
+    dual: np.ndarray
+    functional: np.ndarray
+    value: float
+
+
+@dataclass
 class FeasibilityResult:
     status: Status
     witness: Optional[list[np.ndarray]]
     residual: float
     iterations: int
     message: str = ""
+    certificate: Optional[Certificate] = None
 
     @property
     def feasible(self) -> bool:
@@ -73,6 +94,12 @@ class BlockPsdProblem:
     ``affine_projector`` maps an ``(N, n, n)`` stack of blocks to its closest
     point (Frobenius metric) in the affine constraint set, again an
     ``(N, n, n)`` stack, and must be idempotent to 1e-12 on its own output.
+    ``verify_certificate`` turns a candidate separating stack into a
+    :class:`Certificate` without the projector, or returns ``None``; without
+    it the solver never returns ``Infeasible``.  The solver screens its
+    candidates on the assumption that the total trace is constant on the
+    affine set, as it is for both problem kinds here; the verifier alone
+    decides.
     """
 
     block_dims: list[int]
@@ -81,11 +108,54 @@ class BlockPsdProblem:
     tol_feas: float = 1e-8
     stall_window: int = 200
     stall_rel: float = 1e-4
+    verify_certificate: Optional[
+        Callable[[np.ndarray], Optional[Certificate]]] = None
+
+
+@dataclass
+class ConstraintMap:
+    """The linear map ``A`` of an affine set ``L = {K : A(K) = b}`` of block
+    stacks, for checking separation certificates without the solver.
+
+    ``adjoint`` maps a dual stack ``y`` to the block stack ``A*(y)``;
+    ``fit`` maps a block stack ``Z`` to the least-squares ``y`` with
+    ``A*(y) = Z``; ``target`` is ``b``; ``unit`` is a dual stack with
+    ``A*(unit)`` the identity stack.
+    """
+
+    adjoint: Callable[[np.ndarray], np.ndarray]
+    fit: Callable[[np.ndarray], np.ndarray]
+    target: np.ndarray
+    unit: np.ndarray
+
+    def verify(self, Z: np.ndarray) -> Optional[Certificate]:
+        """The certificate that ``Z`` yields, or ``None``.
+
+        ``y = fit(Z)`` re-forms the functional ``A*(y)``, and adding
+        ``eps I``, with ``-eps`` its smallest eigenvalue over all blocks (one
+        batched ``eigvalsh``) when that is negative, makes it PSD; ``eps *
+        unit`` pays for the shift in ``y``.  The value ``<y, b>`` must then
+        fall below ``-CERTIFICATE_MARGIN * sum_r |y_r| |b_r|``, far below
+        its rounding error.
+        """
+        y = self.fit(Z)
+        W = _sym(self.adjoint(y))
+        eps = max(0.0, -float(np.linalg.eigvalsh(W)[:, 0].min()))
+        y = y + eps * self.unit
+        value = float(np.vdot(y, self.target).real)
+        scale = float(np.dot(_block_norms(y), _block_norms(self.target)))
+        if not value < -CERTIFICATE_MARGIN * scale:
+            return None
+        return Certificate(y, W + eps * np.eye(W.shape[1]), value)
 
 
 def _sym(K: np.ndarray) -> np.ndarray:
     """Hermitian part of each block of a stack."""
     return (K + K.conj().swapaxes(1, 2)) / 2.0
+
+
+def _block_norms(K: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(K.reshape(len(K), -1), axis=1)
 
 
 def _frob(blocks: Sequence[np.ndarray]) -> float:
@@ -117,10 +187,21 @@ def dykstra_solve(problem: BlockPsdProblem,
     The iterate is declared ``Feasible`` as soon as either projection output
     satisfies the other constraint to ``tol_feas``: the PSD-side point when
     its Frobenius distance to the affine set is small, or the affine-side
-    point when its blocks are PSD up to ``-tol_feas``.  ``Infeasible`` is the
-    plateau heuristic described in the module docstring; hitting ``max_iter``
-    without a plateau yields ``Undecided``.  A feasible witness is the list of
-    the N blocks.  Blocks of unequal size raise :class:`SdpError`.
+    point when its blocks are PSD up to ``-tol_feas``.  A feasible witness
+    is the list of the N blocks.
+
+    Every ``CERTIFICATE_EVERY`` iterations, while the gap exceeds
+    ``10 tol_feas``, the PSD-side point ``y`` minus its projection ``y_aff``
+    is a separation candidate ``Z``: it is orthogonal to the direction
+    space of the affine set, so ``<Z, K> = <Z, y_aff>`` on the whole set.
+    Shifted by ``eps I`` (one batched ``eigvalsh``) it is PSD, and the
+    identity stack is orthogonal to the direction space too, so the shift
+    adds ``eps sum tr(y_aff)``.  A candidate whose value falls below
+    ``-CERTIFICATE_MARGIN |Z| |y_aff|`` goes to the problem's
+    ``verify_certificate``; ``Infeasible`` is returned only with the
+    certificate that accepts.  A gap that plateaus (flat to ``stall_rel``
+    over ``stall_window`` iterations) or ``max_iter`` without either verdict
+    gives ``Undecided``.  Blocks of unequal size raise :class:`SdpError`.
     """
     dims = list(problem.block_dims)
     if len(set(dims)) != 1:
@@ -146,6 +227,7 @@ def dykstra_solve(problem: BlockPsdProblem,
     q = np.zeros(shape, dtype=complex)  # Dykstra correction, affine side
     gaps: list[float] = []
     tol = problem.tol_feas
+    verify = problem.verify_certificate
     for it in range(1, problem.max_iter + 1):
         y_in = x + p
         y = psd_project(y_in)
@@ -160,6 +242,14 @@ def dykstra_solve(problem: BlockPsdProblem,
         if neg >= -tol:
             return FeasibilityResult(Status.FEASIBLE, list(y_aff),
                                      max(0.0, -neg), it)
+        if verify is not None and it % CERTIFICATE_EVERY == 0 \
+                and gap > 10 * tol:
+            cert = _separation(y, y_aff, verify)
+            if cert is not None:
+                return FeasibilityResult(
+                    Status.INFEASIBLE, None, gap, it,
+                    message="separated by a verified certificate",
+                    certificate=cert)
 
         z_in = y + q
         x = project(z_in)
@@ -170,8 +260,8 @@ def dykstra_solve(problem: BlockPsdProblem,
             lo, hi = min(gaps[-w:]), max(gaps[-w:])
             if hi - lo <= problem.stall_rel * hi:
                 return FeasibilityResult(
-                    Status.INFEASIBLE, None, gaps[-1], it,
-                    message="residual plateaued (heuristic, non-certified)",
+                    Status.UNDECIDED, None, gaps[-1], it,
+                    message="residual plateaued, no certificate",
                 )
     return FeasibilityResult(
         Status.UNDECIDED, None, gaps[-1] if gaps else np.inf, problem.max_iter,
@@ -179,9 +269,62 @@ def dykstra_solve(problem: BlockPsdProblem,
     )
 
 
+def _separation(y: np.ndarray, y_aff: np.ndarray, verify,
+                ) -> Optional[Certificate]:
+    """The certificate that the candidate ``y - y_aff`` yields, or ``None``
+    when its value does not clear the margin or ``verify`` rejects it."""
+    Z = _sym(y - y_aff)
+    eps = max(0.0, -float(np.linalg.eigvalsh(Z)[:, 0].min()))
+    traces = float(np.trace(y_aff, axis1=1, axis2=2).real.sum())
+    value = float(np.vdot(Z, y_aff).real) + eps * traces
+    Z += eps * np.eye(Z.shape[1])
+    if not value < -CERTIFICATE_MARGIN * np.linalg.norm(Z) \
+            * np.linalg.norm(y_aff):
+        return None
+    return verify(Z)
+
+
+def reverified(res: FeasibilityResult,
+               constraint_residual: Callable[[list[np.ndarray]], float],
+               ) -> FeasibilityResult:
+    """``res``, or ``Undecided`` when its feasible witness misses its
+    constraints (``constraint_residual`` of the blocks, computed without the
+    solver) or PSD-ness (one batched eigensolve) by more than
+    ``WITNESS_TOL``."""
+    if res.status is not Status.FEASIBLE:
+        return res
+    resid = constraint_residual(res.witness)
+    low = float(np.min(min_eig(np.stack(res.witness), tol=np.inf)))
+    if resid <= WITNESS_TOL and low >= -WITNESS_TOL:
+        return res
+    return FeasibilityResult(
+        Status.UNDECIDED, None, res.residual, res.iterations,
+        message=(f"witness failed re-verification (constraint residual "
+                 f"{resid:.3e}, smallest eigenvalue {low:.3e})"))
+
+
 # ---------------------------------------------------------------------------
 # Affine projector for vertex-indexed positive decompositions
 # ---------------------------------------------------------------------------
+
+
+def _povm_system(vertices, X: Sequence[np.ndarray],
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(d+1, N)`` matrix of the all-ones row and the vertex
+    coordinates, and the ``(d+1, n, n)`` stack ``(I, X_1, ..., X_d)`` it must
+    take the blocks to."""
+    V = np.asarray(vertices, dtype=float)
+    if V.ndim != 2 or V.shape[0] < 1:
+        raise ValueError("need at least one vertex, as rows of a 2-d array")
+    N, d = V.shape
+    X = [np.asarray(M, dtype=complex) for M in X]
+    if len(X) != d:
+        raise ValueError(f"tuple length {len(X)} does not match vertex dim {d}")
+    n = X[0].shape[0]
+    if any(M.shape != (n, n) for M in X):
+        raise ValueError("tuple entries must be square matrices of one size")
+    A = np.vstack([np.ones((1, N)), V.T])
+    return A, np.stack([np.eye(n, dtype=complex)] + X)
 
 
 def affine_projector_povm(vertices, X: Sequence[np.ndarray],
@@ -200,22 +343,10 @@ def affine_projector_povm(vertices, X: Sequence[np.ndarray],
     InconsistentConstraintsError : the system has no solution for this ``X``
         (only possible when the vertex matrix is row-rank deficient).
     """
-    V = np.asarray(vertices, dtype=float)
-    if V.ndim != 2 or V.shape[0] < 1:
-        raise ValueError("need at least one vertex, as rows of a 2-d array")
-    N, d = V.shape
-    X = [np.asarray(M, dtype=complex) for M in X]
-    if len(X) != d:
-        raise ValueError(f"tuple length {len(X)} does not match vertex dim {d}")
-    n = X[0].shape[0]
-    if any(M.shape != (n, n) for M in X):
-        raise ValueError("tuple entries must be square matrices of one size")
-
-    A = np.vstack([np.ones((1, N)), V.T])           # (d+1, N)
+    A, target = _povm_system(vertices, X)
     Apinv = np.linalg.pinv(A)                       # (N, d+1)
-    target = np.stack([np.eye(n, dtype=complex)] + X)  # (d+1, n, n)
 
-    if np.linalg.matrix_rank(A, tol=1e-12) < d + 1:
+    if np.linalg.matrix_rank(A, tol=1e-12) < len(A):
         # Rank-deficient constraint rows: X must lie in the range of A.
         resid = target - np.tensordot(A @ Apinv, target, axes=(1, 0))
         scale = max(1.0, float(np.max(np.abs(target))))
@@ -231,6 +362,25 @@ def affine_projector_povm(vertices, X: Sequence[np.ndarray],
         return (K + np.conj(np.transpose(K, (0, 2, 1)))) / 2.0
 
     return project
+
+
+def povm_constraints(vertices, X: Sequence[np.ndarray]) -> ConstraintMap:
+    """The constraint map of ``{(K_v): sum_v K_v = I, sum_v v K_v = X}``.
+
+    Its adjoint takes a pencil ``H_0, ..., H_d`` to the blocks
+    ``Z_v = H_0 + sum_j v_j H_j``, and ``<Z, K> = tr H_0 + sum_j tr(H_j X_j)``
+    on the affine set.  A certificate is thus an Effros--Winkler separating
+    pencil: positive at every vertex, negative at ``X``.  ``fit`` solves
+    ``Z_v = H_0 + sum_j v_j H_j`` by least squares, entry by entry.
+    """
+    A, target = _povm_system(vertices, X)
+    fit = np.linalg.pinv(A.T)                       # (d+1, N)
+    unit = np.zeros_like(target)
+    unit[0] = np.eye(target.shape[1])
+    return ConstraintMap(
+        adjoint=lambda H: np.tensordot(A.T, H, axes=(1, 0)),
+        fit=lambda Z: np.tensordot(fit, Z, axes=(1, 0)),
+        target=target, unit=unit)
 
 
 def povm_constraint_residual(vertices, X: Sequence[np.ndarray],

@@ -28,6 +28,9 @@ from .sdp import (
     affine_projector_povm,
     dykstra_solve,
     point_in_hull,
+    povm_constraint_residual,
+    povm_constraints,
+    reverified,
 )
 
 DEFAULT_MEMBER_TOL = 1e-9
@@ -341,9 +344,15 @@ def wmin_member(X: HermTuple, P: Polytope, max_iter: int = 20000,
 
     Membership holds iff there is a positive decomposition ``X = sum_v v K_v``
     with ``K_v >= 0`` and ``sum_v K_v = I`` indexed by the vertices of P; the
-    witness blocks returned on success are exactly that decomposition.  The
-    verdict inherits the alternating-projection solver's semantics:
-    ``Infeasible`` is a residual-plateau heuristic, not a certificate.
+    witness blocks returned on success are exactly that decomposition, and
+    they are re-verified against the constraints and PSD-ness to
+    ``WITNESS_TOL`` before ``Feasible`` is returned.  ``Infeasible`` carries
+    an Effros--Winkler separating pencil ``H_0, ..., H_d`` as its
+    certificate: ``H_0 + sum_j v_j H_j >= 0`` at every vertex ``v`` and
+    ``tr H_0 + sum_j tr(H_j X_j) < 0``, checked without the solver.  A
+    solve that ends with neither is ``Undecided``.  The one ``Infeasible``
+    without a certificate comes before any solve: a tuple that the affine
+    constraints cannot meet at all, which needs a degenerate P.
     """
     if not P.has_vertices:
         raise MissingRepresentationError(
@@ -362,8 +371,11 @@ def wmin_member(X: HermTuple, P: Polytope, max_iter: int = 20000,
         max_iter=max_iter,
         tol_feas=tol_feas,
         stall_window=stall_window,
+        verify_certificate=povm_constraints(P.vertices, list(X)).verify,
     )
-    return dykstra_solve(problem, start=start)
+    return reverified(
+        dykstra_solve(problem, start=start),
+        lambda K: povm_constraint_residual(P.vertices, list(X), K))
 
 
 def ball_member(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL) -> bool:

@@ -14,8 +14,13 @@ Contractive (CC) and contractive-positive (CCP) map existence reduce to UCP
 existence on doubled spaces: CC uses the off-diagonal embeddings
 ``[[0, A_i], [A_i*, 0]]`` and CCP the padded ``diag(A_i, 0)``.
 
-``Infeasible`` verdicts inherit the alternating-projection solver's heuristic
-status and are printed by the CLI as "no map found (residual r)".
+``Infeasible`` from the solver carries a separation certificate: a PSD
+Choi-side functional ``Z = sum_r conj(F_r) (x) Y_r`` with
+``sum_r <Y_r, G_r> < 0``, where ``F_r`` is the orthonormalized source family
+and ``G_r`` its prescribed values, so ``<Z, C> < 0`` for every Choi matrix
+meeting the constraints and no PSD one does.  The CLI reports such a verdict
+as "no map found (residual r)".  A feasible Choi witness is re-verified
+against the constraints before ``Feasible`` is returned.
 """
 
 from __future__ import annotations
@@ -28,10 +33,12 @@ import numpy as np
 
 from .sdp import (
     BlockPsdProblem,
+    ConstraintMap,
     FeasibilityResult,
     Status,
     dykstra_solve,
     point_in_hull,
+    reverified,
 )
 from .sets import (
     GenTuple,
@@ -123,6 +130,41 @@ def _choi_family(X: GenTuple) -> np.ndarray:
     return np.stack(mats).reshape(len(mats), X.n * X.n).T
 
 
+def _choi_basis(A: GenTuple, B: GenTuple,
+                ) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(F, G, resid)``: the source family ``{I, A_i, A_i*}``
+    orthonormalized by one thin SVD into ``F_r`` (``k x k``), the targets
+    ``G_r`` (``m x m``) through the same coefficients, and the distance of
+    the targets from the values a linear map can take."""
+    k, m = A.n, B.n
+    sources, targets = _choi_family(A), _choi_family(B)
+    U, s, Vh = np.linalg.svd(sources, full_matrices=False)
+    r = int(np.sum(s > 1e-12 * s[0]))
+    Vr = Vh[:r].conj().T                                  # (2d+1, r)
+    TV = targets @ Vr
+    F = U[:, :r].T.reshape(r, k, k)
+    G = (TV / s[:r]).T.reshape(r, m, m)
+    return F, G, float(np.linalg.norm(targets - TV @ Vr.conj().T))
+
+
+def choi_constraints(A: GenTuple, B: GenTuple) -> ConstraintMap:
+    """The constraint map ``C -> (L_r(C))_r``, ``L_r(C) = phi_C(F_r)``, of
+    the Choi matrices with ``phi(I) = I`` and ``phi(A_i) = B_i``.
+
+    Its adjoint is ``Y -> sum_r conj(F_r) (x) Y_r`` and, as ``L L* = id``,
+    ``fit`` is ``L`` itself; the target is ``G`` and the unit
+    ``tr(F_r) I_m``.  Every Choi matrix in the affine set has trace ``m``.
+    """
+    k, m = A.n, B.n
+    F, G, _ = _choi_basis(A, B)
+    return ConstraintMap(
+        adjoint=lambda Y: np.einsum(
+            "rab,rij->aibj", F.conj(), Y).reshape(1, k * m, k * m),
+        fit=lambda Z: np.einsum("rab,aibj->rij", F, Z.reshape(k, m, k, m)),
+        target=G,
+        unit=np.trace(F, axis1=1, axis2=2)[:, None, None] * np.eye(m))
+
+
 def choi_affine_projector(A: GenTuple, B: GenTuple, consistency_tol: float = 1e-9):
     """Orthogonal projector onto Hermitian Choi matrices of maps with
     ``phi(I) = I`` and ``phi(A_i) = B_i``.
@@ -146,16 +188,9 @@ def choi_affine_projector(A: GenTuple, B: GenTuple, consistency_tol: float = 1e-
     """
     k, m = A.n, B.n
     q = k * m
-    sources, targets = _choi_family(A), _choi_family(B)
-    U, s, Vh = np.linalg.svd(sources, full_matrices=False)
-    r = int(np.sum(s > 1e-12 * s[0]))
-    Vr = Vh[:r].conj().T                                  # (2d+1, r)
-    TV = targets @ Vr
-    F = U[:, :r].T.reshape(r, k, k)
-    G = (TV / s[:r]).T.reshape(r, m, m)
+    F, G, resid = _choi_basis(A, B)
 
     short_circuit = None
-    resid = float(np.linalg.norm(targets - TV @ Vr.conj().T))
     values = np.stack(list(B))
     scale = max(1.0, float(np.max(np.abs(values.real))),
                 float(np.max(np.abs(values.imag))))
@@ -181,9 +216,11 @@ def _run_choi(A: GenTuple, B: GenTuple, max_iter: int, tol_feas: float,
     if short is not None:
         return short
     q = A.n * B.n
-    problem = BlockPsdProblem([q], project, max_iter=max_iter,
-                              tol_feas=tol_feas)
-    return dykstra_solve(problem)
+    problem = BlockPsdProblem(
+        [q], project, max_iter=max_iter, tol_feas=tol_feas,
+        verify_certificate=choi_constraints(A, B).verify)
+    return reverified(dykstra_solve(problem),
+                      lambda K: choi_constraint_residual(K[0], A, B))
 
 
 def choi_constraint_residual(C: np.ndarray, A: GenTuple, B: GenTuple) -> float:
@@ -308,9 +345,10 @@ def relax_cube(B: HermTuple, max_iter: int = 20000, tol_feas: float = 1e-8,
     The largest matrix convex set over the l1 ball is itself a pencil domain,
     and its containment in B's domain is equivalent to B lying in the
     smallest matrix convex set over the cube -- a vertex-decomposition
-    feasibility problem.  An Infeasible verdict there excludes the cube from
-    the level-1 domain; Feasible or Undecided is Inconclusive (the relaxation
-    only ever rules out).  The exact vertex test is reported alongside.
+    feasibility problem.  An Infeasible verdict there, which always carries
+    a verified separating pencil, excludes the cube from the level-1 domain;
+    Feasible or Undecided is Inconclusive (the relaxation only ever rules
+    out).  The exact vertex test is reported alongside.
     """
     if B.d > 16:
         raise ValueError("relaxation capped at 16 variables")

@@ -6,6 +6,15 @@ from matconv.frames import Frame, check_tight
 from matconv.numkernel import JointSpectrum
 from matconv.sets import HermTuple
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without it
+    pass
+else:
+    # ``pytest --hypothesis-profile=ci`` draws the same examples on every
+    # run, so a property test cannot pass on one push and fail on the next.
+    settings.register_profile("ci", derandomize=True)
+
 
 @pytest.fixture
 def rng():

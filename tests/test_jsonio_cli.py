@@ -702,6 +702,32 @@ def test_refused_builder_exits_4(kind):
     assert "beyond d=16" in err and out == ""
 
 
+@pytest.mark.parametrize("builder", ["pm_basis", "cube_corners"])
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_builder_dimension_below_one_exits_4(builder, d):
+    # Refused up front: no numpy warning from an empty frame, a plain message.
+    code, out, err = run_quiet(["frame", "check", builder, "--d", d])
+    assert code == 4
+    assert "dimension of at least 1" in err and out == ""
+
+
+@pytest.mark.parametrize("weights", ["1,1", "1,1,1,1,1", "1,1,0,1",
+                                     "1,-2,1,1", "nan,1,1,1", "a,b"])
+def test_bad_frame_weights_are_usage_errors(weights, tmp_path):
+    # The frame has 4 vectors: a wrong count or a weight that is not
+    # positive is a usage error, like one that is not a number.
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"matrices": [[[0.1]], [[0.2]]]}))
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(
+        {"vectors": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]}))
+    argv = ["dilate", "frame", str(x), str(frame), "--weights", weights]
+    code, out, err = run_quiet(argv)
+    assert code == 4 and out == "" and err
+    code, out, _ = run_quiet(argv[:-1] + ["1,2,1,2"])
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("kind", FRAME_KINDS[1:])
 def test_frame_file_not_tight_is_input_error(kind, tmp_path):
     loose = tmp_path / "loose.json"

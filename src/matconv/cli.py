@@ -23,6 +23,7 @@ from . import ucp as ucpmod
 from . import witnesses as wit
 from .dilation import (
     DilationError,
+    DilationInputError,
     cube_to_diamond_dilation,
     diamond_dilation,
     flip_dilation,
@@ -40,7 +41,6 @@ from .frames import (
     symmetry_group,
 )
 from .sdp import Status
-from .sets import MissingRepresentationError
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -198,6 +198,8 @@ def _cmd_dilate(args) -> tuple[int, dict]:
             D = diamond_dilation(X, tol=args.tol)
         else:  # cube2diamond
             D = cube_to_diamond_dilation(X, tol=args.tol)
+    except DilationInputError as exc:
+        raise CliInputError(f"{args.family}: {exc}") from exc
     except DilationError as exc:
         return EXIT_NEGATIVE, {"error": str(exc)}
     return EXIT_POSITIVE, {"dilation": jsonio.encode_dilation(D)}
@@ -328,7 +330,7 @@ def _cmd_dual(args) -> tuple[int, dict]:
     P = _polytope_arg(args.polytope)
     try:
         Q = sets.polar_dual_polytope(P)
-    except (sets.SetsError, MissingRepresentationError) as exc:
+    except sets.SetsError as exc:
         return EXIT_NEGATIVE, {"error": str(exc)}
     return EXIT_POSITIVE, {"dual": jsonio.encode_polytope(Q)}
 
@@ -446,8 +448,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliInputError as exc:
         print(f"matconv: {exc}", file=sys.stderr)
         return exc.code
-    except (FrameError, MissingRepresentationError,
-            sets.SetsError, wit.WitnessError, ValueError) as exc:
+    except (FrameError, sets.SetsError, wit.WitnessError,
+            ValueError) as exc:
         print(f"matconv: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = {

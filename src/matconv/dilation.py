@@ -68,6 +68,12 @@ class DilationError(Exception):
     pass
 
 
+class DilationInputError(DilationError):
+    """Inputs that do not fit together or do not describe a construction's
+    data (a family or frame of another dimension, a frame that is not
+    tight): an input error, not a negative answer about the tuple."""
+
+
 @dataclass
 class Dilation:
     """A commuting dilation with recomputable diagnostics.
@@ -265,7 +271,7 @@ def lambda_blocks(X: HermTuple, fam: LambdaFamily) -> np.ndarray:
     rank-one-family dilation, as a ``(k, d, n, n)`` array, without building
     the big matrices."""
     if fam.d != X.d:
-        raise DilationError(
+        raise DilationInputError(
             f"family dimension {fam.d} does not match tuple length {X.d}")
     Y = nk.lincomb(fam.lambdas.reshape(fam.k * fam.d, fam.d), X.matrices)
     return Y.reshape(fam.k, fam.d, X.n, X.n)
@@ -279,7 +285,7 @@ def joint_spectrum_rank_one(fam: LambdaFamily, X: HermTuple) -> nk.JointSpectrum
     spec(sum_j b w_j X_j)}``; the union over p is returned with multiplicity.
     """
     if fam.d != X.d:
-        raise DilationError("family dimension mismatch")
+        raise DilationInputError("family dimension mismatch")
     b, U, W = zip(*fam.rank_one_factors())
     M = nk.lincomb(np.array(b)[:, None] * np.array(W), X.matrices)
     mus = np.linalg.eigvalsh(nk.hermitize(M, tol=np.inf))    # (k, n)
@@ -378,7 +384,8 @@ def frame_dilation(X: HermTuple, vectors, weights=None,
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     N, d = V.shape
     if d != X.d:
-        raise DilationError("frame dimension does not match tuple length")
+        raise DilationInputError(
+            "frame dimension does not match tuple length")
     if weights is None:
         weights = np.ones(N)
     c = np.asarray(weights, dtype=float).ravel()
@@ -387,7 +394,7 @@ def frame_dilation(X: HermTuple, vectors, weights=None,
     S = V.T @ V
     sigma = float(np.trace(S)) / d
     if np.linalg.norm(S - sigma * np.eye(d)) > 1e-9 * max(sigma, 1.0):
-        raise DilationError("vectors do not form a tight frame")
+        raise DilationInputError("vectors do not form a tight frame")
 
     # Dual-polytope precondition: every signed weighted frame direction obeys
     # the operator inequality.  Rows 2m and 2m+1 are +c_m v^(m) and its

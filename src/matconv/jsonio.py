@@ -6,14 +6,15 @@ Input schemas (``?`` marks an optional key):
   (read as a real) or an ``[re, im]`` pair;
 * tuple           -> ``{"d"?, "n"?, "matrices": [matrix, ...]}``;
 * polytope        -> ``{"dim", "vertices"?: [[...]],
-                       "facets"?: [{"alpha": [...], "a": r}]}``;
+                       "facets"?: [{"alpha": [...], "a": r}]}``, with
+  vertices or facets or both;
 * frame           -> ``{"dim"?, "vectors": [[...]]}``;
 * atom list       -> ``{"points": [[...]]}``, entries as in a matrix;
 * positive decomposition -> ``{"atoms": [[...]], "effects": [matrix, ...]}``;
-* rank-one family -> ``{"lambdas": [matrix, ...], "betas"?: [...]}`` (only
-  the real parts of the lambdas are used; betas are recomputed when
-  absent, and a family whose hull misses the identity then raises the
-  ``DilationError`` of ``decompose_identity``).
+* rank-one family -> ``{"lambdas": [matrix, ...], "betas"?: [...]}`` (the
+  lambdas are real: an ``[re, im]`` entry needs ``im`` 0; betas are
+  recomputed when absent, and a family whose hull misses the identity is
+  then rejected).
 
 Vertices, facets, frame vectors and betas take plain numbers only.  Every
 list is non-empty, the lists at one level have equal length, every entry is
@@ -45,7 +46,13 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .dilation import Dilation, LambdaFamily, Povm, decompose_identity
+from .dilation import (
+    Dilation,
+    DilationError,
+    LambdaFamily,
+    Povm,
+    decompose_identity,
+)
 from .frames import Frame, check_tight
 from .numkernel import NumKernelError
 from .sets import GenTuple, HermTuple, Polytope
@@ -178,6 +185,8 @@ def decode_polytope(obj) -> Polytope:
     verts = obj.get("vertices")
     facets = obj.get("facets")
     normals = offsets = None
+    if verts is None and facets is None:
+        raise SchemaError("a polytope needs vertices or facets")
     if verts is not None:
         verts = _numbers(verts, "vertices", 2)
     if facets is not None:
@@ -219,14 +228,17 @@ def decode_povm(obj, psd_tol: float = 1e-8, sum_tol: float = 1e-8) -> Povm:
 
 def decode_lambda_family(obj) -> LambdaFamily:
     lams = _numbers(_field(obj, "lambdas", '{"lambdas", "betas"?}'),
-                    "lambdas", 3, pairs=True).real.copy()
+                    "lambdas", 3, pairs=True)
     if lams.shape[1] != lams.shape[2]:
         raise SchemaError("lambdas must be square matrices")
+    if np.any(lams.imag):
+        raise SchemaError("lambdas must be real: an [re, im] pair needs im 0")
+    lams = lams.real.copy()
     betas = _numbers(obj["betas"], "betas", 1) if "betas" in obj else None
     try:
         return (decompose_identity(lams) if betas is None
                 else LambdaFamily(lams, betas))
-    except ValueError as exc:
+    except (ValueError, DilationError) as exc:
         raise SchemaError(str(exc)) from exc
 
 

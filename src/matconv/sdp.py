@@ -1,5 +1,9 @@
 """Small dense feasibility engines.
 
+Each problem kind describes its affine set once, as a :class:`ConstraintMap`
+(raw constraint family and target), whose one SVD gives the projector, the
+certificate check and the Farkas certificate of an empty affine set.
+
 Two solvers live here:
 
 * :func:`dykstra_solve` -- Dykstra alternating projections for problems of the
@@ -44,7 +48,12 @@ class SdpError(Exception):
 
 
 class InconsistentConstraintsError(SdpError):
-    """The affine constraint system has no solution at all."""
+    """The affine constraints have no solution; ``result`` is the
+    ``Infeasible`` verdict with the Farkas certificate."""
+
+    def __init__(self, result: "FeasibilityResult"):
+        super().__init__(result.message)
+        self.result = result
 
 
 class LpCycleGuardError(SdpError):
@@ -64,7 +73,8 @@ class Certificate:
     ``dual`` is the stack ``y`` and ``functional`` the block stack
     ``A*(y)``, PSD block by block.  Every ``K`` in ``L`` has
     ``<A*(y), K> = <y, b> = value < 0``, while every PSD ``K`` has
-    ``<A*(y), K> >= 0``: no PSD point lies in ``L``.
+    ``<A*(y), K> >= 0``: no PSD point lies in ``L``.  A Farkas certificate,
+    for an ``L`` that is empty, has ``A*(y) = 0`` up to the PSD shift.
     """
 
     dual: np.ndarray
@@ -80,10 +90,6 @@ class FeasibilityResult:
     iterations: int
     message: str = ""
     certificate: Optional[Certificate] = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.status is Status.FEASIBLE
 
 
 @dataclass
@@ -114,34 +120,84 @@ class BlockPsdProblem:
 
 @dataclass
 class ConstraintMap:
-    """The linear map ``A`` of an affine set ``L = {K : A(K) = b}`` of block
-    stacks, for checking separation certificates without the solver.
+    """An affine set ``L = {K : A(K) = b}`` of block stacks.
 
-    ``adjoint`` maps a dual stack ``y`` to the block stack ``A*(y)``;
-    ``fit`` maps a block stack ``Z`` to the least-squares ``y`` with
-    ``A*(y) = Z``; ``target`` is ``b``; ``unit`` is a dual stack with
-    ``A*(unit)`` the identity stack.
+    Each block of an ``(N, g s, g s)`` stack is a ``g x g`` grid (``grid``)
+    of ``s x s`` slots ``K_t``, ``t = (v, a, b)`` in row-major order.
+    ``family`` is the ``(R, N g^2)`` matrix with ``A(K)_r = sum_t
+    family[r, t] K_t``, so ``A*(y)_t = sum_r conj(family[r, t]) y_r``, and
+    ``target`` the ``(R, s, s)`` stack ``b``.  Row 0 must have the identity
+    stack as its adjoint, so that ``eps I`` in ``y_0`` pays for a shift of
+    ``A*(y)`` by ``eps I``.  One thin SVD ``family = U_r S_r V_r`` (rank
+    cutoff ``1e-12 s_max``) gives the projector, the fit of a dual to a
+    functional, and the Farkas dual.
     """
 
-    adjoint: Callable[[np.ndarray], np.ndarray]
-    fit: Callable[[np.ndarray], np.ndarray]
+    family: np.ndarray
     target: np.ndarray
-    unit: np.ndarray
+    grid: int = 1
+
+    def __post_init__(self):
+        R, S = self.family.shape
+        # A thin SVD has all R columns of U unless R > S, and then S is small.
+        U, s, Vh = np.linalg.svd(self.family, full_matrices=R > S)
+        r = int(np.sum(s > 1e-12 * s[0]))
+        self._V, self._null = Vh[:r], U[:, r:]
+        self._fit = U[:, :r] / s[:r]       # A*(fit V_r Z) = Z on range(A*)
+        self._G = self._fit.conj().T @ self.target.reshape(R, -1)
+
+    def _slots(self, K: np.ndarray) -> np.ndarray:
+        """The ``(N g^2, s^2)`` slot rows of an ``(N, g s, g s)`` stack."""
+        g, s = self.grid, self.target.shape[1]
+        return K.reshape(-1, g, s, g, s).swapaxes(2, 3).reshape(-1, s * s)
+
+    def _blocks(self, S: np.ndarray) -> np.ndarray:
+        """The block stack whose slot rows are ``S``."""
+        g, s = self.grid, self.target.shape[1]
+        return S.reshape(-1, g, g, s, s).swapaxes(2, 3).reshape(
+            -1, g * s, g * s)
+
+    def project(self, blocks) -> np.ndarray:
+        """Nearest point of ``L`` (Frobenius metric) among Hermitian stacks
+        to a block stack or list of blocks: ``K - V_r^H (V_r K - G)`` with
+        ``G = S_r^-1 U_r^H b``, Hermitian part taken."""
+        K = np.asarray(blocks, dtype=complex)
+        D = self._V @ self._slots(K) - self._G
+        return _sym(K - self._blocks(self._V.conj().T @ D))
 
     def verify(self, Z: np.ndarray) -> Optional[Certificate]:
-        """The certificate that ``Z`` yields, or ``None``.
+        """``certify`` of the least-squares ``y`` with ``A*(y) = Z``."""
+        return self.certify(self._fit @ (self._V @ self._slots(Z)))
 
-        ``y = fit(Z)`` re-forms the functional ``A*(y)``, and adding
-        ``eps I``, with ``-eps`` its smallest eigenvalue over all blocks (one
-        batched ``eigvalsh``) when that is negative, makes it PSD; ``eps *
-        unit`` pays for the shift in ``y``.  The value ``<y, b>`` must then
-        fall below ``-CERTIFICATE_MARGIN * sum_r |y_r| |b_r|``, far below
-        its rounding error.
+    def inconsistency(self, message: str) -> Optional[FeasibilityResult]:
+        """``Infeasible`` at iteration 0 with ``message``, the linear
+        residual ``|y|`` and the Farkas certificate, when ``certify`` accepts
+        ``y = -(b - U_r U_r^H b)``: ``A*(y) = 0``, ``<y, b> = -|y|^2``.
+        ``y`` is formed as ``-N N^H b`` from the left null space ``N``, so
+        its rounding error stays out of the range of ``A``, where it would
+        add a value of either sign as large as ``|y| |b|``."""
+        b = self.target.reshape(len(self.target), -1)
+        y = -self._null @ (self._null.conj().T @ b)
+        cert = self.certify(y) if y.any() else None   # never accepts y = 0
+        if cert is None:
+            return None
+        return FeasibilityResult(Status.INFEASIBLE, None,
+                                 float(np.linalg.norm(y)), 0,
+                                 message=message, certificate=cert)
+
+    def certify(self, y: np.ndarray) -> Optional[Certificate]:
+        """The certificate that the dual ``y`` yields, or ``None``.
+
+        ``A*(y)``, re-formed from the raw family, is made PSD by adding
+        ``eps I`` (``-eps`` its smallest eigenvalue over all blocks, from one
+        batched ``eigvalsh``), paid for by ``eps I`` in ``y_0``.  The value
+        ``<y, b>`` must then fall below ``-CERTIFICATE_MARGIN * sum_r |y_r|
+        |b_r|``, far below its rounding error.
         """
-        y = self.fit(Z)
-        W = _sym(self.adjoint(y))
+        y = np.array(y, dtype=complex).reshape(self.target.shape)
+        W = _sym(self._blocks(self.family.conj().T @ y.reshape(len(y), -1)))
         eps = max(0.0, -float(np.linalg.eigvalsh(W)[:, 0].min()))
-        y = y + eps * self.unit
+        y[0] += eps * np.eye(y.shape[1])
         value = float(np.vdot(y, self.target).real)
         scale = float(np.dot(_block_norms(y), _block_norms(self.target)))
         if not value < -CERTIFICATE_MARGIN * scale:
@@ -308,11 +364,12 @@ def reverified(res: FeasibilityResult,
 # ---------------------------------------------------------------------------
 
 
-def _povm_system(vertices, X: Sequence[np.ndarray],
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(d+1, N)`` matrix of the all-ones row and the vertex
-    coordinates, and the ``(d+1, n, n)`` stack ``(I, X_1, ..., X_d)`` it must
-    take the blocks to."""
+def povm_constraints(vertices, X: Sequence[np.ndarray]) -> ConstraintMap:
+    """The constraint map of ``{(K_v): sum_v K_v = I, sum_v v K_v = X}``:
+    one slot per block, the all-ones row and the vertex coordinates, target
+    ``(I, X_1, ..., X_d)``.  Its adjoint takes a pencil ``H_0, ..., H_d`` to
+    ``Z_v = H_0 + sum_j v_j H_j``, so a certificate is an Effros--Winkler
+    separating pencil: positive at every vertex, negative at ``X``."""
     V = np.asarray(vertices, dtype=float)
     if V.ndim != 2 or V.shape[0] < 1:
         raise ValueError("need at least one vertex, as rows of a 2-d array")
@@ -323,64 +380,21 @@ def _povm_system(vertices, X: Sequence[np.ndarray],
     n = X[0].shape[0]
     if any(M.shape != (n, n) for M in X):
         raise ValueError("tuple entries must be square matrices of one size")
-    A = np.vstack([np.ones((1, N)), V.T])
-    return A, np.stack([np.eye(n, dtype=complex)] + X)
+    return ConstraintMap(np.vstack([np.ones((1, N)), V.T]),
+                         np.stack([np.eye(n, dtype=complex)] + X))
 
 
 def affine_projector_povm(vertices, X: Sequence[np.ndarray],
-                          consistency_tol: float = 1e-9,
                           ) -> Callable[[np.ndarray], np.ndarray]:
-    """Projector onto ``{(K_v): sum_v K_v = I, sum_v v K_v = X}``.
-
-    The constraints decouple per matrix entry ``(r, s)``: each entry vector
-    ``(K_v[r,s])_v`` solves a fixed ``(d+1) x N`` linear system whose rows are
-    the all-ones row and the vertex coordinates.  The projector applies the
-    precomputed pseudoinverse of that matrix entrywise, mapping an
-    ``(N, n, n)`` stack of blocks (or a list of N blocks) to a stack.
-
-    Raises
-    ------
-    InconsistentConstraintsError : the system has no solution for this ``X``
-        (only possible when the vertex matrix is row-rank deficient).
-    """
-    A, target = _povm_system(vertices, X)
-    Apinv = np.linalg.pinv(A)                       # (N, d+1)
-
-    if np.linalg.matrix_rank(A, tol=1e-12) < len(A):
-        # Rank-deficient constraint rows: X must lie in the range of A.
-        resid = target - np.tensordot(A @ Apinv, target, axes=(1, 0))
-        scale = max(1.0, float(np.max(np.abs(target))))
-        if np.max(np.abs(resid)) > consistency_tol * scale:
-            raise InconsistentConstraintsError(
-                "vertex constraint system is inconsistent for this tuple"
-            )
-
-    def project(blocks) -> np.ndarray:
-        K = np.asarray(blocks, dtype=complex)
-        M = np.tensordot(A, K, axes=(1, 0))         # (d+1, n, n)
-        K = K - np.tensordot(Apinv, M - target, axes=(1, 0))
-        return (K + np.conj(np.transpose(K, (0, 2, 1)))) / 2.0
-
-    return project
-
-
-def povm_constraints(vertices, X: Sequence[np.ndarray]) -> ConstraintMap:
-    """The constraint map of ``{(K_v): sum_v K_v = I, sum_v v K_v = X}``.
-
-    Its adjoint takes a pencil ``H_0, ..., H_d`` to the blocks
-    ``Z_v = H_0 + sum_j v_j H_j``, and ``<Z, K> = tr H_0 + sum_j tr(H_j X_j)``
-    on the affine set.  A certificate is thus an Effros--Winkler separating
-    pencil: positive at every vertex, negative at ``X``.  ``fit`` solves
-    ``Z_v = H_0 + sum_j v_j H_j`` by least squares, entry by entry.
-    """
-    A, target = _povm_system(vertices, X)
-    fit = np.linalg.pinv(A.T)                       # (d+1, N)
-    unit = np.zeros_like(target)
-    unit[0] = np.eye(target.shape[1])
-    return ConstraintMap(
-        adjoint=lambda H: np.tensordot(A.T, H, axes=(1, 0)),
-        fit=lambda Z: np.tensordot(fit, Z, axes=(1, 0)),
-        target=target, unit=unit)
+    """The ``project`` of :func:`povm_constraints`; raises
+    :class:`InconsistentConstraintsError` when no blocks meet the
+    constraints, which needs a row-rank deficient vertex matrix."""
+    cmap = povm_constraints(vertices, X)
+    short = cmap.inconsistency(
+        "affine constraints inconsistent for this tuple")
+    if short is not None:
+        raise InconsistentConstraintsError(short)
+    return cmap.project
 
 
 def povm_constraint_residual(vertices, X: Sequence[np.ndarray],

@@ -24,7 +24,6 @@ from .sdp import (
     BlockPsdProblem,
     FeasibilityResult,
     InconsistentConstraintsError,
-    Status,
     affine_projector_povm,
     dykstra_solve,
     point_in_hull,
@@ -350,9 +349,9 @@ def wmin_member(X: HermTuple, P: Polytope, max_iter: int = 20000,
     an Effros--Winkler separating pencil ``H_0, ..., H_d`` as its
     certificate: ``H_0 + sum_j v_j H_j >= 0`` at every vertex ``v`` and
     ``tr H_0 + sum_j tr(H_j X_j) < 0``, checked without the solver.  A
-    solve that ends with neither is ``Undecided``.  The one ``Infeasible``
-    without a certificate comes before any solve: a tuple that the affine
-    constraints cannot meet at all, which needs a degenerate P.
+    solve that ends with neither is ``Undecided``.  A tuple off the affine
+    hull of a degenerate P is ``Infeasible`` before any solve, with a Farkas
+    pencil that vanishes at every vertex (up to the PSD shift).
     """
     if not P.has_vertices:
         raise MissingRepresentationError(
@@ -361,10 +360,8 @@ def wmin_member(X: HermTuple, P: Polytope, max_iter: int = 20000,
         raise ValueError("polytope dimension does not match tuple length")
     try:
         projector = affine_projector_povm(P.vertices, list(X))
-    except InconsistentConstraintsError:
-        return FeasibilityResult(
-            Status.INFEASIBLE, None, np.inf, 0,
-            message="affine constraints inconsistent for this tuple")
+    except InconsistentConstraintsError as exc:
+        return exc.result
     problem = BlockPsdProblem(
         block_dims=[X.n] * P.vertices.shape[0],
         affine_projector=projector,

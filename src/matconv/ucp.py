@@ -14,13 +14,17 @@ Contractive (CC) and contractive-positive (CCP) map existence reduce to UCP
 existence on doubled spaces: CC uses the off-diagonal embeddings
 ``[[0, A_i], [A_i*, 0]]`` and CCP the padded ``diag(A_i, 0)``.
 
-``Infeasible`` from the solver carries a separation certificate: a PSD
-Choi-side functional ``Z = sum_r conj(F_r) (x) Y_r`` with
-``sum_r <Y_r, G_r> < 0``, where ``F_r`` is the orthonormalized source family
-and ``G_r`` its prescribed values, so ``<Z, C> < 0`` for every Choi matrix
-meeting the constraints and no PSD one does.  The CLI reports such a verdict
-as "no map found (residual r)".  A feasible Choi witness is re-verified
-against the constraints before ``Feasible`` is returned.
+``Infeasible`` always carries a separation certificate: duals ``y_r`` with
+a PSD Choi-side functional ``Z = sum_r conj(f_r) (x) y_r`` and ``sum_r
+<y_r, b_r> < 0``, where ``f_r`` runs over the source family ``{I, A_i /
+sqrt 2, A_i* / sqrt 2}`` and ``b_r`` over the same combinations of ``I`` and
+the ``B_i``, so ``<Z, C> < 0`` for every Choi matrix meeting the constraints
+and no PSD one does.  The solver finds one on its iterates; when the targets
+break a linear dependency of the sources, so that no linear map takes them
+at all, the Farkas dual (with ``Z = 0`` up to a PSD shift) answers at
+iteration 0.  The CLI reports such a verdict as "no map found (residual
+r)".  A feasible Choi witness is re-verified against the constraints before
+``Feasible`` is returned.
 """
 
 from __future__ import annotations
@@ -118,96 +122,39 @@ def apply_choi(C: np.ndarray, X: np.ndarray, k: int, m: int) -> np.ndarray:
 
 
 def _choi_family(X: GenTuple) -> np.ndarray:
-    """Columns ``vec I``, ``vec X_i / sqrt 2`` and ``vec X_i* / sqrt 2``.
-
-    The weights make the consistency residual of the projector the distance
-    of ``(I, B_i)`` from the values reachable by Hermitian-preserving maps,
-    each prescribed value counted once.
-    """
+    """The stack ``I``, ``X_i / sqrt 2``, ``X_i* / sqrt 2``: the weights
+    count each prescribed value once in the linear residual."""
     w = 1.0 / np.sqrt(2.0)
-    mats = ([np.eye(X.n, dtype=complex)] + [w * np.asarray(M) for M in X]
-            + [w * np.asarray(M).conj().T for M in X])
-    return np.stack(mats).reshape(len(mats), X.n * X.n).T
-
-
-def _choi_basis(A: GenTuple, B: GenTuple,
-                ) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(F, G, resid)``: the source family ``{I, A_i, A_i*}``
-    orthonormalized by one thin SVD into ``F_r`` (``k x k``), the targets
-    ``G_r`` (``m x m``) through the same coefficients, and the distance of
-    the targets from the values a linear map can take."""
-    k, m = A.n, B.n
-    sources, targets = _choi_family(A), _choi_family(B)
-    U, s, Vh = np.linalg.svd(sources, full_matrices=False)
-    r = int(np.sum(s > 1e-12 * s[0]))
-    Vr = Vh[:r].conj().T                                  # (2d+1, r)
-    TV = targets @ Vr
-    F = U[:, :r].T.reshape(r, k, k)
-    G = (TV / s[:r]).T.reshape(r, m, m)
-    return F, G, float(np.linalg.norm(targets - TV @ Vr.conj().T))
+    return np.stack([np.eye(X.n, dtype=complex)]
+                    + [w * np.asarray(M) for M in X]
+                    + [w * np.asarray(M).conj().T for M in X])
 
 
 def choi_constraints(A: GenTuple, B: GenTuple) -> ConstraintMap:
-    """The constraint map ``C -> (L_r(C))_r``, ``L_r(C) = phi_C(F_r)``, of
-    the Choi matrices with ``phi(I) = I`` and ``phi(A_i) = B_i``.
+    """The constraint map of the Choi matrices with ``phi(I) = I`` and
+    ``phi(A_i) = B_i``: ``C -> (phi_C(f_r))_r`` over the source family
+    ``f_r`` of :func:`_choi_family`, with the targets' family as ``b``.
 
-    Its adjoint is ``Y -> sum_r conj(F_r) (x) Y_r`` and, as ``L L* = id``,
-    ``fit`` is ``L`` itself; the target is ``G`` and the unit
-    ``tr(F_r) I_m``.  Every Choi matrix in the affine set has trace ``m``.
+    The ``q x q`` block, ``q = k m``, is a ``k x k`` grid of ``m x m`` slots
+    ``C[a, :, b, :]``, with ``phi_C(f) = sum_ab f[a, b] C[a, :, b, :]`` and
+    adjoint ``y -> sum_r conj(f_r) (x) y_r``.  A projection costs O(r q^2)
+    time and O(q^2) memory, ``r <= 2d + 1`` the rank of the family.
     """
-    k, m = A.n, B.n
-    F, G, _ = _choi_basis(A, B)
-    return ConstraintMap(
-        adjoint=lambda Y: np.einsum(
-            "rab,rij->aibj", F.conj(), Y).reshape(1, k * m, k * m),
-        fit=lambda Z: np.einsum("rab,aibj->rij", F, Z.reshape(k, m, k, m)),
-        target=G,
-        unit=np.trace(F, axis1=1, axis2=2)[:, None, None] * np.eye(m))
+    sources = _choi_family(A)
+    return ConstraintMap(sources.reshape(len(sources), -1), _choi_family(B),
+                         grid=A.n)
 
 
-def choi_affine_projector(A: GenTuple, B: GenTuple, consistency_tol: float = 1e-9):
-    """Orthogonal projector onto Hermitian Choi matrices of maps with
-    ``phi(I) = I`` and ``phi(A_i) = B_i``.
-
-    Returns ``(project, short_circuit)``.  ``project`` maps a one-block
-    stack ``[C]`` with ``C`` of size ``q = k m`` to the one-block stack
-    ``[P(C)]``, the nearest point (Frobenius metric) of the affine set among
-    Hermitian matrices.
-    ``short_circuit`` is ``None``, or an ``Infeasible`` FeasibilityResult
-    with ``iterations`` 0 when the targets break a linear dependency of the
-    sources, so that no Hermitian-preserving linear map takes the prescribed
-    values at all.
-
-    The source family ``{I, A_i, A_i*}`` is orthonormalized in the
-    Hilbert-Schmidt inner product by one thin SVD, giving ``F_r`` and, through
-    the same coefficients, targets ``G_r``.  With ``L_r(C) = phi_C(F_r)`` the
-    constraint map satisfies ``L L* = id``, so ``P(C) = C - sum_r conj(F_r)
-    (x) (L_r(C) - G_r)``.  The family is closed under adjoints, so ``P`` keeps
-    Hermitian inputs Hermitian.  Each call costs O(r q^2) time and O(q^2)
-    memory, with ``r <= 2d + 1`` the rank of the family.
-    """
-    k, m = A.n, B.n
-    q = k * m
-    F, G, resid = _choi_basis(A, B)
-
-    short_circuit = None
-    values = np.stack(list(B))
-    scale = max(1.0, float(np.max(np.abs(values.real))),
-                float(np.max(np.abs(values.imag))))
-    if resid > consistency_tol * scale:
-        short_circuit = FeasibilityResult(
-            Status.INFEASIBLE, None, resid, 0,
-            message="no linear map takes the prescribed values",
-        )
-
-    def project(blocks) -> np.ndarray:
-        C = np.asarray(blocks[0], dtype=complex)
-        C = ((C + C.conj().T) / 2.0).reshape(k, m, k, m)
-        D = np.einsum("rab,aibj->rij", F, C) - G
-        out = (C - np.einsum("rab,rij->aibj", F.conj(), D)).reshape(q, q)
-        return ((out + out.conj().T) / 2.0)[None]
-
-    return project, short_circuit
+def choi_affine_projector(A: GenTuple, B: GenTuple):
+    """``(project, short_circuit)``: the ``project`` of
+    :func:`choi_constraints`, which maps a one-block stack ``[C]`` to its
+    nearest Hermitian point of the affine set, and ``None`` or the
+    ``Infeasible`` result (iteration 0, Farkas certificate) of targets that
+    break a linear dependency of the sources, so that no linear map takes
+    them."""
+    cmap = choi_constraints(A, B)
+    return cmap.project, cmap.inconsistency(
+        "no linear map takes the prescribed values")
 
 
 def _run_choi(A: GenTuple, B: GenTuple, max_iter: int, tol_feas: float,
@@ -215,9 +162,8 @@ def _run_choi(A: GenTuple, B: GenTuple, max_iter: int, tol_feas: float,
     project, short = choi_affine_projector(A, B)
     if short is not None:
         return short
-    q = A.n * B.n
     problem = BlockPsdProblem(
-        [q], project, max_iter=max_iter, tol_feas=tol_feas,
+        [A.n * B.n], project, max_iter=max_iter, tol_feas=tol_feas,
         verify_certificate=choi_constraints(A, B).verify)
     return reverified(dykstra_solve(problem),
                       lambda K: choi_constraint_residual(K[0], A, B))

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import pauli_pair, random_povm
+from conftest import pauli_pair, random_isometry, random_povm
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv.cli import main
@@ -14,17 +14,28 @@ from matconv.sdp import (
     BlockPsdProblem,
     FeasibilityResult,
     Status,
+    affine_projector_povm,
     dykstra_solve,
     povm_constraints,
     reverified,
 )
 from matconv.sets import (
+    GenTuple,
     HermTuple,
+    Polytope,
     cube_polytope,
     diamond_polytope,
     wmin_member,
 )
-from matconv.ucp import choi_affine_projector, choi_constraints, ucp_exists
+from matconv.ucp import (
+    ChoiProblem,
+    MapMode,
+    cc_exists,
+    ccp_exists,
+    choi_affine_projector,
+    choi_constraints,
+    ucp_exists,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -39,6 +50,27 @@ def check_pencil(cert, vertices, X):
         assert nk.min_eig((Z + Z.conj().T) / 2.0, tol=np.inf) >= -1e-12
     value = np.trace(H[0]) + sum(np.trace(Hj @ np.asarray(Xj))
                                  for Hj, Xj in zip(H[1:], X))
+    assert value.real == pytest.approx(cert.value, abs=1e-12)
+    assert cert.value < 0
+
+
+def choi_family(X):
+    """The raw family I, X_i / sqrt 2, X_i* / sqrt 2 of a Choi problem."""
+    w = 1.0 / np.sqrt(2.0)
+    return ([np.eye(X.n)] + [w * np.asarray(M) for M in X]
+            + [w * np.asarray(M).conj().T for M in X])
+
+
+def check_choi(cert, A, B):
+    """The certificate of a map-existence query read as duals y_r of the raw
+    family f_r: the functional sum_r conj(f_r) (x) y_r, recomputed here, is
+    PSD and is the one reported, and the value sum_r <y_r, b_r> over the
+    targets' family b_r is negative."""
+    y = cert.dual
+    Z = sum(np.kron(f.conj(), yr) for f, yr in zip(choi_family(A), y))
+    assert nk.min_eig((Z + Z.conj().T) / 2.0, tol=np.inf) >= -1e-12
+    assert np.max(np.abs(Z - cert.functional[0])) <= 1e-12
+    value = sum(np.vdot(yr, b) for yr, b in zip(y, choi_family(B)))
     assert value.real == pytest.approx(cert.value, abs=1e-12)
     assert cert.value < 0
 
@@ -210,7 +242,12 @@ def test_choi_certificates_pass_their_verifier_again(k, m, stretch, seed):
     res = ucp_exists(A, B, max_iter=1000)
     assert res.status is not Status.FEASIBLE
     if res.certificate is not None:
-        again = choi_constraints(A, B).verify(res.certificate.functional)
+        check_choi(res.certificate, A, B)
+        # A k = 1 source takes only multiples of I: the linear short cut
+        # fires, and its functional is ~0, so its dual is checked instead.
+        cmap = choi_constraints(A, B)
+        again = (cmap.certify(res.certificate.dual) if res.iterations == 0
+                 else cmap.verify(res.certificate.functional))
         assert again is not None and again.value < 0
 
 
@@ -229,6 +266,98 @@ def test_signed_sum_violators_certified_outside_wmin_diamond(d, n, top, seed):
     res = wmin_member(X, P, max_iter=150)
     assert res.status is Status.INFEASIBLE
     check_pencil(res.certificate, P.vertices, list(X))
+
+
+# ---------------------------------------------------------------------------
+# Linear short cuts: rank-deficient constraint families
+# ---------------------------------------------------------------------------
+
+
+def degenerate_instance(d, n, N, line, rng):
+    """N vertices on one point (``line`` False) or one line of R^d, a
+    tuple ``X_j = sum_v v_j K_v`` of a random POVM on them, and a unit
+    vector w normal to their affine hull."""
+    p = rng.uniform(-1.0, 1.0, d)
+    u = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    t = rng.uniform(-1.0, 1.0, N) if line else np.zeros(N)
+    V = p + t[:, None] * u
+    w = rng.standard_normal(d)
+    w -= np.dot(w, u) * u if line else 0.0
+    w /= np.linalg.norm(w)
+    K = random_povm(n, N, rng)
+    X = [sum(v[j] * Kv for v, Kv in zip(V, K)) for j in range(d)]
+    return V, X, w
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 3), n=sizes, N=st.integers(1, 4), line=st.booleans(),
+       push=st.floats(0.01, 2.0), seed=seeds)
+def test_tuples_off_a_degenerate_hull_certified_at_once(d, n, N, line, push,
+                                                        seed):
+    # sum_j w_j X_j must be <w, p> I for any X the vertex constraints can
+    # meet; a push along w of a nonzero M breaks that.
+    rng = np.random.default_rng(seed)
+    V, X0, w = degenerate_instance(d, n, N, line, rng)
+    M = sampling.random_herm(n, rng)
+    M *= push / np.linalg.norm(M)
+    X = HermTuple([Xj + wj * M for Xj, wj in zip(X0, w)])
+    res = wmin_member(X, Polytope(d, vertices=V), max_iter=50)
+    assert res.status is Status.INFEASIBLE and res.iterations == 0
+    check_pencil(res.certificate, V, list(X))
+    assert povm_constraints(V, list(X)).certify(res.certificate.dual)
+    # The residual is the least-squares distance of (I, X) from the values
+    # the constraint rows can take.
+    A = np.vstack([np.ones((1, N)), V.T])
+    b = np.stack([np.eye(n)] + list(X)).reshape(d + 1, -1)
+    lsq = A @ np.linalg.lstsq(A, b, rcond=None)[0]
+    assert res.residual == pytest.approx(np.linalg.norm(lsq - b), rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 3), n=sizes, N=st.integers(1, 4), line=st.booleans(),
+       seed=seeds)
+def test_tuples_on_a_degenerate_hull_never_short_cut(d, n, N, line, seed):
+    rng = np.random.default_rng(seed)
+    V, X, _ = degenerate_instance(d, n, N, line, rng)
+    affine_projector_povm(V, X)        # raises on a short cut
+    res = wmin_member(HermTuple(X), Polytope(d, vertices=V), max_iter=100)
+    assert res.status is not Status.INFEASIBLE
+
+
+MAP_EXISTS = {MapMode.UCP: ucp_exists, MapMode.CCP: ccp_exists,
+              MapMode.CC: cc_exists}
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), m=st.integers(1, 3), scalar=st.booleans(),
+       hermitian=st.booleans(), mode=st.sampled_from(list(MapMode)),
+       c=st.floats(0.3, 2.0), push=st.floats(0.01, 1.0), seed=seeds)
+def test_broken_source_dependency_certified_at_once(k, m, scalar, hermitian,
+                                                    mode, c, push, seed):
+    # Sources with A_1 = c I or A_2 = c A_1; targets from a unital
+    # compression of an ampliation keep the dependency, and a push of B_1
+    # breaks it.
+    rng = np.random.default_rng(seed)
+    draw = sampling.random_herm if hermitian else sampling.random_gen
+    kind = HermTuple if hermitian else GenTuple
+    A1 = c * np.eye(k) if scalar else draw(k, rng)
+    A = kind([A1, draw(k, rng) if scalar else c * A1])
+    W = random_isometry(k * m, m, rng)
+    B = [W.conj().T @ np.kron(M, np.eye(m)) @ W for M in A]
+    kept = ChoiProblem(A, kind(B), mode)
+    _, short = choi_affine_projector(kept.reduced_source, kept.reduced_target)
+    assert short is None
+    M = draw(m, rng)
+    B[0] = B[0] + push / np.linalg.norm(M) * M
+    prob = ChoiProblem(A, kind(B), mode)
+    res = MAP_EXISTS[mode](A, kind(B), max_iter=100)
+    if mode is MapMode.UCP or not scalar:
+        assert res.status is Status.INFEASIBLE and res.iterations == 0
+    if res.status is Status.INFEASIBLE and res.iterations == 0:
+        check_choi(res.certificate, prob.reduced_source, prob.reduced_target)
+        cmap = choi_constraints(prob.reduced_source, prob.reduced_target)
+        assert cmap.certify(res.certificate.dual)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +422,36 @@ class TestCli:
         assert Z.shape == (4, 4)
         assert np.min(np.linalg.eigvalsh(Z)) >= -1e-12
         assert body["certificate"]["value"] < 0
+
+    def test_degenerate_polytope_short_cut_prints_a_pencil(self, tmp_path,
+                                                           capsys):
+        # Two copies of the vertex (1, 0): X = (0.5, 0.2) is off their hull.
+        x = write(tmp_path, "x.json", {"matrices": [[[0.5]], [[0.2]]]})
+        p = write(tmp_path, "p.json", {"dim": 2, "vertices": [[1, 0], [1, 0]]})
+        code, rep = run(["member", "wmin", x, p, "--witness"], capsys)
+        assert code == 1
+        body = rep["result"]
+        assert body["status"] == "Infeasible" and body["iterations"] == 0
+        assert np.isfinite(body["residual"])
+        H = decode(body["certificate"]["pencil"])[:, 0, 0]
+        assert (H[0] + H[1]).real >= -1e-12
+        value = (H[0] + 0.5 * H[1] + 0.2 * H[2]).real
+        assert value == pytest.approx(body["certificate"]["value"])
+        assert body["certificate"]["value"] == pytest.approx(-0.165)
+
+    def test_map_short_cut_prints_a_functional(self, tmp_path, capsys):
+        # phi(0) = I contradicts phi(I) = I for a linear map.
+        zero = write(tmp_path, "zero.json", {"matrices": [[[0, 0], [0, 0]]]})
+        eye = write(tmp_path, "eye.json", {"matrices": [[[1, 0], [0, 1]]]})
+        code, rep = run(["map", "ucp", zero, eye, "--witness"], capsys)
+        assert code == 1
+        body = rep["result"]
+        assert body["iterations"] == 0
+        assert body["residual"] == pytest.approx(np.sqrt(2.0))
+        Z = decode(body["certificate"]["functional"])
+        assert Z.shape == (4, 4)
+        assert np.min(np.linalg.eigvalsh(Z)) >= -1e-12
+        assert body["certificate"]["value"] == pytest.approx(-2.0)
 
     def test_certificate_only_with_witness_flag(self, files, capsys):
         code, rep = run(["member", "wmin", files["pauli"], files["diamond"]],

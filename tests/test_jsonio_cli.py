@@ -77,6 +77,15 @@ class TestSchemas:
         fam = jsonio.decode_lambda_family({"lambdas": lams})
         assert np.allclose(fam.betas, [0.5, 0.5], atol=1e-9)
 
+    def test_lambda_family_is_real(self):
+        lam = [[[1.0, 0.0]]]           # [re, im] pairs with im 0 are real
+        fam = jsonio.decode_lambda_family({"lambdas": [lam], "betas": [1.0]})
+        assert fam.lambdas.dtype == float
+        assert fam.lambdas.tolist() == [[[1.0]]]
+        lam[0][0] = [1.0, 1e-3]
+        with pytest.raises(jsonio.SchemaError, match="must be real"):
+            jsonio.decode_lambda_family({"lambdas": [lam], "betas": [1.0]})
+
     def test_povm_decode(self, rng):
         effs = random_povm(2, 3, rng)
         obj = {"atoms": [[1.0], [0.0], [-1.0]],
@@ -663,6 +672,20 @@ SEEN_MALFORMED = [
     ("frame sym {bad}", {"dim": 3, "vectors": [[1.0, 0.0], [0.0, 1.0]]}),
     ("member ball {bad}", {"d": 1, "n": 1, "matrices": [[[True]]]}),
     ("map normal {bad} {atoms}", {"points": [[1.0, 2.0], [3.0]]}),
+    # Well-formed files that cannot feed the construction (the tuple has
+    # d = 2): a family or frame of another dimension, a frame that is not
+    # tight, lambdas whose hull misses the identity or that are complex,
+    # and a polytope with neither vertices nor facets.
+    ("dilate lambda {tuple} {bad}", {"lambdas": [[[1.0]]], "betas": [1.0]}),
+    ("dilate frame {tuple} {bad}",
+     {"vectors": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}),
+    ("dilate frame {tuple} {bad}",
+     {"dim": 2, "vectors": [[1, 0], [0, 1], [1, 1]]}),
+    ("dilate lambda {tuple} {bad}", {"lambdas": [[[2.0]], [[3.0]]]}),
+    ("dilate lambda {tuple} {bad}",
+     {"lambdas": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, [2.0, 0.5]]]],
+      "betas": [0.5, 0.5]}),
+    ("dual polytope {bad}", {"dim": 2}),
 ]
 
 
@@ -681,6 +704,26 @@ def test_seen_malformed_input_exits_4(argv, doc, tmp_path):
     assert code == 4
     assert f"matconv: {bad}: " in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv,docs", [
+    ("dilate frame {a} {b}", [
+        {"matrices": [[[1.5]], [[0.0]]]},
+        {"vectors": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]}]),
+    ("dual polytope {a}", [{"dim": 1, "vertices": [[1.0], [2.0]]}]),
+], ids=["frame_dual_inequality", "dual_0_outside"])
+def test_construction_negatives_exit_1(argv, docs, tmp_path):
+    # A tuple the construction's hypothesis rules out, or a polytope
+    # without 0 inside, is a definite negative, not an input error (as is
+    # a non-contraction for the flip dilation, tested above).
+    names = {}
+    for key, doc in zip("ab", docs):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(doc))
+        names[key] = str(path)
+    code, out, _ = run_quiet(argv.format(**names).split())
+    assert code == 1
+    assert json.loads(out)["result"]["error"]
 
 
 def test_missing_file_argument_exits_4(workdir, capsys):

@@ -29,12 +29,14 @@ from typing import Optional
 
 import numpy as np
 
+from . import numkernel as nk
 from .dilation import Dilation, LambdaFamily, joint_spectrum_rank_one, lambda_dilation
 from .sdp import point_in_hull
 from .sets import HermTuple, MissingRepresentationError, Polytope, wmax_member
 
 DEFAULT_GROUP_TOL = 1e-8
 DEFAULT_CAP = 24
+CLOSURE_CHUNK_ROWS = 1 << 16  # compositions sorted at once
 
 
 class FrameError(Exception):
@@ -118,58 +120,69 @@ def check_tight(vectors, tol: float = 1e-9) -> Frame:
 
 @dataclass
 class SymmetryGroup:
-    """Orthogonal matrices permuting the frame, with their index actions."""
+    """Orthogonal matrices permuting the frame, with their index actions:
+    row g of ``permutations`` (``(G, N)`` integers) is the action of
+    ``matrices[g]`` (``(G, d, d)``), ``v_i -> v_{p[i]}``."""
 
-    permutations: list[tuple[int, ...]]
-    matrices: list[np.ndarray]
+    permutations: np.ndarray
+    matrices: np.ndarray
 
     @property
     def order(self) -> int:
-        return len(self.permutations)
-
-    def stabilizer(self, i: int) -> list[int]:
-        """Indices into the group of the elements fixing vector i."""
-        return [g for g, p in enumerate(self.permutations) if p[i] == i]
+        return self.permutations.shape[0]
 
     def is_transitive(self) -> bool:
-        N = len(self.permutations[0])
-        orbit = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for p in self.permutations:
-                if p[x] not in orbit:
-                    orbit.add(p[x])
-                    frontier.append(p[x])
-        return len(orbit) == N
+        """Does the orbit of vector 0, grown to a fixed point, cover all?"""
+        reached = np.arange(self.permutations.shape[1]) == 0
+        size = 0
+        while np.count_nonzero(reached) > size:
+            size = np.count_nonzero(reached)
+            reached[self.permutations[:, reached]] = True
+        return bool(reached.all())
 
     def orbit(self, i: int) -> set[int]:
-        return {p[i] for p in self.permutations}
+        return set(self.permutations[:, i].tolist())
 
     def verify_closure(self) -> bool:
-        """Exact closure and inverse check on the index permutations."""
-        perms = set(self.permutations)
-        for p in self.permutations:
-            inv = tuple(int(np.argsort(p)[i]) for i in range(len(p)))
-            if inv not in perms:
+        """Exact check that the index permutations contain every inverse and
+        all G^2 compositions, a chunk of compositions at a time."""
+        N = self.permutations.shape[1]
+        perms = self.permutations.astype(np.min_scalar_type(N))
+        if not _rows_within(np.argsort(perms, axis=1), perms):
+            return False
+        step = max(1, CLOSURE_CHUNK_ROWS // max(self.order, 1))
+        for lo in range(0, self.order, step):
+            # q o p for every q and every p in the chunk: (G, step, N)
+            composed = perms[:, perms[lo:lo + step]]
+            if not _rows_within(composed.reshape(-1, N), perms):
                 return False
-            for q in self.permutations:
-                if tuple(q[p[i]] for i in range(len(p))) not in perms:
-                    return False
         return True
 
 
-def _gram_permutations(G: np.ndarray, tol: float) -> list[tuple[int, ...]]:
-    """All index permutations preserving the Gram matrix, by backtracking
-    with partial-Gram pruning."""
+def _rows_within(rows: np.ndarray, table: np.ndarray) -> bool:
+    """Is every row of ``rows`` a row of ``table``?  Both are sorted
+    together, lexicographically, with table rows first among equal rows; a
+    run of equal rows that starts with a row of ``rows`` has no match."""
+    both = np.concatenate([table, rows.astype(table.dtype)])
+    from_rows = np.repeat([False, True], [len(table), len(rows)])
+    order = np.lexsort((from_rows, *both.T[::-1]))
+    both, from_rows = both[order], from_rows[order]
+    starts = np.ones(len(both), dtype=bool)
+    starts[1:] = np.any(both[1:] != both[:-1], axis=1)
+    return not np.any(from_rows[starts])
+
+
+def _gram_permutations(G: np.ndarray, tol: float) -> np.ndarray:
+    """All Gram-preserving index permutations, as ``(P, N)`` rows in the
+    order of a backtracking search with partial-Gram pruning."""
     N = G.shape[0]
-    out: list[tuple[int, ...]] = []
+    out: list[list[int]] = []
     assigned = [-1] * N
     used = [False] * N
 
     def extend(i: int):
         if i == N:
-            out.append(tuple(assigned))
+            out.append(assigned.copy())
             return
         for j in range(N):
             if used[j] or abs(G[j, j] - G[i, i]) > tol:
@@ -187,7 +200,7 @@ def _gram_permutations(G: np.ndarray, tol: float) -> list[tuple[int, ...]]:
                 assigned[i] = -1
 
     extend(0)
-    return out
+    return np.array(out, dtype=np.intp).reshape(-1, N)
 
 
 def _independent_rows(V: np.ndarray, d: int) -> list[int]:
@@ -221,18 +234,15 @@ def symmetry_group(frame: Frame, cap: int = DEFAULT_CAP,
     perms = _gram_permutations(frame.gram(), tol * scale)
     basis = _independent_rows(V, frame.dim)
     Binv = np.linalg.inv(V[basis].T)
-    kept_perms: list[tuple[int, ...]] = []
-    kept_mats: list[np.ndarray] = []
-    for p in perms:
-        W = V[[p[i] for i in basis]].T
-        U = W @ Binv
-        if np.linalg.norm(U.T @ U - np.eye(frame.dim)) > tol * frame.dim:
-            continue
-        if np.max(np.abs(V @ U.T - V[list(p)])) > tol * max(frame.norm, 1.0):
-            continue
-        kept_perms.append(p)
-        kept_mats.append(U)
-    return SymmetryGroup(permutations=kept_perms, matrices=kept_mats)
+    # U_p maps the basis vectors onto their images: one (P, d, d) product.
+    U = V[perms[:, basis]].swapaxes(1, 2) @ Binv
+    Ut = U.swapaxes(1, 2)
+    orthogonal = (np.linalg.norm(Ut @ U - np.eye(frame.dim), axis=(1, 2))
+                  <= tol * frame.dim)
+    permutes = (np.max(np.abs(V @ Ut - V[perms]), axis=(1, 2))
+                <= tol * max(frame.norm, 1.0))
+    keep = orthogonal & permutes
+    return SymmetryGroup(permutations=perms[keep], matrices=U[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +264,8 @@ def is_vertex_reflexive(frame: Frame, group: SymmetryGroup,
     report = []
     overall = True
     for i in range(frame.count):
-        stab = group.stabilizer(i)
-        P = sum(group.matrices[g] for g in stab) / len(stab)
+        stab = group.permutations[:, i] == i
+        P = group.matrices[stab].sum(axis=0) / np.count_nonzero(stab)
         P = (P + P.T) / 2.0
         w, Q = np.linalg.eigh(P)
         fixed = int(np.sum(w >= 1.0 - tol))
@@ -268,7 +278,7 @@ def is_vertex_reflexive(frame: Frame, group: SymmetryGroup,
             ok = align >= 1.0 - tol
         report.append({
             "index": i,
-            "stabilizer_order": len(stab),
+            "stabilizer_order": int(np.count_nonzero(stab)),
             "fixed_dim": fixed,
             "alignment": align,
             "vertex_reflexive": ok,
@@ -413,8 +423,7 @@ def cube_corners_frame(d: int) -> Frame:
     """All 2^d sign vectors of R^d."""
     if d > 16:
         raise FrameError("refusing 2^d corners beyond d=16")
-    V = np.array(list(np.ndindex(*(2,) * d)), dtype=float) * 2 - 1
-    return check_tight(V)
+    return check_tight(nk.sign_rows(d, 0, 2 ** d))
 
 
 def s5_orbit_frame() -> Frame:
@@ -434,27 +443,25 @@ def s5_orbit_frame() -> Frame:
 
 
 FRAME_BUILDERS = {
-    "simplex3": lambda: simplex3_frame(),
-    "pentagon": lambda: pentagon_frame(),
-    "pm_basis": None,      # needs d; see build_frame
-    "cube_corners": None,  # needs d; see build_frame
-    "s5_orbit": lambda: s5_orbit_frame(),
+    "simplex3": simplex3_frame,
+    "pentagon": pentagon_frame,
+    "pm_basis": pm_basis_frame,
+    "cube_corners": cube_corners_frame,
+    "s5_orbit": s5_orbit_frame,
 }
+_DIMENSIONED = ("pm_basis", "cube_corners")
 
 
 def build_frame(name: str, d: Optional[int] = None) -> Frame:
     """Builders exposed by name: simplex3, pentagon, pm_basis, cube_corners,
     s5_orbit (the dimensioned ones need d)."""
-    dimensioned = {"pm_basis": pm_basis_frame,
-                   "cube_corners": cube_corners_frame}
-    if name in dimensioned:
-        if d is None:
-            raise ValueError(f"{name} needs a dimension")
-        if d < 1:
-            raise ValueError(
-                f"{name} needs a dimension of at least 1, got {d}")
-        return dimensioned[name](d)
     builder = FRAME_BUILDERS.get(name)
     if builder is None:
         raise ValueError(f"unknown frame builder {name!r}")
-    return builder()
+    if name not in _DIMENSIONED:
+        return builder()
+    if d is None:
+        raise ValueError(f"{name} needs a dimension")
+    if d < 1:
+        raise ValueError(f"{name} needs a dimension of at least 1, got {d}")
+    return builder(d)

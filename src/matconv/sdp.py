@@ -34,11 +34,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numkernel import hermitize, min_eig
+from .numkernel import min_eig
 
 PIVOT_TOL = 1e-9
 PROJECTOR_IDEMPOTENCY_TOL = 1e-12
 CERTIFICATE_EVERY = 10     # iterations between separation candidates
+STALL_WINDOW = 200         # iterations a plateau is judged over
+STALL_REL = 1e-4           # relative gap spread that counts as flat
 CERTIFICATE_MARGIN = 1e-9  # relative margin a separating value must clear
 WITNESS_TOL = 1e-7         # re-verified constraint residual and PSD slack
 
@@ -112,8 +114,6 @@ class BlockPsdProblem:
     affine_projector: Callable[[np.ndarray], np.ndarray]
     max_iter: int = 20000
     tol_feas: float = 1e-8
-    stall_window: int = 200
-    stall_rel: float = 1e-4
     verify_certificate: Optional[
         Callable[[np.ndarray], Optional[Certificate]]] = None
 
@@ -235,8 +235,7 @@ def psd_project(K: np.ndarray) -> np.ndarray:
     return H
 
 
-def dykstra_solve(problem: BlockPsdProblem,
-                  start: Optional[list[np.ndarray]] = None) -> FeasibilityResult:
+def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
     """Dykstra alternating projections between the PSD product cone and an
     affine set.
 
@@ -255,8 +254,8 @@ def dykstra_solve(problem: BlockPsdProblem,
     adds ``eps sum tr(y_aff)``.  A candidate whose value falls below
     ``-CERTIFICATE_MARGIN |Z| |y_aff|`` goes to the problem's
     ``verify_certificate``; ``Infeasible`` is returned only with the
-    certificate that accepts.  A gap that plateaus (flat to ``stall_rel``
-    over ``stall_window`` iterations) or ``max_iter`` without either verdict
+    certificate that accepts.  A gap that plateaus (flat to ``STALL_REL``
+    over ``STALL_WINDOW`` iterations) or ``max_iter`` without either verdict
     gives ``Undecided``.  Blocks of unequal size raise :class:`SdpError`.
     """
     dims = list(problem.block_dims)
@@ -268,12 +267,7 @@ def dykstra_solve(problem: BlockPsdProblem,
     def project(K: np.ndarray) -> np.ndarray:
         return np.asarray(problem.affine_projector(K), dtype=complex)
 
-    if start is None:
-        x = project(np.zeros(shape, dtype=complex))
-    else:
-        if [B.shape[0] for B in start] != dims:
-            raise SdpError("start blocks do not match block_dims")
-        x = project(np.stack([hermitize(B, tol=np.inf) for B in start]))
+    x = project(np.zeros(shape, dtype=complex))
     # Projector contract: idempotent on its own output.
     drift = _frob(project(x) - x)
     if drift > PROJECTOR_IDEMPOTENCY_TOL * (1.0 + _frob(x)):
@@ -311,10 +305,9 @@ def dykstra_solve(problem: BlockPsdProblem,
         x = project(z_in)
         q = z_in - x
 
-        w = problem.stall_window
-        if len(gaps) >= w and gaps[-1] > 10 * tol:
-            lo, hi = min(gaps[-w:]), max(gaps[-w:])
-            if hi - lo <= problem.stall_rel * hi:
+        if len(gaps) >= STALL_WINDOW and gaps[-1] > 10 * tol:
+            lo, hi = min(gaps[-STALL_WINDOW:]), max(gaps[-STALL_WINDOW:])
+            if hi - lo <= STALL_REL * hi:
                 return FeasibilityResult(
                     Status.UNDECIDED, None, gaps[-1], it,
                     message="residual plateaued, no certificate",

@@ -337,8 +337,7 @@ def wmax_member(X: HermTuple, P: Polytope,
 
 
 def wmin_member(X: HermTuple, P: Polytope, max_iter: int = 20000,
-                tol_feas: float = 1e-8, stall_window: int = 200,
-                start: Optional[list[np.ndarray]] = None) -> FeasibilityResult:
+                tol_feas: float = 1e-8) -> FeasibilityResult:
     """Smallest matrix convex set over P, decided at the vertex level.
 
     Membership holds iff there is a positive decomposition ``X = sum_v v K_v``
@@ -367,11 +366,10 @@ def wmin_member(X: HermTuple, P: Polytope, max_iter: int = 20000,
         affine_projector=projector,
         max_iter=max_iter,
         tol_feas=tol_feas,
-        stall_window=stall_window,
         verify_certificate=povm_constraints(P.vertices, list(X)).verify,
     )
     return reverified(
-        dykstra_solve(problem, start=start),
+        dykstra_solve(problem),
         lambda K: povm_constraint_residual(P.vertices, list(X), K))
 
 

@@ -72,14 +72,15 @@ class CliffordTuple:
         return HermTuple([M.astype(complex) for M in self.matrices])
 
     def verify_anticommutation(self) -> bool:
-        """Exact integer check of B_i B_j + B_j B_i = 2 delta_ij I."""
+        """Exact check of B_i B_j + B_j B_i = 2 delta_ij I in float64 (BLAS):
+        with entries in {-1, 0, 1} every partial sum is an integer <= n."""
         n = self.size
-        I2 = 2 * np.eye(n, dtype=np.int64)
+        mats = [M.astype(float) for M in self.matrices]
+        I2 = 2 * np.eye(n)
         for i in range(self.d):
             for j in range(i, self.d):
-                S = self.matrices[i] @ self.matrices[j] \
-                    + self.matrices[j] @ self.matrices[i]
-                want = I2 if i == j else np.zeros((n, n), dtype=np.int64)
+                S = mats[i] @ mats[j] + mats[j] @ mats[i]
+                want = I2 if i == j else np.zeros((n, n))
                 if not np.array_equal(S, want):
                     return False
         return True
@@ -89,9 +90,9 @@ def clifford_tuple(d: int) -> CliffordTuple:
     """Recursive construction: start from [1]; append a variable by tensoring
     the old family against the swap and adjoining the sign matrix.
 
-    Anticommutation is verified exactly (integer arithmetic) up to size 256;
-    beyond that the construction is still exact but the O(d^2 n^3) integer
-    check is skipped at build time.
+    Anticommutation is verified exactly (integer entries, float64 products)
+    up to size 256; beyond that the construction is still exact but the
+    O(d^2 n^3) check is skipped at build time.
     """
     if not 1 <= d <= CLIFFORD_D_CAP:
         raise WitnessError(f"d must be between 1 and {CLIFFORD_D_CAP}")

@@ -4,9 +4,13 @@ import pytest
 from conftest import combine_frames, random_povm
 from matconv import sampling
 from matconv.frames import (
+    CLOSURE_CHUNK_ROWS,
     FrameError,
     NotEqualNormError,
     NotTightError,
+    SymmetryGroup,
+    _gram_permutations,
+    _independent_rows,
     build_frame,
     check_tight,
     cube_corners_frame,
@@ -104,6 +108,113 @@ class TestSymmetryGroup:
     def test_cap(self):
         with pytest.raises(FrameError, match="cap"):
             symmetry_group(cube_corners_frame(5), cap=24)
+
+    @staticmethod
+    def _square_group_without(k):
+        g = symmetry_group(pm_basis_frame(2))
+        return SymmetryGroup(np.delete(g.permutations, k, axis=0),
+                             np.delete(g.matrices, k, axis=0))
+
+    def test_closure_fails_with_an_element_missing(self):
+        g = symmetry_group(pm_basis_frame(2))
+        identity = np.all(g.permutations == np.arange(4), axis=1)
+        for k in np.flatnonzero(~identity):
+            assert not self._square_group_without(k).verify_closure()
+
+    def test_closure_fails_with_a_non_symmetry_added(self):
+        # Vectors e1, e2, -e1, -e2: swapping e1 and e2 alone is a
+        # permutation, its own inverse, but no linear map.
+        g = symmetry_group(pm_basis_frame(2))
+        bad = SymmetryGroup(np.vstack([g.permutations, [[1, 0, 2, 3]]]),
+                            np.concatenate([g.matrices, np.eye(2)[None]]))
+        assert not bad.verify_closure()
+
+    def test_closure_of_the_combined_frame_runs_in_chunks(self):
+        g = symmetry_group(combine_frames(s5_orbit_frame(), pentagon_frame()))
+        assert g.order == 1200
+        assert g.order ** 2 > CLOSURE_CHUNK_ROWS
+        assert g.verify_closure()
+
+    def test_closure_indices_beyond_a_byte(self):
+        # The cyclic group on 300 points: indices above 255 must survive.
+        N = 300
+        perms = (np.arange(N)[None, :] + np.arange(N)[:, None]) % N
+        mats = np.ones((N, 1, 1))
+        assert SymmetryGroup(perms, mats).verify_closure()
+        assert not SymmetryGroup(perms[:-1], mats[:-1]).verify_closure()
+        assert SymmetryGroup(perms, mats).is_transitive()
+
+    @staticmethod
+    def _reference_lift(frame, tol=1e-8):
+        """The element-by-element lift the batched one must match."""
+        V = frame.vectors
+        perms = _gram_permutations(frame.gram(), tol * max(frame.norm ** 2, 1))
+        basis = _independent_rows(V, frame.dim)
+        Binv = np.linalg.inv(V[basis].T)
+        kept = []
+        for p in perms:
+            U = V[p[basis]].T @ Binv
+            if (np.linalg.norm(U.T @ U - np.eye(frame.dim)) <= tol * frame.dim
+                    and np.max(np.abs(V @ U.T - V[p]))
+                    <= tol * max(frame.norm, 1.0)):
+                kept.append((p, U))
+        return kept
+
+    @pytest.mark.parametrize("frame", [
+        pentagon_frame(), simplex3_frame(), pm_basis_frame(3),
+        cube_corners_frame(3),
+        check_tight(np.column_stack([np.cos(np.deg2rad([0, 45, 90, 135])),
+                                     np.sin(np.deg2rad([0, 45, 90, 135]))])),
+    ])
+    def test_batched_lift_matches_elementwise(self, frame):
+        g = symmetry_group(frame)
+        ref = self._reference_lift(frame)
+        assert np.array_equal(g.permutations, [p for p, _ in ref])
+        assert np.allclose(g.matrices, [U for _, U in ref], atol=1e-12)
+
+    def test_closure_and_transitivity_match_set_references(self, rng):
+        def generated(gens):
+            rows = {tuple(range(gens.shape[1]))}
+            frontier = list(rows)
+            while frontier:
+                p = np.array(frontier.pop())
+                for q in gens:
+                    r = tuple(q[p].tolist())
+                    if r not in rows:
+                        rows.add(r)
+                        frontier.append(r)
+            return np.array(sorted(rows))  # the identity comes first
+
+        def closed(perms):
+            rows = {tuple(p) for p in perms.tolist()}
+            return all(tuple(np.argsort(p)) in rows
+                       and all(tuple(q[p]) in rows for q in perms)
+                       for p in perms)
+
+        def transitive(perms):
+            orbit, frontier = {0}, [0]
+            while frontier:
+                x = frontier.pop()
+                for p in perms:
+                    if p[x] not in orbit:
+                        orbit.add(int(p[x]))
+                        frontier.append(int(p[x]))
+            return len(orbit) == perms.shape[1]
+
+        full = symmetry_group(pm_basis_frame(3)).permutations
+        seen = set()
+        for _ in range(20):
+            gens = full[rng.choice(len(full), size=rng.integers(1, 3),
+                                   replace=False)]
+            H = generated(gens)
+            for perms in (gens, H, H[1:], np.vstack([H, rng.permutation(6)])):
+                if len(perms) == 0:
+                    continue
+                g = SymmetryGroup(perms, np.ones((len(perms), 1, 1)))
+                verdicts = (g.verify_closure(), g.is_transitive())
+                assert verdicts == (closed(perms), transitive(perms))
+                seen.add(verdicts)
+        assert seen == {(a, b) for a in (True, False) for b in (True, False)}
 
 
 class TestVertexReflexive:

@@ -41,6 +41,13 @@ class TestCliffordTuple:
     def test_exact_anticommutation_all_d(self, d):
         assert clifford_tuple(d).verify_anticommutation()
 
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_one_flipped_sign_fails(self, d):
+        mats = [M.copy() for M in clifford_tuple(d).matrices]
+        i, j = np.argwhere(mats[-1] != 0)[0]
+        mats[-1][i, j] = -mats[-1][i, j]
+        assert not CliffordTuple(d, tuple(mats)).verify_anticommutation()
+
     def test_range_guard(self):
         with pytest.raises(WitnessError):
             clifford_tuple(0)

@@ -26,8 +26,18 @@ below I get the same family with norm bound 1.  General (nonself-adjoint)
 contractions route through their real/imaginary parts on a doubled variable
 count and recombine ``T_i = S_2i + i S_2i+1``, giving commuting normal
 dilations with ``||T_i|| <= 2 sqrt(2) d`` (sign vectors) or ``<= 2d``
-(scaled coordinate projections).  The family has 2^(d-1) members, so d is
-capped at ``FLIP_D_CAP``.
+(scaled coordinate projections).
+
+Size and verification.  The family has 2^(d-1) members, and a report
+prints every entry of the d dense matrices of size n k, so every rank-one
+dilation is capped at ``DILATION_ENTRY_CAP`` entries ``d (n k)^2``, checked
+from (d, n, k) before the family or any array is built.  Every dilation is
+exactly block-diagonal in the builder's layout (as are ``S_2i + i S_2i+1``
+and scalar multiples), so the residual record is computed block by block:
+a masked max shows that every entry between blocks is exactly 0.0 (any
+other value raises ``DilationError``), then the commutators, normality
+defects and norms of the k diagonal n x n blocks each come from one
+batched ``opnorm``.
 
 Positive-measure dilation.  A finite positive decomposition of the identity
 (effects ``A_j >= 0`` summing to I, tagged by spectral atoms) dilates to a
@@ -57,9 +67,12 @@ from .sets import (
     re_im_split,
 )
 
-# Largest d for which the n = 1 flip dilation (dense build plus residuals,
-# dimension 2^(d-1)) finishes within a minute on one BLAS thread.
-FLIP_D_CAP = 10
+# Most matrix entries, d (n k)^2 for d matrices of size n k, that a
+# rank-one-family dilation may have.  Output size is what costs, since the
+# report prints every entry: `matconv dilate flip` at d = 5, n = 57 (4.16M
+# entries, just under the cap) wrote 177 MB in 2.8 s with a peak RSS of
+# 444 MB (2-core Xeon, one BLAS thread).
+DILATION_ENTRY_CAP = 2 ** 22
 RANK_ONE_REL_TOL = 1e-9
 IDENTITY_RECON_TOL = 1e-9
 
@@ -101,24 +114,51 @@ def dilation_residuals(T: Sequence[np.ndarray], V: np.ndarray,
                        X: GenTuple, scale: float) -> dict[str, float]:
     """Recompute every claim a Dilation makes: isometry defect, max pairwise
     commutator, max normality defect, compression error against scale * X,
-    and the largest operator norm."""
-    d = len(T)
-    comm = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            comm = max(comm, nk.opnorm(T[i] @ T[j] - T[j] @ T[i]))
-    normality = max(
-        nk.opnorm(Ti @ Ti.conj().T - Ti.conj().T @ Ti) for Ti in T)
-    compression = max(
-        nk.opnorm(V.conj().T @ Ti @ V - scale * np.asarray(Xi))
-        for Ti, Xi in zip(T, X))
+    and the largest operator norm.
+
+    Every dilation here is block-diagonal in the ``(a, p)`` layout of
+    :func:`_build`: with ``n = V.shape[1]`` and ``k = dim / n``, entry
+    ``(a, p), (b, q)`` of ``T_i`` is zero unless ``p = q``.  A masked max
+    over each ``T_i`` checks that every entry between blocks is exactly
+    0.0, and a nonzero one raises :class:`DilationError`.  The commutators,
+    normality defects and norms are then those of the ``k`` diagonal
+    ``n x n`` blocks, each maximum from one batched ``opnorm``.  The
+    isometry and compression are checked on the dense matrices, through the
+    thin ``V``.
+    """
+    d, n = len(T), V.shape[1]
+    k = T[0].shape[0] // n
+    between = ~np.eye(k, dtype=bool)[:, None, :]        # (p, b, q), p != q
+    off = max(float(np.abs(Ti.reshape(n, k, n, k)).max(
+        where=between, initial=0.0)) for Ti in T)
+    if off != 0.0:
+        raise DilationError(
+            f"entry of size {off:.3e} between diagonal blocks: the dilation "
+            f"is not block-diagonal")
+    p = np.arange(k)
+    B = np.stack([Ti.reshape(n, k, n, k)[:, p, :, p] for Ti in T],
+                 axis=1)                                # (k, d, n, n)
+    Bh = B.conj().swapaxes(-1, -2)
+    i, j = np.triu_indices(d, 1)
+    Vh = V.conj().T
     return {
-        "isometry": nk.opnorm(V.conj().T @ V - np.eye(V.shape[1])),
-        "commutator": comm,
-        "normality": normality,
-        "compression": compression,
-        "max_norm": max(nk.opnorm(Ti) for Ti in T),
+        "isometry": nk.opnorm(Vh @ V - np.eye(n)),
+        "commutator": nk.opnorm(B[:, i] @ B[:, j] - B[:, j] @ B[:, i]),
+        "normality": nk.opnorm(B @ Bh - Bh @ B),
+        "compression": nk.opnorm(np.stack([Vh @ Ti @ V for Ti in T])
+                                 - scale * np.asarray(X.matrices)),
+        "max_norm": nk.opnorm(B),
     }
+
+
+def _require_entry_cap(d: int, n: int, k: int) -> None:
+    """Refuse, before anything is built, a dilation of ``d`` matrices of
+    size ``n k`` past ``DILATION_ENTRY_CAP`` entries."""
+    entries = d * (n * k) ** 2
+    if entries > DILATION_ENTRY_CAP:
+        raise DilationError(
+            f"refusing {d} matrices of size {n * k} ({entries} entries): "
+            f"dilations are capped at {DILATION_ENTRY_CAP} entries")
 
 
 def _require_contractions(X: GenTuple, tol: float = 1e-9) -> None:
@@ -155,6 +195,7 @@ def _build(X: HermTuple, fam: LambdaFamily,
     if not X.hermitian:
         raise DilationError("rank-one-family dilation needs a Hermitian tuple")
     n, k = X.n, fam.k
+    _require_entry_cap(fam.d, n, k)
     T = np.zeros((fam.d, n, k, n, k), dtype=complex)
     p = np.arange(k)
     T[:, :, p, :, p] = lambda_blocks(X, fam)
@@ -223,16 +264,14 @@ class LambdaFamily:
         return out
 
 
-def flip_sign_family(d: int) -> LambdaFamily:
+def flip_sign_family(d: int, n: int = 1) -> LambdaFamily:
     """The flip construction's rank-one family: one matrix ``u u^T`` per sign
     vector u with leading entry +1, in the order of ``np.ndindex`` over the
-    other d-1 signs, with uniform weights.  Refuses d beyond ``FLIP_D_CAP``
-    before any of the 2^(d-1) members is built."""
-    if d > FLIP_D_CAP:
-        raise DilationError(
-            f"refusing 2^{d - 1} sign patterns: the flip construction is "
-            f"capped at d={FLIP_D_CAP}")
+    other d-1 signs, with uniform weights.  Refuses, before any of the
+    2^(d-1) members is built, a family whose dilation of n x n matrices
+    would pass ``DILATION_ENTRY_CAP``."""
     k = 2 ** (d - 1)
+    _require_entry_cap(d, n, k)
     u = np.hstack([np.ones((k, 1)), nk.sign_rows(d - 1, 0, k)])
     return LambdaFamily(u[:, :, None] * u[:, None, :], np.full(k, 1.0 / k))
 
@@ -307,7 +346,7 @@ def lambda_dilation(X: HermTuple, fam: LambdaFamily) -> Dilation:
 def flip_dilation(X: HermTuple, tol: float = 1e-9) -> Dilation:
     """Commuting self-adjoint dilation of a Hermitian contraction tuple on
     dimension ``n * 2^(d-1)`` with ``||T_i|| <= d`` and exact compression."""
-    fam = flip_sign_family(X.d)
+    fam = flip_sign_family(X.d, X.n)
     _require_contractions(X, tol)
     return _finish(*_build(X, fam), X, norm_bound=float(X.d))
 
@@ -318,7 +357,7 @@ def diamond_dilation(X: HermTuple, tol: float = 1e-9) -> Dilation:
 
     The flip construction: block u of ``T_i`` is ``u_i`` times a signed sum.
     """
-    fam = flip_sign_family(X.d)
+    fam = flip_sign_family(X.d, X.n)
     bad = first_violated_sign(X, tol=tol)
     if bad is not None:
         raise DilationError(
@@ -353,7 +392,7 @@ def _normal_dilation(X: GenTuple, fam: LambdaFamily, tol: float,
 def nonsa_flip_dilation(X: GenTuple, tol: float = 1e-9) -> Dilation:
     """Commuting normal dilation of a general contraction tuple with
     ``||T_i|| <= 2 sqrt(2) d``: the flip construction on the 2d real parts."""
-    return _normal_dilation(X, flip_sign_family(2 * X.d), tol,
+    return _normal_dilation(X, flip_sign_family(2 * X.d, X.n), tol,
                             float(2 * np.sqrt(2) * X.d))
 
 

@@ -290,16 +290,13 @@ def is_vertex_reflexive(frame: Frame, group: SymmetryGroup,
 def projection_invariance(frame: Frame, tol: float = 1e-9) -> bool:
     """Is conv(frame) invariant under every scaled projection
     ``(1/l^2) v_i v_i^T``?  By linearity it is enough that every projected
-    vertex ``(1/l^2) <v_j, v_i> v_i`` stays in the hull (LP test)."""
+    vertex ``(1/l^2) <v_j, v_i> v_i`` stays in the hull: one LP test per
+    distinct point, since Gram values repeat."""
     V = frame.vectors
-    l2 = frame.norm ** 2
     G = frame.gram()
-    for i in range(frame.count):
-        for j in range(frame.count):
-            w = (G[j, i] / l2) * V[i]
-            if not point_in_hull(V, w, pivot_tol=tol):
-                return False
-    return True
+    W = (G.T / frame.norm ** 2)[:, :, None] * V[:, None, :]    # (i, j, d)
+    points = np.unique(W.reshape(-1, frame.dim), axis=0)
+    return all(point_in_hull(V, w, pivot_tol=tol) for w in points)
 
 
 # ---------------------------------------------------------------------------

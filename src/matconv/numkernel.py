@@ -170,17 +170,24 @@ def sign_rows(d: int, lo: int, hi: int) -> np.ndarray:
 
 
 def opnorm(A) -> float:
-    """Operator (spectral) norm: largest singular value.
+    """Operator (spectral) norm: largest singular value.  For a stack of
+    matrices (any number of leading axes), the largest norm over the stack,
+    from one LAPACK call; an empty stack has norm 0.
 
-    Hermitian input takes the cheaper eigenvalue route (max ``|eig|``).
+    Hermitian input takes the cheaper eigenvalue route (max ``|eig|``); a
+    stack takes it when every member is Hermitian.
     """
-    A = as_cmatrix(A)
+    A = np.asarray(A, dtype=complex)
+    if A.ndim < 2:
+        raise ValueError(f"expected a matrix, got array of ndim {A.ndim}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix has non-finite entries")
     if A.size == 0:
         return 0.0
-    if A.shape[0] == A.shape[1] and herm_deviation(A) <= HERMITICITY_TOL:
-        w = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
-        return float(max(abs(w[0]), abs(w[-1])))
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    if A.shape[-1] == A.shape[-2] and herm_deviation(A) <= HERMITICITY_TOL:
+        w = np.linalg.eigvalsh((A + A.conj().swapaxes(-1, -2)) / 2.0)
+        return float(np.max(np.abs(w[..., [0, -1]])))
+    return float(np.max(np.linalg.svd(A, compute_uv=False)[..., 0]))
 
 
 @dataclass(frozen=True)

@@ -128,9 +128,9 @@ class ConstraintMap:
     family[r, t] K_t``, so ``A*(y)_t = sum_r conj(family[r, t]) y_r``, and
     ``target`` the ``(R, s, s)`` stack ``b``.  Row 0 must have the identity
     stack as its adjoint, so that ``eps I`` in ``y_0`` pays for a shift of
-    ``A*(y)`` by ``eps I``.  One thin SVD ``family = U_r S_r V_r`` (rank
-    cutoff ``1e-12 s_max``) gives the projector, the fit of a dual to a
-    functional, and the Farkas dual.
+    ``A*(y)`` by ``eps I``, and the identity as its target ``b_0``.  One
+    thin SVD ``family = U_r S_r V_r`` (rank cutoff ``1e-12 s_max``) gives
+    the projector, the fit of a dual to a functional, and the Farkas dual.
     """
 
     family: np.ndarray
@@ -175,10 +175,27 @@ class ConstraintMap:
         ``y = -(b - U_r U_r^H b)``: ``A*(y) = 0``, ``<y, b> = -|y|^2``.
         ``y`` is formed as ``-N N^H b`` from the left null space ``N``, so
         its rounding error stays out of the range of ``A``, where it would
-        add a value of either sign as large as ``|y| |b|``."""
+        add a value of either sign as large as ``|y| |b|``.
+
+        ``certify`` cannot accept ``y`` when ``|y|^2 <= CERTIFICATE_MARGIN
+        sum_{r >= 1} |y_r| |b_r|``, so that case returns ``None`` without
+        its eigensolve.  Proof: the shift ``eps I`` in ``y_0`` adds
+        ``eps tr b_0 >= 0`` to the value (``b_0 = I``), so the value is at
+        least ``<y, b> = -|y|^2``; it leaves ``y_r``, ``r >= 1``, alone, so
+        the scale ``sum_r |y_r| |b_r|`` is at least the sum over ``r >= 1``.
+        Acceptance, value ``< -CERTIFICATE_MARGIN * scale``, therefore needs
+        ``|y|^2 > CERTIFICATE_MARGIN sum_{r >= 1} |y_r| |b_r|``.  The
+        screen passes over ``y = 0`` and the rounding-level ``y`` that a
+        consistent family with repeated rows leaves, such as the Choi family
+        of Hermitian sources.
+        """
         b = self.target.reshape(len(self.target), -1)
         y = -self._null @ (self._null.conj().T @ b)
-        cert = self.certify(y) if y.any() else None   # never accepts y = 0
+        ny = _block_norms(y)
+        if ny @ ny <= CERTIFICATE_MARGIN * float(
+                np.dot(ny[1:], _block_norms(b)[1:])):
+            return None
+        cert = self.certify(y)
         if cert is None:
             return None
         return FeasibilityResult(Status.INFEASIBLE, None,

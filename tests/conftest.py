@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from matconv import numkernel as nk
 from matconv import sampling
 from matconv.frames import Frame, check_tight
 from matconv.numkernel import JointSpectrum
@@ -75,3 +76,26 @@ def combine_frames(f1: Frame, f2: Frame) -> Frame:
     V[:f1.count, :f1.dim] = f1.vectors
     V[f1.count:, f1.dim:] = f2.vectors
     return check_tight(V)
+
+
+def dense_residuals(T, V, X, scale) -> dict:
+    """Reference residual record of a dilation, from the dense matrices:
+    every pairwise commutator and normality defect of size ``dim`` and its
+    norm through a full eigensolve or SVD."""
+    d = len(T)
+    comm = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            comm = max(comm, nk.opnorm(T[i] @ T[j] - T[j] @ T[i]))
+    normality = max(
+        nk.opnorm(Ti @ Ti.conj().T - Ti.conj().T @ Ti) for Ti in T)
+    compression = max(
+        nk.opnorm(V.conj().T @ Ti @ V - scale * np.asarray(Xi))
+        for Ti, Xi in zip(T, X))
+    return {
+        "isometry": nk.opnorm(V.conj().T @ V - np.eye(V.shape[1])),
+        "commutator": comm,
+        "normality": normality,
+        "compression": compression,
+        "max_norm": max(nk.opnorm(Ti) for Ti in T),
+    }

@@ -360,6 +360,26 @@ def test_broken_source_dependency_certified_at_once(k, m, scalar, hermitian,
         assert cmap.certify(res.certificate.dual)
 
 
+def test_hermitian_choi_map_skips_the_farkas_eigensolve(rng, monkeypatch):
+    # A_i / sqrt 2 and A_i* / sqrt 2 are equal rows, so the family has a
+    # left null space and the Farkas dual is rounding, which the bound from
+    # |y| alone rejects without an eigensolve.
+    A = HermTuple([sampling.random_herm(4, rng) for _ in range(2)])
+    W = random_isometry(16, 4, rng)
+    B = HermTuple([W.conj().T @ np.kron(M, np.eye(4)) @ W for M in A])
+    cmap = choi_constraints(A, B)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert cmap.inconsistency("unused") is None
+    assert not calls
+
+
 # ---------------------------------------------------------------------------
 # Command line
 # ---------------------------------------------------------------------------

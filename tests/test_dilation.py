@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    dense_residuals,
     pauli_pair,
     random_gen_contraction_tuple,
     random_isometry,
@@ -14,7 +16,7 @@ from matconv import dilation
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv.dilation import (
-    FLIP_D_CAP,
+    DILATION_ENTRY_CAP,
     Dilation,
     DilationError,
     LambdaFamily,
@@ -546,19 +548,32 @@ class TestRankOneBuilder:
         assert np.array_equal(fam.betas, np.full(8, 1 / 8))
 
     def test_cap_refused_before_any_sign_pattern(self):
-        zero = np.zeros((1, 1))
-        H = HermTuple([zero] * (FLIP_D_CAP + 1))
-        G = GenTuple([zero] * (FLIP_D_CAP // 2 + 1))
-        for build, X in ((flip_dilation, H), (diamond_dilation, H),
-                         (nonsa_flip_dilation, G)):
+        # d = 10 with n = 3 (23.6M entries) and d = 40 with n = 1 are past
+        # the entry cap; so are the normal dilation at d = 5, n = 3, which
+        # builds 10 matrices of size 3 * 2^9, and a family of 2049 members
+        # at d = n = 1.
+        H3 = HermTuple([np.zeros((3, 3))] * 10)
+        H1 = HermTuple([np.zeros((1, 1))] * 40)
+        G = GenTuple([np.zeros((3, 3))] * 5)
+        one = HermTuple([np.zeros((1, 1))])
+        wide = LambdaFamily(np.ones((2049, 1, 1)), np.full(2049, 1 / 2049))
+        for build, X in ((flip_dilation, H3), (flip_dilation, H1),
+                         (diamond_dilation, H3), (nonsa_flip_dilation, G),
+                         (lambda X: lambda_dilation(X, wide), one)):
             tracemalloc.start()
             try:
-                with pytest.raises(DilationError, match="capped at d="):
+                with pytest.raises(DilationError, match="capped at"):
                     build(X)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 2 ** 20, build.__name__
+
+    def test_cap_counts_entries_not_d(self):
+        assert 10 * 512 ** 2 <= DILATION_ENTRY_CAP < 10 * 1024 ** 2
+        assert flip_sign_family(10, 1).k == 512
+        with pytest.raises(DilationError, match="capped at"):
+            flip_sign_family(10, 2)
 
 
 @pytest.mark.parametrize("name", [
@@ -587,3 +602,84 @@ def test_each_dilation_verified_once(rng, monkeypatch, name):
     D = build()
     assert len(calls) == 1
     assert D.residuals["compression"] <= 1e-9
+
+
+def _random_dilation(kind, d, n, rng):
+    """A dilation of each kind, of a random tuple that meets its hypothesis,
+    with that tuple."""
+    if kind in ("nonsa_flip", "coordinate_projection"):
+        X = GenTuple(random_gen_contraction_tuple(d, n, rng))
+        build = (nonsa_flip_dilation if kind == "nonsa_flip"
+                 else coordinate_projection_dilation)
+        return build(X), X
+    if kind == "diamond":
+        X = HermTuple(sampling.random_sign_sum_bounded_tuple(d, n, rng))
+        return diamond_dilation(X), X
+    X = HermTuple(sampling.random_herm_contraction_tuple(d, n, rng))
+    if kind == "flip":
+        return flip_dilation(X), X
+    if kind == "cube2diamond":
+        return cube_to_diamond_dilation(X), X
+    if kind == "lambda":
+        return lambda_dilation(X, _parseval_family(d, rng)), X
+    # frame: the rows of a 2d x d isometry, with weights, and X scaled into
+    # the dual inequalities +- sum_j c_m v_mj X_j <= I.
+    Q, _ = np.linalg.qr(rng.standard_normal((2 * d, d)))
+    c = rng.uniform(0.5, 1.0, size=2 * d)
+    top = max(nk.opnorm(nk.lincomb((cm * v)[None, :], X.matrices)[0])
+              for cm, v in zip(c, Q))
+    X = X.scaled(0.9 / max(top, 1e-12))
+    return frame_dilation(X, Q, weights=c), X
+
+
+KINDS = ["flip", "diamond", "lambda", "frame", "cube2diamond", "nonsa_flip",
+         "coordinate_projection"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), d=st.integers(1, 3), n=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blockwise_record_matches_dense_oracle(kind, d, n, seed):
+    D, X = _random_dilation(kind, d, n, np.random.default_rng(seed))
+    want = dense_residuals(D.T, D.V, X, D.scale)
+    tol = 1e-12 * max(1.0, want["max_norm"])
+    for key, val in want.items():
+        assert abs(D.residuals[key] - val) <= tol, key
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), n=st.integers(1, 3), k=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blockwise_record_of_any_block_diagonal_tuple(d, n, k, seed):
+    # Random complex blocks neither commute nor are normal, so every entry
+    # of the record is far from rounding level.
+    rng = np.random.default_rng(seed)
+    blocks = [[sampling.random_gen(n, rng) for _ in range(d)]
+              for _ in range(k)]
+    T = np.zeros((d, n, k, n, k), dtype=complex)
+    p = np.arange(k)
+    T[:, :, p, :, p] = np.array(blocks)
+    T = list(T.reshape(d, n * k, n * k))
+    V = random_isometry(n * k, n, rng)
+    X = GenTuple([sampling.random_gen(n, rng) for _ in range(d)])
+    got = dilation_residuals(T, V, X, 0.5)
+    want = dense_residuals(T, V, X, 0.5)
+    tol = 1e-12 * max(1.0, want["max_norm"]) ** 2
+    for key, val in want.items():
+        assert abs(got[key] - val) <= tol, key
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), d=st.integers(2, 3), n=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_entry_between_blocks_is_refused(kind, d, n, seed):
+    rng = np.random.default_rng(seed)
+    D, X = _random_dilation(kind, d, n, rng)
+    k = D.dim // n
+    i = int(rng.integers(D.d))
+    a, b = rng.integers(n, size=2)
+    p, q = rng.choice(k, size=2, replace=False)
+    T = [Ti.copy() for Ti in D.T]
+    T[i][a * k + p, b * k + q] = 1e-300
+    with pytest.raises(DilationError, match="between diagonal blocks"):
+        dilation_residuals(T, D.V, X, D.scale)

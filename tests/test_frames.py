@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import combine_frames, random_povm
-from matconv import sampling
+from matconv import frames, sampling
 from matconv.frames import (
     CLOSURE_CHUNK_ROWS,
     FrameError,
@@ -273,6 +273,20 @@ class TestProjectionInvariance:
         th = np.deg2rad([0.0, 45.0, 90.0, 135.0])
         f = check_tight(np.column_stack([np.cos(th), np.sin(th)]))
         assert not projection_invariance(f)
+
+    def test_one_lp_per_distinct_point(self, monkeypatch):
+        # 16 vectors give 256 ordered pairs, but the Gram values over l^2
+        # are 0, +-1/2 and +-1 and the frame is symmetric, so the projected
+        # points are 0, the 16 vectors and their 16 halves.
+        calls = []
+
+        def counting(V, w, **kwargs):
+            calls.append(w)
+            return point_in_hull(V, w, **kwargs)
+
+        monkeypatch.setattr(frames, "point_in_hull", counting)
+        assert projection_invariance(cube_corners_frame(4))
+        assert len(calls) == 33
 
 
 class TestPipeline:

@@ -52,6 +52,15 @@ class TestScalarReductions:
     def test_opnorm_hermitian_route(self):
         assert nk.opnorm(np.diag([-4.0, 3.0])) == pytest.approx(4.0)
 
+    def test_opnorm_of_a_stack_is_the_largest_norm(self, rng):
+        H = _herm_stack(rng, 6, 3, real=False).reshape(2, 3, 3, 3)
+        G = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal(
+            (2, 3, 4, 4))
+        for S in (H, G, np.concatenate([H[..., :3, :3], G[..., :3, :3]])):
+            want = max(nk.opnorm(M) for M in S.reshape(-1, *S.shape[-2:]))
+            assert nk.opnorm(S) == pytest.approx(want, rel=1e-13)
+        assert nk.opnorm(np.zeros((0, 2, 2))) == 0.0
+
 
 def _herm_stack(rng, F, n, real):
     A = rng.standard_normal((F, n, n))

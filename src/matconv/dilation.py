@@ -1,4 +1,4 @@
-"""Constructive commuting dilations and positive-measure dilations.
+"""Constructive commuting dilations.
 
 Rank-one family construction.  Given rank-one real d x d matrices
 ``lam^(1..k)`` and convex weights with ``sum_p beta_p lam^(p) = I``, the
@@ -6,7 +6,8 @@ block-diagonal recipe ``T_i = sum_j X_j (x) S_ij`` with
 ``S_ij = diag(lam^(p)_ij)_p`` commutes (rank-one-ness kills every commutator
 block), and the isometry ``h -> h (x) sum_p sqrt(beta_p) e_p`` compresses it
 to ``X``.  Block ``p`` of ``T`` is the tuple ``Y^(p)_i = sum_j lam^(p)_ij
-X_j``, so joint spectra come for free from the rank-one factorization.  Every
+X_j``; with ``lam^(p) = u w^T`` it is ``u_i`` times one Hermitian matrix, so
+its joint spectrum is ``u`` times that matrix's spectrum.  Every
 Hermitian dilation below is this recipe applied to some family: one builder
 makes ``(T, V)`` and one finisher recomputes and checks the residual record.
 Coordinate projections scaled by d give the cube-to-scaled-diamond
@@ -38,15 +39,6 @@ a masked max shows that every entry between blocks is exactly 0.0 (any
 other value raises ``DilationError``), then the commutators, normality
 defects and norms of the k diagonal n x n blocks each come from one
 batched ``opnorm``.
-
-Positive-measure dilation.  A finite positive decomposition of the identity
-(effects ``A_j >= 0`` summing to I, tagged by spectral atoms) dilates to a
-projection-valued one: stack the square roots ``A_j^(1/2)`` into an isometry
-``W`` and take the block coordinate projections ``E_j``; then
-``W* E_j W = A_j`` exactly and ``Y_i = sum_j w_i^(j) E_j`` is a commuting
-normal tuple with spectrum in the atom set compressing to ``sum w^(j) A_j``.
-Continuous measures are out of scope: inputs must already be finitely
-supported (every producer in this package is).
 """
 
 from __future__ import annotations
@@ -255,14 +247,6 @@ class LambdaFamily:
     def d(self) -> int:
         return self.lambdas.shape[1]
 
-    def rank_one_factors(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
-        """Each member as ``b * u w^T`` with unit vectors u, w and b > 0."""
-        out = []
-        for lam in self.lambdas:
-            U, sv, Vt = np.linalg.svd(lam)
-            out.append((float(sv[0]), U[:, 0], Vt[0, :]))
-        return out
-
 
 def flip_sign_family(d: int, n: int = 1) -> LambdaFamily:
     """The flip construction's rank-one family: one matrix ``u u^T`` per sign
@@ -314,22 +298,6 @@ def lambda_blocks(X: HermTuple, fam: LambdaFamily) -> np.ndarray:
             f"family dimension {fam.d} does not match tuple length {X.d}")
     Y = nk.lincomb(fam.lambdas.reshape(fam.k * fam.d, fam.d), X.matrices)
     return Y.reshape(fam.k, fam.d, X.n, X.n)
-
-
-def joint_spectrum_rank_one(fam: LambdaFamily, X: HermTuple) -> nk.JointSpectrum:
-    """Joint spectrum of the rank-one-family dilation, from the factorization.
-
-    Writing ``lam^(p) = b u w^T``, block p of the dilation is
-    ``u_i * (sum_j b w_j X_j)``, so its joint spectrum is ``{mu u : mu in
-    spec(sum_j b w_j X_j)}``; the union over p is returned with multiplicity.
-    """
-    if fam.d != X.d:
-        raise DilationInputError("family dimension mismatch")
-    b, U, W = zip(*fam.rank_one_factors())
-    M = nk.lincomb(np.array(b)[:, None] * np.array(W), X.matrices)
-    mus = np.linalg.eigvalsh(nk.hermitize(M, tol=np.inf))    # (k, n)
-    pts = mus[:, :, None] * np.array(U)[:, None, :]           # (k, n, d)
-    return nk.JointSpectrum(points=pts.reshape(-1, fam.d))
 
 
 # ---------------------------------------------------------------------------
@@ -454,90 +422,3 @@ def frame_dilation(X: HermTuple, vectors, weights=None,
     kappa = sigma * float(np.min(c) ** 3) / csum
     return _finish([kappa * Ti for Ti in T], W, X, kappa,
                    kappa=kappa, sigma=sigma)
-
-
-# ---------------------------------------------------------------------------
-# Positive-measure dilation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Povm:
-    """Finite positive decomposition of the identity, tagged by atoms.
-
-    ``atoms`` is an (M, d) array of real or complex labels; ``effects`` are
-    PSD matrices summing to the identity within ``sum_tol``.
-    """
-
-    atoms: np.ndarray
-    effects: list[np.ndarray]
-    psd_tol: float = 1e-10
-    sum_tol: float = 1e-9
-
-    def __post_init__(self):
-        self.atoms = np.atleast_2d(np.asarray(self.atoms))
-        self.effects = [nk.hermitize(E, tol=1e-8) for E in self.effects]
-        if self.atoms.shape[0] != len(self.effects):
-            raise ValueError("one effect per atom required")
-        n = self.effects[0].shape[0]
-        if any(E.shape != (n, n) for E in self.effects):
-            raise ValueError("effects must share one size")
-        for j, E in enumerate(self.effects):
-            lo = float(np.linalg.eigvalsh(E)[0])
-            if lo < -self.psd_tol:
-                raise ValueError(
-                    f"effect {j} is not PSD within tolerance (min eig {lo:.3e})")
-        dev = float(nk.opnorm(sum(self.effects) - np.eye(n)))
-        if dev > self.sum_tol:
-            raise ValueError(f"effects sum to I only within {dev:.3e}")
-
-    @property
-    def n(self) -> int:
-        return self.effects[0].shape[0]
-
-    @property
-    def count(self) -> int:
-        return len(self.effects)
-
-
-@dataclass
-class ProjectiveDilation:
-    projections: list[np.ndarray]
-    isometry: np.ndarray
-
-
-def _psd_sqrt(E: np.ndarray) -> np.ndarray:
-    # Effects may carry tiny negative eigenvalues within tolerance; clip at 0
-    # before the square root.
-    w, Q = np.linalg.eigh(E)
-    return (Q * np.sqrt(np.clip(w, 0.0, None))) @ Q.conj().T
-
-
-def naimark_dilation(p: Povm) -> ProjectiveDilation:
-    """Dilate a finite positive decomposition to a projective one.
-
-    The isometry stacks the effect square roots; the projections are the
-    block coordinate projections of the stacked space C^(n M), so they are
-    exactly idempotent, Hermitian, and sum to the identity, with
-    ``W* E_j W = A_j`` up to the square-root clipping error.
-    """
-    n, M = p.n, p.count
-    W = np.vstack([_psd_sqrt(E) for E in p.effects])
-    projections = []
-    for j in range(M):
-        E = np.zeros((n * M, n * M), dtype=complex)
-        E[j * n:(j + 1) * n, j * n:(j + 1) * n] = np.eye(n)
-        projections.append(E)
-    return ProjectiveDilation(projections=projections, isometry=W)
-
-
-def finite_normal_dilation(p: Povm) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Commuting normal tuple ``Y_i = sum_j atoms[j, i] E_j`` over the
-    projective dilation, with ``W* Y_i W = sum_j atoms[j, i] A_j``."""
-    proj = naimark_dilation(p)
-    d = p.atoms.shape[1]
-    Y = []
-    for i in range(d):
-        Yi = sum(p.atoms[j, i] * proj.projections[j] for j in range(p.count))
-        Y.append(Yi)
-    return tuple(Y), proj.isometry

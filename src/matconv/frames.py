@@ -1,5 +1,5 @@
-"""Tight frames: tightness checks, symmetry groups, vertex reflexivity,
-projection invariance, and the dilation pipeline they feed.
+"""Tight frames: tightness checks, symmetry groups, vertex reflexivity and
+projection invariance.
 
 A finite set of equal-norm vectors ``v_1..v_N`` in R^d is an isometric tight
 frame when ``sum v_i v_i^T = sigma I``; the constant is then forced to be
@@ -30,9 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import numkernel as nk
-from .dilation import Dilation, LambdaFamily, joint_spectrum_rank_one, lambda_dilation
 from .sdp import point_in_hull
-from .sets import HermTuple, MissingRepresentationError, Polytope, wmax_member
 
 DEFAULT_GROUP_TOL = 1e-8
 DEFAULT_CAP = 24
@@ -159,17 +157,26 @@ class SymmetryGroup:
         return True
 
 
+def _sorted_runs(rows: np.ndarray, *tiebreak: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographic order of ``rows`` (column 0 first, equal rows ordered
+    by the ``tiebreak`` keys) and the mask, over the sorted rows, of the
+    first row of each run of equal rows."""
+    order = np.lexsort((*tiebreak, *rows.T[::-1]))
+    rows = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return order, starts
+
+
 def _rows_within(rows: np.ndarray, table: np.ndarray) -> bool:
     """Is every row of ``rows`` a row of ``table``?  Both are sorted
     together, lexicographically, with table rows first among equal rows; a
     run of equal rows that starts with a row of ``rows`` has no match."""
     both = np.concatenate([table, rows.astype(table.dtype)])
     from_rows = np.repeat([False, True], [len(table), len(rows)])
-    order = np.lexsort((from_rows, *both.T[::-1]))
-    both, from_rows = both[order], from_rows[order]
-    starts = np.ones(len(both), dtype=bool)
-    starts[1:] = np.any(both[1:] != both[:-1], axis=1)
-    return not np.any(from_rows[starts])
+    order, starts = _sorted_runs(both, from_rows)
+    return not np.any(from_rows[order][starts])
 
 
 def _gram_permutations(G: np.ndarray, tol: float) -> np.ndarray:
@@ -294,86 +301,10 @@ def projection_invariance(frame: Frame, tol: float = 1e-9) -> bool:
     distinct point, since Gram values repeat."""
     V = frame.vectors
     G = frame.gram()
-    W = (G.T / frame.norm ** 2)[:, :, None] * V[:, None, :]    # (i, j, d)
-    points = np.unique(W.reshape(-1, frame.dim), axis=0)
-    return all(point_in_hull(V, w, pivot_tol=tol) for w in points)
-
-
-# ---------------------------------------------------------------------------
-# Dilation pipeline
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PipelineReport:
-    dilation: Dilation
-    family: LambdaFamily
-    scale: float                      # spectrum was checked for T / scale
-    spectrum_ok: bool
-    worst_point: Optional[np.ndarray]
-    residuals: dict
-    hypothesis: str
-
-
-def vertex_reflexive_pipeline(frame: Frame, X: HermTuple,
-                              facets: Optional[Polytope] = None,
-                              group: Optional[SymmetryGroup] = None,
-                              tol: float = 1e-8) -> PipelineReport:
-    """Full scaled-dilation pipeline for K = conv(frame).
-
-    Hypotheses checked, in order: the frame is vertex reflexive (if a group
-    is supplied or computable under the cap) or at least projection
-    invariant; and X satisfies K's facet inequalities (the caller must supply
-    facets, there is no hull computation here).  The rank-one family
-    ``(d/l^2) v_m v_m^T`` then yields a commuting dilation T with
-    ``V* T V = X``, and the joint spectrum of ``T/d`` is verified to lie in
-    K by the convex-hull LP, point by point.
-    """
-    d = frame.dim
-    if X.d != d:
-        raise FrameError("tuple length does not match frame dimension")
-    hypothesis = ""
-    try:
-        g = group if group is not None else symmetry_group(frame)
-        reflexive, _ = is_vertex_reflexive(frame, g)
-    except FrameError:
-        reflexive = False
-    if reflexive:
-        hypothesis = "vertex reflexive"
-    elif projection_invariance(frame):
-        hypothesis = "projection invariant"
-    else:
-        raise FrameError(
-            "frame is neither vertex reflexive nor projection invariant")
-    if facets is None:
-        raise MissingRepresentationError(
-            "supply K = conv(frame) facets; no hull computation is done here")
-    if not facets.has_facets:
-        raise MissingRepresentationError("facet polytope has no facets")
-    if not wmax_member(X, facets, tol=tol):
-        raise FrameError("tuple violates a facet inequality of K")
-
-    l2 = frame.norm ** 2
-    lams = np.stack([(d / l2) * np.outer(v, v) for v in frame.vectors])
-    fam = LambdaFamily(lams, np.full(frame.count, 1.0 / frame.count))
-    dil = lambda_dilation(X, fam)
-    spec = joint_spectrum_rank_one(fam, X)
-    ok = True
-    worst = None
-    for pt in spec.points:
-        if not point_in_hull(frame.vectors, np.real(pt) / d):
-            ok = False
-            worst = np.real(pt) / d
-            break
-    return PipelineReport(
-        dilation=dil,
-        family=fam,
-        scale=float(d),
-        spectrum_ok=ok,
-        worst_point=worst,
-        residuals=dict(dil.residuals),
-        hypothesis=hypothesis,
-    )
+    W = ((G.T / frame.norm ** 2)[:, :, None] * V[:, None, :]
+         ).reshape(-1, frame.dim)                          # row (i, j)
+    order, starts = _sorted_runs(W)
+    return all(point_in_hull(V, w, pivot_tol=tol) for w in W[order][starts])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ Input schemas (``?`` marks an optional key):
   vertices or facets or both;
 * frame           -> ``{"dim"?, "vectors": [[...]]}``;
 * atom list       -> ``{"points": [[...]]}``, entries as in a matrix;
-* positive decomposition -> ``{"atoms": [[...]], "effects": [matrix, ...]}``;
 * rank-one family -> ``{"lambdas": [matrix, ...], "betas"?: [...]}`` (the
   lambdas are real: an ``[re, im]`` entry needs ``im`` 0; betas are
   recomputed when absent, and a family whose hull misses the identity is
@@ -50,7 +49,6 @@ from .dilation import (
     Dilation,
     DilationError,
     LambdaFamily,
-    Povm,
     decompose_identity,
 )
 from .frames import Frame, check_tight
@@ -125,12 +123,6 @@ def _field(obj, key: str, schema: str):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"expected {schema}")
     return obj[key]
-
-
-def _labels(obj, key: str, schema: str) -> np.ndarray:
-    """An atom list: real when every imaginary part is 0.0."""
-    pts = _numbers(_field(obj, key, schema), key, 2, pairs=True)
-    return pts.real if np.max(np.abs(pts.imag)) == 0.0 else pts
 
 
 def _re_im(M) -> np.ndarray:
@@ -214,18 +206,6 @@ def decode_frame_vectors(obj) -> np.ndarray:
     return V
 
 
-def decode_povm(obj, psd_tol: float = 1e-8, sum_tol: float = 1e-8) -> Povm:
-    schema = '{"atoms", "effects"}'
-    atoms = _labels(obj, "atoms", schema)
-    effects = _numbers(_field(obj, "effects", schema), "effects", 3,
-                       pairs=True)
-    try:
-        return Povm(atoms=atoms, effects=list(effects), psd_tol=psd_tol,
-                    sum_tol=sum_tol)
-    except (ValueError, NumKernelError) as exc:
-        raise SchemaError(str(exc)) from exc
-
-
 def decode_lambda_family(obj) -> LambdaFamily:
     lams = _numbers(_field(obj, "lambdas", '{"lambdas", "betas"?}'),
                     "lambdas", 3, pairs=True)
@@ -243,8 +223,11 @@ def decode_lambda_family(obj) -> LambdaFamily:
 
 
 def decode_atoms(obj) -> np.ndarray:
-    """Atom list format: {"points": [[...]]} with real or [re, im] entries."""
-    return _labels(obj, "points", '{"points": [[...]]}')
+    """Atom list format: {"points": [[...]]} with real or [re, im] entries;
+    real when every imaginary part is 0.0."""
+    pts = _numbers(_field(obj, "points", '{"points": [[...]]}'), "points", 2,
+                   pairs=True)
+    return pts.real if np.max(np.abs(pts.imag)) == 0.0 else pts
 
 
 def encode_dilation(D: Dilation) -> dict:

@@ -174,8 +174,11 @@ def opnorm(A) -> float:
     matrices (any number of leading axes), the largest norm over the stack,
     from one LAPACK call; an empty stack has norm 0.
 
-    Hermitian input takes the cheaper eigenvalue route (max ``|eig|``); a
-    stack takes it when every member is Hermitian.
+    Hermitian input takes the cheaper eigenvalue route (max ``|eig|``), and
+    so does skew-Hermitian input, through the Hermitian ``i A``.  Both are
+    recognised relative to the largest entry of the whole stack,
+    ``herm_deviation <= HERMITICITY_TOL * max |A|``, so a matrix of rounding
+    size is not symmetrized away.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2:
@@ -184,9 +187,12 @@ def opnorm(A) -> float:
         raise ValueError("matrix has non-finite entries")
     if A.size == 0:
         return 0.0
-    if A.shape[-1] == A.shape[-2] and herm_deviation(A) <= HERMITICITY_TOL:
-        w = np.linalg.eigvalsh((A + A.conj().swapaxes(-1, -2)) / 2.0)
-        return float(np.max(np.abs(w[..., [0, -1]])))
+    if A.shape[-1] == A.shape[-2]:
+        bound = HERMITICITY_TOL * float(np.max(np.abs(A)))
+        H = A if herm_deviation(A) <= bound else 1j * A
+        if H is A or herm_deviation(H) <= bound:
+            w = np.linalg.eigvalsh((H + H.conj().swapaxes(-1, -2)) / 2.0)
+            return float(np.max(np.abs(w[..., [0, -1]])))
     return float(np.max(np.linalg.svd(A, compute_uv=False)[..., 0]))
 
 

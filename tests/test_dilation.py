@@ -9,7 +9,6 @@ from conftest import (
     pauli_pair,
     random_gen_contraction_tuple,
     random_isometry,
-    random_povm,
     spectra_match,
 )
 from matconv import dilation
@@ -20,20 +19,16 @@ from matconv.dilation import (
     Dilation,
     DilationError,
     LambdaFamily,
-    Povm,
     coordinate_projection_dilation,
     cube_to_diamond_dilation,
     decompose_identity,
     diamond_dilation,
     dilation_residuals,
-    finite_normal_dilation,
     flip_dilation,
     flip_sign_family,
     frame_dilation,
-    joint_spectrum_rank_one,
     lambda_blocks,
     lambda_dilation,
-    naimark_dilation,
     nonsa_flip_dilation,
 )
 from matconv.sdp import Status, point_in_hull, povm_constraint_residual
@@ -99,8 +94,9 @@ class TestFlipDilation:
         want = nk.JointSpectrum(points=np.array(pts))
         _, got = nk.simultaneous_diagonalize(D.T, tol=1e-8, seed=3)
         assert spectra_match(want, got, tol=1e-8)
-        fam = flip_sign_family(3)
-        assert spectra_match(joint_spectrum_rank_one(fam, X), got, tol=1e-8)
+        D = lambda_dilation(X, flip_sign_family(3))
+        _, got = nk.simultaneous_diagonalize(D.T, tol=1e-8, seed=3)
+        assert spectra_match(want, got, tol=1e-8)
 
 
 class TestNonsaFlip:
@@ -213,13 +209,10 @@ class TestLambdaDilation:
         fam = LambdaFamily(lams, np.full(4, 0.25))
         x = np.array([0.2, -0.1, 0.3])
         X = HermTuple([np.array([[c]]) for c in x])
-        spec = joint_spectrum_rank_one(fam, X)
-        want = np.array([v * float(v @ x) for v in SIMPLEX_V])
-        got = np.asarray(spec.points, dtype=float)
-        assert spectra_match(
-            nk.JointSpectrum(points=want), nk.JointSpectrum(points=got),
-            tol=1e-10)
         D = lambda_dilation(X, fam)
+        _, spec = nk.simultaneous_diagonalize(D.T, seed=0)
+        want = np.array([v * float(v @ x) for v in SIMPLEX_V])
+        assert spectra_match(nk.JointSpectrum(points=want), spec, tol=1e-10)
         assert D.residuals["compression"] <= 1e-12
 
 
@@ -230,7 +223,7 @@ class TestJointSpectrumRankOne:
         lams = np.stack([d * np.outer(np.eye(d)[m], np.eye(d)[m])
                          for m in range(d)])
         fam = LambdaFamily(lams, np.full(d, 1 / d))
-        spec = joint_spectrum_rank_one(fam, X)
+        _, spec = nk.simultaneous_diagonalize(lambda_dilation(X, fam).T)
         want = []
         for m in range(d):
             for mu in np.linalg.eigvalsh(np.asarray(X[m])):
@@ -243,7 +236,7 @@ class TestJointSpectrumRankOne:
         fam = LambdaFamily(lams, np.full(4, 0.25))
         x = np.array([0.1, 0.2, -0.3])
         X = HermTuple([np.array([[c]]) for c in x])
-        spec = joint_spectrum_rank_one(fam, X)
+        _, spec = nk.simultaneous_diagonalize(lambda_dilation(X, fam).T)
         want = np.array([lam @ x for lam in lams])
         assert spectra_match(
             spec, nk.JointSpectrum(points=want), tol=1e-10)
@@ -395,48 +388,10 @@ class TestFrameDilation:
 
 
 class TestNaimark:
-    def test_single_full_effect(self):
-        p = Povm(atoms=np.array([[1.0]]), effects=[np.eye(2)])
-        nd = naimark_dilation(p)
-        assert np.allclose(nd.projections[0], np.eye(2))
-        assert np.allclose(nd.isometry, np.eye(2))
-
-    def test_two_half_effects_scalar(self):
-        p = Povm(atoms=np.array([[1.0], [-1.0]]),
-                 effects=[np.eye(1) / 2, np.eye(1) / 2])
-        nd = naimark_dilation(p)
-        W = nd.isometry
-        assert np.allclose(W, np.array([[1], [1]]) / np.sqrt(2))
-        for j in range(2):
-            got = W.conj().T @ nd.projections[j] @ W
-            assert np.allclose(got, 0.5)
-
-    def test_random_povms(self, rng):
-        for _ in range(10):
-            n, M = int(rng.integers(1, 5)), int(rng.integers(1, 6))
-            effs = random_povm(n, M, rng)
-            atoms = rng.standard_normal((M, 2))
-            p = Povm(atoms=atoms, effects=effs)
-            nd = naimark_dilation(p)
-            S = np.zeros((n * M, n * M), dtype=complex)
-            for j, E in enumerate(nd.projections):
-                assert np.linalg.norm(E @ E - E) <= 1e-10
-                assert np.linalg.norm(E - E.conj().T) <= 1e-10
-                got = nd.isometry.conj().T @ E @ nd.isometry
-                assert np.linalg.norm(got - effs[j]) <= 1e-9
-                S += E
-            assert np.linalg.norm(S - np.eye(n * M)) <= 1e-10
-            assert np.linalg.norm(
-                nd.isometry.conj().T @ nd.isometry - np.eye(n)) <= 1e-10
-
-    def test_rejects_non_psd_effect(self):
-        bad = [np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])]
-        with pytest.raises(ValueError, match="not PSD"):
-            Povm(atoms=np.array([[0.0], [1.0]]), effects=bad)
-
     def test_wmin_witness_end_to_end(self, rng):
-        # Feasibility witness -> projective dilation -> normal tuple whose
-        # compression reproduces the original tuple.
+        # Feasibility witness K -> isometry W = (sqrt K_v)_v and commuting
+        # diagonal tuple Y_i = (+)_v v_i I, whose compression reproduces the
+        # original tuple.
         P = cube_polytope(2)
         picks = np.repeat(np.arange(4), 2)
         N = [np.diag(P.vertices[picks, i].astype(complex)) for i in range(2)]
@@ -444,16 +399,15 @@ class TestNaimark:
         X = HermTuple([V.conj().T @ Ni @ V for Ni in N])
         res = wmin_member(X, P, tol_feas=1e-9)
         assert res.status is Status.FEASIBLE
-        p = Povm(atoms=P.vertices, effects=res.witness, psd_tol=1e-7,
-                 sum_tol=1e-7)
-        Y, W = finite_normal_dilation(p)
+        w, Q = np.linalg.eigh(np.stack(res.witness))
+        W = np.vstack((Q * np.sqrt(np.clip(w, 0.0, None))[:, None, :])
+                      @ Q.conj().swapaxes(1, 2))
+        assert nk.opnorm(W.conj().T @ W - np.eye(2)) <= 1e-7
+        Y = [np.kron(np.diag(P.vertices[:, i]), np.eye(2)) for i in range(2)]
         for i in range(2):
             got = W.conj().T @ Y[i] @ W
             assert np.linalg.norm(got - np.asarray(X[i])) <= 1e-7
-        # Commuting and normal by construction (diagonal-times-projections).
-        assert max(nk.opnorm(Y[0] @ Y[1] - Y[1] @ Y[0]),
-                   nk.opnorm(Y[0] @ Y[0].conj().T
-                             - Y[0].conj().T @ Y[0])) <= 1e-12
+        assert nk.opnorm(Y[0] @ Y[1] - Y[1] @ Y[0]) == 0.0
 
 
 def test_residuals_recomputable(rng):

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import combine_frames, random_povm
 from matconv import frames, sampling
+from matconv import numkernel as nk
+from matconv.dilation import LambdaFamily, lambda_dilation
 from matconv.frames import (
     CLOSURE_CHUNK_ROWS,
     FrameError,
@@ -21,10 +28,12 @@ from matconv.frames import (
     s5_orbit_frame,
     simplex3_frame,
     symmetry_group,
-    vertex_reflexive_pipeline,
 )
 from matconv.sdp import point_in_hull
-from matconv.sets import HermTuple, Polytope, cube_polytope
+from matconv.sets import HermTuple, Polytope, cube_polytope, wmax_member
+from matconv.witnesses import clifford_tuple
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestCheckTight:
@@ -287,28 +296,49 @@ class TestProjectionInvariance:
         monkeypatch.setattr(frames, "point_in_hull", counting)
         assert projection_invariance(cube_corners_frame(4))
         assert len(calls) == 33
+        # Distinct, in the lexicographic order of np.unique.
+        assert np.array_equal(calls, np.unique(calls, axis=0))
+
+    def test_cold_cli_run_skips_numpy_ma(self):
+        # np.unique(axis=0) imports numpy.ma (about 13 ms) on first use.
+        code = ("import contextlib, io, sys\n"
+                "from matconv.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert main(['frame', 'invariance', 'simplex3']) == 0\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+
+
+def _frame_family_spectrum_in_hull(f, X, facets) -> bool:
+    """The paper's scaled dilation for K = conv(frame): X meets K's facet
+    inequalities, the rank-one family ``(d/l^2) v v^T`` dilates it, and the
+    joint spectrum of ``T/d`` lies in K, point by point."""
+    assert wmax_member(X, facets, tol=1e-8)
+    d = f.dim
+    lams = (d / f.norm ** 2) * f.vectors[:, :, None] * f.vectors[:, None, :]
+    D = lambda_dilation(X, LambdaFamily(lams, np.full(f.count, 1 / f.count)))
+    assert D.residuals["compression"] <= 1e-9
+    _, spec = nk.simultaneous_diagonalize(D.T, seed=0)
+    return all(point_in_hull(f.vectors, pt / d) for pt in spec.points)
 
 
 class TestPipeline:
     def test_simplex_scalar_vertex(self):
         f = simplex3_frame()
-        x = f.vectors[0]
-        X = HermTuple([np.array([[c]]) for c in x])
+        assert is_vertex_reflexive(f, symmetry_group(f))[0]
+        X = HermTuple([np.array([[c]]) for c in f.vectors[0]])
         facets = Polytope(3, vertices=f.vectors,
                           facet_normals=-f.vectors,
                           facet_offsets=np.ones(4))
-        rep = vertex_reflexive_pipeline(f, X, facets=facets)
-        assert rep.spectrum_ok
-        assert rep.hypothesis == "vertex reflexive"
-        assert rep.residuals["compression"] <= 1e-9
+        assert _frame_family_spectrum_in_hull(f, X, facets)
 
     def test_cube_corner_frame_with_anticommuting_pair(self):
-        from matconv.witnesses import clifford_tuple
         f = cube_corners_frame(2)
         X = clifford_tuple(2).as_herm_tuple()
-        rep = vertex_reflexive_pipeline(f, X, facets=cube_polytope(2))
-        assert rep.spectrum_ok
-        assert rep.scale == 2.0
+        assert _frame_family_spectrum_in_hull(f, X, cube_polytope(2))
 
     def test_pentagon_random_member(self, rng):
         f = pentagon_frame()
@@ -320,21 +350,12 @@ class TestPipeline:
                           facet_offsets=np.full(5, np.cos(np.pi / 5)))
         X = HermTuple(sampling.random_herm_contraction_tuple(2, 2, rng,
                                                              shrink=0.3))
-        rep = vertex_reflexive_pipeline(f, X, facets=facets)
-        assert rep.spectrum_ok
-
-    def test_missing_facets_requested(self):
-        f = simplex3_frame()
-        X = HermTuple([np.zeros((1, 1))] * 3)
-        with pytest.raises(Exception, match="facets"):
-            vertex_reflexive_pipeline(f, X, facets=None)
+        assert _frame_family_spectrum_in_hull(f, X, facets)
 
     def test_right_angled_simplex_family(self, rng):
         # K = conv{0, e1, e2, e3} is not a frame hull, but the scaled
         # coordinate projections give the same style of dilation with C = 3:
         # tuples satisfying K's facet inequalities dilate with spectrum in 3K.
-        from matconv.dilation import LambdaFamily, joint_spectrum_rank_one, \
-            lambda_dilation
         lams = np.stack([3.0 * np.outer(np.eye(3)[i], np.eye(3)[i])
                          for i in range(3)])
         fam = LambdaFamily(lams, np.full(3, 1 / 3))
@@ -345,9 +366,9 @@ class TestPipeline:
             X = HermTuple([g.astype(complex) for g in G[:3]])
             D = lambda_dilation(X, fam)
             assert D.residuals["compression"] <= 1e-10
-            spec = joint_spectrum_rank_one(fam, X)
+            _, spec = nk.simultaneous_diagonalize(D.T, seed=0)
             for pt in spec.points:
-                assert point_in_hull(3.0 * K_vertices, np.real(pt))
+                assert point_in_hull(3.0 * K_vertices, pt)
 
 
 class TestBuilders:

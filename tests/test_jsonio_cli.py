@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import pauli_pair, random_povm
+from conftest import pauli_pair
 from matconv import jsonio
 from matconv.cli import main
 from matconv.dilation import flip_dilation
@@ -85,18 +85,6 @@ class TestSchemas:
         lam[0][0] = [1.0, 1e-3]
         with pytest.raises(jsonio.SchemaError, match="must be real"):
             jsonio.decode_lambda_family({"lambdas": [lam], "betas": [1.0]})
-
-    def test_povm_decode(self, rng):
-        effs = random_povm(2, 3, rng)
-        obj = {"atoms": [[1.0], [0.0], [-1.0]],
-               "effects": [jsonio.encode_matrix(E) for E in effs]}
-        p = jsonio.decode_povm(obj)
-        assert p.count == 3
-
-    def test_povm_decode_rejects_empty_atoms(self):
-        with pytest.raises(jsonio.SchemaError,
-                           match="non-empty list of atoms"):
-            jsonio.decode_povm({"atoms": [], "effects": []})
 
     def test_atoms_decode_rejects_empty_points(self):
         with pytest.raises(jsonio.SchemaError,

@@ -61,6 +61,28 @@ class TestScalarReductions:
             assert nk.opnorm(S) == pytest.approx(want, rel=1e-13)
         assert nk.opnorm(np.zeros((0, 2, 2))) == 0.0
 
+    def test_opnorm_of_rounding_size_matrices(self):
+        # Below the absolute hermiticity tolerance, yet neither matrix is
+        # Hermitian: their norms are 1e-13 and sqrt(2) 1e-13.
+        skew = np.array([[0.0, 1e-13], [-1e-13, 0.0]])
+        row = np.array([[1e-13, 1e-13], [0.0, 0.0]])
+        assert nk.opnorm(skew) == pytest.approx(1e-13, rel=1e-12, abs=0)
+        assert nk.opnorm(row) == pytest.approx(np.sqrt(2) * 1e-13, rel=1e-12,
+                                            abs=0)
+
+    def test_opnorm_skew_stack_takes_eigenvalue_route(self, rng, monkeypatch):
+        H = _herm_stack(rng, 8, 3, real=False)
+        C = H[:4] @ H[4:] - H[4:] @ H[:4]          # commutators: skew
+        want = float(np.max(np.linalg.svd(C, compute_uv=False)))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("skew-Hermitian stack sent to the SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert nk.opnorm(C) == pytest.approx(want, rel=1e-13)
+        assert nk.opnorm(1e-20 * C) == pytest.approx(1e-20 * want, rel=1e-13,
+                                                   abs=0)
+
 
 def _herm_stack(rng, F, n, real):
     A = rng.standard_normal((F, n, n))

@@ -132,10 +132,15 @@ def dilation_residuals(T: Sequence[np.ndarray], V: np.ndarray,
                  axis=1)                                # (k, d, n, n)
     Bh = B.conj().swapaxes(-1, -2)
     i, j = np.triu_indices(d, 1)
+    comm = B[:, i] @ B[:, j] - B[:, j] @ B[:, i]
+    if np.array_equal(B, Bh):
+        # Hermitian blocks have skew commutators: i times the skew part of
+        # the computed ones is exactly Hermitian, for opnorm's eigvalsh.
+        comm = 0.5j * (comm - comm.conj().swapaxes(-1, -2))
     Vh = V.conj().T
     return {
         "isometry": nk.opnorm(Vh @ V - np.eye(n)),
-        "commutator": nk.opnorm(B[:, i] @ B[:, j] - B[:, j] @ B[:, i]),
+        "commutator": nk.opnorm(comm),
         "normality": nk.opnorm(B @ Bh - Bh @ B),
         "compression": nk.opnorm(np.stack([Vh @ Ti @ V for Ti in T])
                                  - scale * np.asarray(X.matrices)),

@@ -327,7 +327,10 @@ def test_ac13_naimark_suite():
     # lies in Wmin(cube): the witness is a positive decomposition on the
     # vertices, and its constraint rows are those of the dilation
     # W = (sqrt K_v)_v, Y_i = (+) v_i I (isometry defect sum K_v - I,
-    # compression error sum v_i K_v - X_i, commutators exactly 0).
+    # compression error sum v_i K_v - X_i, commutators exactly 0).  The
+    # residual below recomputes, outside wmin_member, what sdp.reverified
+    # checks before a Feasible verdict, so a witness that skipped that
+    # re-verification still fails here.
     rng = np.random.default_rng(113)
     ok = True
     worst = 0.0

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -621,6 +622,36 @@ def test_blockwise_record_of_any_block_diagonal_tuple(d, n, k, seed):
     tol = 1e-12 * max(1.0, want["max_norm"]) ** 2
     for key, val in want.items():
         assert abs(got[key] - val) <= tol, key
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 4]), n=st.integers(1, 3), k=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_commutators_of_hermitian_blocks_skip_the_svd(d, n, k, seed):
+    # Random Hermitian blocks do not commute.  Their commutator stack, of
+    # shape (k, d(d-1)/2, n, n) (never (k, d, n, n) for d = 2, 4), is made
+    # exactly skew, so its norm comes from eigvalsh and not from the SVD.
+    rng = np.random.default_rng(seed)
+    T = np.zeros((d, n, k, n, k), dtype=complex)
+    p = np.arange(k)
+    T[:, :, p, :, p] = np.array([[sampling.random_herm(n, rng)
+                                  for _ in range(d)] for _ in range(k)])
+    T = list(T.reshape(d, n * k, n * k))
+    V = random_isometry(n * k, n, rng)
+    X = GenTuple([sampling.random_gen(n, rng) for _ in range(d)])
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return svd(A, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "svd", recording_svd):
+        got = dilation_residuals(T, V, X, 0.5)
+    assert (k, d * (d - 1) // 2, n, n) not in shapes
+    want = dense_residuals(T, V, X, 0.5)
+    tol = 1e-12 * max(1.0, want["max_norm"]) ** 2
+    assert abs(got["commutator"] - want["commutator"]) <= tol
 
 
 @settings(max_examples=40, deadline=None)

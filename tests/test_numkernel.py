@@ -70,18 +70,54 @@ class TestScalarReductions:
         assert nk.opnorm(row) == pytest.approx(np.sqrt(2) * 1e-13, rel=1e-12,
                                             abs=0)
 
-    def test_opnorm_skew_stack_takes_eigenvalue_route(self, rng, monkeypatch):
-        H = _herm_stack(rng, 8, 3, real=False)
-        C = H[:4] @ H[4:] - H[4:] @ H[:4]          # commutators: skew
-        want = float(np.max(np.linalg.svd(C, compute_uv=False)))
+    def test_opnorm_of_a_stack_solves_only_members_that_can_attain_it(
+            self, rng, monkeypatch):
+        H = _herm_stack(rng, 40, 3, real=False)
+        G = rng.standard_normal((40, 3, 4)) + 1j * rng.standard_normal(
+            (40, 3, 4))
+        H[17] *= 100.0        # ||H_17||_F / sqrt(3) exceeds every other
+        G[5] *= 100.0         # Frobenius norm, and likewise G_5
+        want = [max(nk.opnorm(M) for M in S) for S in (H, G)]
+        seen = []
+        for name in ("eigvalsh", "svd"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name,
+                lambda A, *a, _f=solve, **kw: seen.append(len(A)) or _f(
+                    A, *a, **kw))
+        assert [nk.opnorm(H), nk.opnorm(G)] == want
+        assert nk.opnorm(np.zeros((6, 3, 3))) == 0.0
+        assert seen == [1, 1]
 
-        def no_svd(*args, **kwargs):
-            raise AssertionError("skew-Hermitian stack sent to the SVD")
+    def test_opnorm_of_a_stack_is_exact_at_any_scale(self, rng):
+        S = _herm_stack(rng, 30, 3, real=False)
+        S[::3] *= 0.5
+        for scale in (1e-170, 1e-100, 1.0, 1e100, 1e150, 1e160):
+            T = scale * S
+            want = max(nk.opnorm(M) for M in T)
+            assert nk.opnorm(T) == want
+            assert nk.opnorm(T[:, :, :2]) == max(nk.opnorm(M)
+                                                 for M in T[:, :, :2])
+        assert nk.opnorm(np.full((2, 2, 2), 1e-170)) == pytest.approx(
+            2e-170, rel=1e-12, abs=0)
 
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
-        assert nk.opnorm(C) == pytest.approx(want, rel=1e-13)
-        assert nk.opnorm(1e-20 * C) == pytest.approx(1e-20 * want, rel=1e-13,
-                                                   abs=0)
+    @pytest.mark.parametrize("x, n", [
+        (2.2231555788e-162, 2), (1e154, 2), (1.267732437050385, 64)])
+    def test_opnorm_keeps_the_largest_member_when_squares_lose_precision(
+            self, x, n):
+        # The second member, diag(x (1 + 2^-52), 0, ...), is the larger.  At
+        # 2.2e-162 the squares of the entries of the first, x times a
+        # rotation, round up to subnormals; at 1e154 the squared Frobenius
+        # norm of the first, x I, overflows; at n = 64 summing the squares
+        # of x I rounds up by more than one ulp.  Pruned without the guards
+        # or the slack, the second member would be dropped.
+        A = x * np.eye(n)
+        if x < 1e-100:
+            A = x / np.sqrt(2) * np.array([[1.0, 1.0], [1.0, -1.0]])
+        B = np.zeros((n, n))
+        B[0, 0] = x * (1 + 2.0 ** -52)
+        S = np.stack([A, B])
+        assert nk.opnorm(S) == nk.opnorm(B) > nk.opnorm(A)
 
 
 def _herm_stack(rng, F, n, real):

@@ -88,21 +88,21 @@ class Dilation:
     ``(T, V, scale)`` and the source.
     """
 
-    T: tuple[np.ndarray, ...]
+    T: np.ndarray                # (d, dim, dim)
     V: np.ndarray
     scale: float
     residuals: dict[str, float] = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
-        return self.T[0].shape[0]
+        return self.T.shape[1]
 
     @property
     def d(self) -> int:
-        return len(self.T)
+        return self.T.shape[0]
 
 
-def dilation_residuals(T: Sequence[np.ndarray], V: np.ndarray,
+def dilation_residuals(T, V: np.ndarray,
                        X: GenTuple, scale: float) -> dict[str, float]:
     """Recompute every claim a Dilation makes: isometry defect, max pairwise
     commutator, max normality defect, compression error against scale * X,
@@ -118,9 +118,11 @@ def dilation_residuals(T: Sequence[np.ndarray], V: np.ndarray,
     isometry and compression are checked on the dense matrices, through the
     thin ``V``.
     """
+    T = np.asarray(T)
     d, n = len(T), V.shape[1]
-    k = T[0].shape[0] // n
+    k = T.shape[1] // n
     between = ~np.eye(k, dtype=bool)[:, None, :]        # (p, b, q), p != q
+    # One matrix at a time: |T| of the whole stack would double the memory.
     off = max(float(np.abs(Ti.reshape(n, k, n, k)).max(
         where=between, initial=0.0)) for Ti in T)
     if off != 0.0:
@@ -128,8 +130,7 @@ def dilation_residuals(T: Sequence[np.ndarray], V: np.ndarray,
             f"entry of size {off:.3e} between diagonal blocks: the dilation "
             f"is not block-diagonal")
     p = np.arange(k)
-    B = np.stack([Ti.reshape(n, k, n, k)[:, p, :, p] for Ti in T],
-                 axis=1)                                # (k, d, n, n)
+    B = T.reshape(d, n, k, n, k)[:, :, p, :, p]        # (k, d, n, n)
     Bh = B.conj().swapaxes(-1, -2)
     i, j = np.triu_indices(d, 1)
     comm = B[:, i] @ B[:, j] - B[:, j] @ B[:, i]
@@ -142,8 +143,7 @@ def dilation_residuals(T: Sequence[np.ndarray], V: np.ndarray,
         "isometry": nk.opnorm(Vh @ V - np.eye(n)),
         "commutator": nk.opnorm(comm),
         "normality": nk.opnorm(B @ Bh - Bh @ B),
-        "compression": nk.opnorm(np.stack([Vh @ Ti @ V for Ti in T])
-                                 - scale * np.asarray(X.matrices)),
+        "compression": nk.opnorm(Vh @ T @ V - scale * X.matrices),
         "max_norm": nk.opnorm(B),
     }
 
@@ -159,10 +159,11 @@ def _require_entry_cap(d: int, n: int, k: int) -> None:
 
 
 def _require_contractions(X: GenTuple, tol: float = 1e-9) -> None:
-    for idx, nrm in enumerate(X.norms()):
-        if nrm > 1.0 + tol:
-            raise DilationError(
-                f"entry {idx} is not a contraction: norm {nrm:.6f}")
+    norms = X.norms()
+    bad = np.flatnonzero(norms > 1.0 + tol)
+    if bad.size:
+        raise DilationError(f"entry {bad[0]} is not a contraction: "
+                            f"norm {norms[bad[0]]:.6f}")
 
 
 def _validate(dil: Dilation) -> Dilation:
@@ -180,7 +181,7 @@ def _validate(dil: Dilation) -> Dilation:
 
 
 def _build(X: HermTuple, fam: LambdaFamily,
-           ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+           ) -> tuple[np.ndarray, np.ndarray]:
     """Dense ``(T, V)`` of the rank-one-family dilation of ``X``.
 
     ``T_i`` is laid out as ``sum_j X_j (x) diag(lam^(p)_ij)_p``, so its
@@ -197,14 +198,14 @@ def _build(X: HermTuple, fam: LambdaFamily,
     p = np.arange(k)
     T[:, :, p, :, p] = lambda_blocks(X, fam)
     V = np.kron(np.eye(n), np.sqrt(fam.betas)[:, None])
-    return tuple(T.reshape(fam.d, n * k, n * k)), V
+    return T.reshape(fam.d, n * k, n * k), V
 
 
-def _finish(T: Sequence[np.ndarray], V: np.ndarray, X: GenTuple,
+def _finish(T: np.ndarray, V: np.ndarray, X: GenTuple,
             scale: float = 1.0, **extra: float) -> Dilation:
     """Wrap ``(T, V)`` with its recomputed residuals plus ``extra`` and
     check them."""
-    dil = Dilation(T=tuple(T), V=V, scale=scale,
+    dil = Dilation(T=T, V=V, scale=scale,
                    residuals=dilation_residuals(T, V, X, scale))
     dil.residuals.update(extra)
     return _validate(dil)
@@ -277,16 +278,12 @@ def decompose_identity(lambdas: Sequence, pivot_tol: float = 1e-9,
                        ) -> LambdaFamily:
     """Find convex weights beta with ``sum_p beta_p lam^(p) = I`` by linear
     programming (first Bland-feasible solution; only existence matters)."""
-    lams = np.stack([np.asarray(L, dtype=float) for L in lambdas])
+    lams = np.array(lambdas, dtype=float)
     k, d = lams.shape[0], lams.shape[1]
-    rows = [np.ones(k)]
-    rhs = [1.0]
-    for i in range(d):
-        for j in range(d):
-            rows.append(lams[:, i, j])
-            rhs.append(1.0 if i == j else 0.0)
-    ok, beta = lp_feasible(LpProblem(np.vstack(rows), np.array(rhs)),
-                           pivot_tol=pivot_tol)
+    # Row 0 is the weight sum, row 1 + (i d + j) entry (i, j).
+    rows = np.vstack([np.ones(k), lams.reshape(k, d * d).T])
+    rhs = np.concatenate([[1.0], np.eye(d).ravel()])
+    ok, beta = lp_feasible(LpProblem(rows, rhs), pivot_tol=pivot_tol)
     if not ok:
         raise DilationError("identity not in convex hull of the family")
     beta = np.clip(beta, 0.0, None)
@@ -358,7 +355,8 @@ def _normal_dilation(X: GenTuple, fam: LambdaFamily, tol: float,
     commute, and normal, since ``T_i* = S_2i - i S_2i+1``."""
     _require_contractions(X, tol)
     S, V = _build(re_im_split(X), fam)
-    T = tuple(S[2 * i] + 1j * S[2 * i + 1] for i in range(X.d))
+    T = 1j * S[1::2]
+    T += S[0::2]
     return _finish(T, V, X, norm_bound=norm_bound)
 
 
@@ -422,8 +420,8 @@ def frame_dilation(X: HermTuple, vectors, weights=None,
 
     csum = float(c.sum())
     b = csum / (sigma * c)
-    lams = np.stack([b[m] * np.outer(V[m], V[m]) for m in range(N)])
+    lams = b[:, None, None] * (V[:, :, None] * V[:, None, :])
     T, W = _build(X, LambdaFamily(lams, c / csum))
     kappa = sigma * float(np.min(c) ** 3) / csum
-    return _finish([kappa * Ti for Ti in T], W, X, kappa,
+    return _finish(kappa * T, W, X, kappa,
                    kappa=kappa, sigma=sigma)

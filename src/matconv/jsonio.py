@@ -126,11 +126,12 @@ def _field(obj, key: str, schema: str):
 
 
 def _re_im(M) -> np.ndarray:
-    """``(r, c, 2)`` float array of the real and imaginary parts of the
-    2-D matrix ``M``: one contiguous complex cast, viewed as floats."""
+    """``(..., r, c, 2)`` float array of the real and imaginary parts of a
+    matrix or a stack of matrices ``M``: one contiguous complex cast,
+    viewed as floats."""
     M = np.ascontiguousarray(M, dtype=complex)
-    if M.ndim != 2:
-        raise TypeError(f"expected a 2-D matrix, got shape {M.shape}")
+    if M.ndim < 2:
+        raise TypeError(f"expected a matrix, got shape {M.shape}")
     return M.view(float).reshape(M.shape + (2,))
 
 
@@ -144,7 +145,7 @@ def decode_matrix(obj) -> np.ndarray:
 
 def encode_tuple(X: GenTuple) -> dict:
     return {"d": X.d, "n": X.n,
-            "matrices": [encode_matrix(M) for M in X.matrices]}
+            "matrices": _re_im(X.matrices).tolist()}
 
 
 def decode_tuple(obj, hermitian: bool = True,

@@ -1,11 +1,14 @@
 """Dense complex linear-algebra kernels shared by every other module.
 
-Everything here operates on plain ``numpy`` arrays.  Hermitian matrices are
-always symmetrized on entry (``(M + M*)/2``) after a tolerance check, so
-downstream eigensolves never see asymmetric garbage.  Linear combinations
-and extreme eigenvalues are batched: :func:`lincomb` builds an ``(F, n, n)``
-stack of combinations, and :func:`min_eig` and :func:`max_eig` take such a
-stack and make one LAPACK call for all of it.
+Everything here operates on plain ``numpy`` arrays, and a d-tuple of n x n
+matrices is one ``(d, n, n)`` stack, as ``sets.GenTuple.matrices`` holds it.
+Hermitian matrices are always symmetrized on entry (``(M + M*)/2``) after a
+tolerance check, so downstream eigensolves never see asymmetric garbage.
+The kernels take whole stacks: :func:`lincomb` (linear combinations) and
+:func:`kron_sum` (``sum_j A_j (x) B_j``) add terms in index order, bit for
+bit the loops they replace; :func:`min_eig`, :func:`max_eig`, :func:`opnorm`
+(largest norm) and :func:`opnorms` (each member's) make one LAPACK call per
+stack and route.
 """
 
 from __future__ import annotations
@@ -56,9 +59,10 @@ class NotCommutingError(NumKernelError):
 
 
 def as_cmatrix(entries) -> np.ndarray:
-    """Coerce to a 2-d complex array, rejecting non-finite entries."""
+    """Coerce to a complex matrix or stack of matrices (any leading axes),
+    rejecting non-finite entries."""
     M = np.asarray(entries, dtype=complex)
-    if M.ndim != 2:
+    if M.ndim < 2:
         raise ValueError(f"expected a matrix, got array of ndim {M.ndim}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
@@ -75,14 +79,10 @@ def herm_deviation(M: np.ndarray) -> float:
 def hermitize(M, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate hermiticity within ``tol`` (max-entry norm) and symmetrize.
 
-    ``M`` is a matrix or an ``(F, n, n)`` stack of matrices; a stack is
-    checked and symmetrized matrix by matrix.
+    ``M`` is a matrix or a stack of matrices, such as a ``(d, n, n)``
+    tuple; a stack is checked and symmetrized matrix by matrix.
     """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 3:
-        M = as_cmatrix(M)
-    elif not np.all(np.isfinite(M)):
-        raise ValueError("matrix stack has non-finite entries")
+    M = as_cmatrix(M)
     if M.shape[-1] != M.shape[-2]:
         raise NotHermitianError(f"matrix is not square: shape {M.shape}")
     dev = herm_deviation(M)
@@ -164,6 +164,24 @@ def lincomb(coeffs, mats) -> np.ndarray:
     return out
 
 
+def kron_sum(A, B) -> np.ndarray:
+    """Tensor sum ``sum_j A_j (x) B_j`` of two stacks of d matrices each.
+
+    The terms are added in index order onto a zero start, as Python's
+    ``sum`` over ``np.kron(A[j], B[j])`` adds them, so the result is
+    bit-identical to that loop; only one term is held at a time.
+    """
+    A, B = np.asarray(A), np.asarray(B)
+    if A.ndim != 3 or B.ndim != 3 or len(A) != len(B):
+        raise ValueError(f"stacks of shape {A.shape} and {B.shape} do not "
+                         f"pair up")
+    out = np.zeros((A.shape[1] * B.shape[1], A.shape[2] * B.shape[2]),
+                   dtype=np.result_type(A, B))
+    for Aj, Bj in zip(A, B):
+        out += np.kron(Aj, Bj)
+    return out
+
+
 def sign_rows(d: int, lo: int, hi: int) -> np.ndarray:
     """Sign vectors ``lo .. hi-1`` of ``{-1, 1}^d`` as integer rows, in the
     lexicographic order of ``np.ndindex(*(2,) * d)`` (bit j of the index,
@@ -171,6 +189,20 @@ def sign_rows(d: int, lo: int, hi: int) -> np.ndarray:
     idx = np.arange(lo, hi, dtype=np.int64)
     bits = (idx[:, None] >> np.arange(d - 1, -1, -1, dtype=np.int64)) & 1
     return bits * 2 - 1
+
+
+def _member_norms(A: np.ndarray, herm: np.ndarray) -> np.ndarray:
+    """Operator norms of the members of a nonempty ``(F, r, c)`` stack:
+    the members flagged in ``herm`` by their extreme eigenvalues, the
+    others by their largest singular value, one LAPACK call per route."""
+    out = np.empty(len(A))
+    if herm.any():
+        H = A[herm]
+        w = np.linalg.eigvalsh((H + H.conj().swapaxes(-1, -2)) / 2.0)
+        out[herm] = np.abs(w[:, [0, -1]]).max(axis=1)
+    if not herm.all():
+        out[~herm] = np.linalg.svd(A[~herm], compute_uv=False)[:, 0]
+    return out
 
 
 def opnorm(A) -> float:
@@ -185,11 +217,7 @@ def opnorm(A) -> float:
     side; a 1e-8 slack covers rounding, so the result is bit for bit that
     of the whole stack.
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim < 2:
-        raise ValueError(f"expected a matrix, got array of ndim {A.ndim}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
+    A = as_cmatrix(A)
     if A.size == 0:
         return 0.0
     dev = herm_deviation(A) if A.shape[-1] == A.shape[-2] else np.inf
@@ -203,10 +231,24 @@ def opnorm(A) -> float:
             return 0.0
         if _PRUNE_MIN <= top < np.inf:
             A = A[fro2 >= (1.0 - 1e-8) * top / min(A.shape[1:])]
-    if herm:
-        w = np.linalg.eigvalsh((A + A.conj().swapaxes(-1, -2)) / 2.0)
-        return float(np.max(np.abs(w[:, [0, -1]])))
-    return float(np.max(np.linalg.svd(A, compute_uv=False)[:, 0]))
+    return float(_member_norms(A, np.full(len(A), herm)).max())
+
+
+def opnorms(A) -> np.ndarray:
+    """Operator norm of each member of an ``(F, r, c)`` stack; entry f is
+    bit for bit ``opnorm(A[f])``, each member taking the Hermitian route
+    by its own test."""
+    A = as_cmatrix(A)
+    if A.ndim != 3:
+        raise ValueError(f"expected a stack of matrices, got ndim {A.ndim}")
+    if A.size == 0:
+        return np.zeros(len(A))
+    herm = np.zeros(len(A), dtype=bool)
+    if A.shape[1] == A.shape[2]:
+        axes = (1, 2)
+        dev = np.abs(A - A.conj().swapaxes(1, 2)).max(axis=axes)
+        herm = (dev == 0.0) | (dev <= HERMITICITY_TOL * np.abs(A).max(axis=axes))
+    return _member_norms(A, herm)
 
 
 @dataclass(frozen=True)
@@ -235,8 +277,9 @@ class JointSpectrum:
         return pts[order]
 
 
-def _offdiag_norm(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M - np.diag(np.diag(M))))
+def _offdiag_norms(M: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the off-diagonal parts of an ``(F, n, n)`` stack."""
+    return np.linalg.norm(M * (1.0 - np.eye(M.shape[-1])), axis=(-2, -1))
 
 
 def _split_clusters(w: np.ndarray, gap: float) -> list[slice]:
@@ -251,17 +294,16 @@ def _split_clusters(w: np.ndarray, gap: float) -> list[slice]:
     return clusters
 
 
-def _simdiag_recurse(mats: list[np.ndarray], rng: np.random.Generator,
+def _simdiag_recurse(mats: np.ndarray, rng: np.random.Generator,
                      cluster_tol: float, depth: int) -> np.ndarray:
-    n = mats[0].shape[0]
+    n = mats.shape[1]
     if n == 1:
         return np.eye(1, dtype=complex)
-    if all(_offdiag_norm(M) == 0.0 for M in mats):
+    if not _offdiag_norms(mats).any():
         return np.eye(n, dtype=complex)
     # Deviation from a scalar family: any orthonormal basis diagonalizes it.
-    dev = max(
-        float(np.linalg.norm(M - (np.trace(M) / n) * np.eye(n))) for M in mats
-    )
+    means = np.trace(mats, axis1=1, axis2=2)[:, None, None] / n
+    dev = float(np.linalg.norm(mats - means * np.eye(n), axis=(1, 2)).max())
     if dev <= cluster_tol:
         return np.eye(n, dtype=complex)
     if depth > 40:
@@ -282,75 +324,69 @@ def _simdiag_recurse(mats: list[np.ndarray], rng: np.random.Generator,
         if cl.stop - cl.start == 1:
             blocks.append(Qc)
             continue
-        sub = [Qc.conj().T @ A @ Qc for A in mats]
-        Usub = _simdiag_recurse(sub, rng, cluster_tol, depth + 1)
+        Usub = _simdiag_recurse(Qc.conj().T @ mats @ Qc, rng, cluster_tol,
+                                depth + 1)
         blocks.append(Qc @ Usub)
     return np.hstack(blocks)
 
 
 def simultaneous_diagonalize(mats: Sequence, tol: float = 1e-8,
                              seed: int = 0) -> tuple[np.ndarray, JointSpectrum]:
-    """Jointly diagonalize a commuting family of Hermitian matrices.
+    """Jointly diagonalize a commuting family of Hermitian matrices of one
+    size (a ``(d, n, n)`` stack or a sequence): a unitary ``U`` with
+    ``U* T_i U`` diagonal to within the commutator bound, and the joint
+    spectrum read off the diagonals.  An already-diagonal family comes back
+    exactly, with ``U = I``.
 
-    Parameters
-    ----------
-    mats : sequence of Hermitian matrices, all the same size.
-    tol : commutator tolerance, relative to the largest operator norm.
-    seed : seed for the random linear combinations used to split degenerate
-        eigenspaces (the sweep is deterministic for a fixed seed).
-
-    Returns
-    -------
-    (U, spectrum) : unitary ``U`` with ``U* T_i U`` diagonal to within the
-        commutator bound, and the joint spectrum read off the diagonals.
-        An already-diagonal family is returned exactly, with ``U = I``.
-
-    Raises
-    ------
-    NotCommutingError : some pair violates ``||[T_i, T_j]|| <= tol * max||T||``.
+    ``tol`` bounds every commutator relative to the largest operator norm;
+    the first pair in index order that breaks it raises
+    :class:`NotCommutingError`.  ``seed`` seeds the random combinations
+    that split degenerate eigenspaces, so the result is deterministic.
     """
-    mats = [hermitize(M) for M in mats]
-    if not mats:
+    mats = np.asarray(mats, dtype=complex)
+    if not len(mats):
         raise ValueError("empty family")
-    n = mats[0].shape[0]
-    if any(M.shape != (n, n) for M in mats):
+    if mats.ndim != 3:
         raise ValueError("family members must share one size")
-    scale = max(opnorm(M) for M in mats)
+    mats = hermitize(mats)
+    n = mats.shape[1]
+    scale = opnorm(mats)
     bound = tol * max(scale, 1e-300)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            nrm = opnorm(mats[i] @ mats[j] - mats[j] @ mats[i])
-            if nrm > bound:
-                raise NotCommutingError(i, j, nrm, bound)
-    if all(_offdiag_norm(M) == 0.0 for M in mats):
-        U = np.eye(n, dtype=complex)
-        points = np.column_stack([np.diag(M) for M in mats])
-        return U, JointSpectrum(points=points)
+    # One row of commutators at a time: [T_i, T_j] for every j > i.
+    for i in range(len(mats) - 1):
+        comm = mats[i] @ mats[i + 1:] - mats[i + 1:] @ mats[i]
+        if opnorm(comm) > bound:
+            norms = opnorms(comm)
+            j = int(np.argmax(norms > bound))
+            raise NotCommutingError(i, i + 1 + j, float(norms[j]), bound)
+    if not _offdiag_norms(mats).any():
+        points = np.diagonal(mats, axis1=1, axis2=2).T.copy()
+        return np.eye(n, dtype=complex), JointSpectrum(points=points)
     rng = np.random.default_rng(seed)
     cluster_tol = CLUSTER_TOL_REL * max(scale, 1e-300)
     U = _simdiag_recurse(mats, rng, cluster_tol, 0)
-    diags = []
-    for M in mats:
-        D = U.conj().T @ M @ U
-        res = _offdiag_norm(D)
-        if res > max(bound * 10 * n, cluster_tol * 10 * n):
-            raise EigenSolveError(
-                f"joint diagonalization residual {res:.3e} too large",
-                residual=res,
-            )
-        diags.append(np.real(np.diag(D)))
-    points = np.column_stack(diags)
+    D = U.conj().T @ mats @ U
+    res = float(_offdiag_norms(D).max())
+    if res > max(bound * 10 * n, cluster_tol * 10 * n):
+        raise EigenSolveError(
+            f"joint diagonalization residual {res:.3e} too large",
+            residual=res,
+        )
+    points = np.real(np.diagonal(D, axis1=1, axis2=2)).T.copy()
     return U, JointSpectrum(points=points)
 
 
-def re_im_parts(mats: Sequence) -> list[np.ndarray]:
-    """Hermitian real and imaginary parts, interleaved:
-    ``(Re M_1, Im M_1, ..., Re M_d, Im M_d)`` with ``M = Re M + i Im M``."""
-    parts = []
-    for M in mats:
-        M = as_cmatrix(M)
-        parts.append((M + M.conj().T) / 2.0)
-        parts.append((M - M.conj().T) / 2.0j)
+def re_im_parts(mats) -> np.ndarray:
+    """Hermitian real and imaginary parts of a ``(d, n, n)`` stack,
+    interleaved: ``(Re M_1, Im M_1, ..., Re M_d, Im M_d)`` with
+    ``M = Re M + i Im M``."""
+    M = np.asarray(mats, dtype=complex)
+    if M.ndim != 3:
+        raise ValueError(f"expected a stack of matrices, got ndim {M.ndim}")
+    Mh = M.conj().swapaxes(1, 2)
+    parts = np.empty((2 * len(M),) + M.shape[1:], dtype=complex)
+    parts[0::2] = (M + Mh) / 2.0
+    parts[1::2] = (M - Mh) / 2.0j
     return parts
 
 

@@ -40,23 +40,24 @@ def random_herm_contraction_tuple(d: int, n: int, rng: np.random.Generator,
 
 
 def random_ball_member(d: int, n: int, rng: np.random.Generator,
-                       radius: float = 1.0) -> list[np.ndarray]:
-    """Random Hermitian tuple with sum of squares <= radius^2 * I."""
-    H = [random_herm(n, rng) for _ in range(d)]
-    S = sum(M @ M for M in H)
-    top = float(np.linalg.eigvalsh(S)[-1])
+                       radius: float = 1.0) -> np.ndarray:
+    """Random Hermitian tuple, as a ``(d, n, n)`` stack, with sum of squares
+    <= radius^2 * I."""
+    H = np.stack([random_herm(n, rng) for _ in range(d)])
+    top = float(np.linalg.eigvalsh((H @ H).sum(axis=0))[-1])
     t = radius * rng.uniform(0.2, 1.0) / np.sqrt(max(top, 1e-12))
-    return [t * M for M in H]
+    return t * H
 
 
 def random_sign_sum_bounded_tuple(d: int, n: int, rng: np.random.Generator,
-                                  bound: float = 1.0) -> list[np.ndarray]:
-    """Random Hermitian tuple with every sign combination sum <= bound * I."""
-    H = [random_herm(n, rng) for _ in range(d)]
+                                  bound: float = 1.0) -> np.ndarray:
+    """Random Hermitian tuple, as a ``(d, n, n)`` stack, with every sign
+    combination sum <= bound * I."""
+    H = np.stack([random_herm(n, rng) for _ in range(d)])
     S = nk.lincomb(nk.sign_rows(d, 0, 2 ** d), H)
     worst = max(0.0, float(np.max(nk.max_eig(S, tol=np.inf))))
     t = bound * rng.uniform(0.2, 1.0) / max(worst, 1e-12)
-    return [t * M for M in H]
+    return t * H
 
 
 def sphere_points(d: int, count: int, rng: np.random.Generator) -> np.ndarray:

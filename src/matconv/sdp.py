@@ -374,7 +374,7 @@ def reverified(res: FeasibilityResult,
 # ---------------------------------------------------------------------------
 
 
-def povm_constraints(vertices, X: Sequence[np.ndarray]) -> ConstraintMap:
+def povm_constraints(vertices, X) -> ConstraintMap:
     """The constraint map of ``{(K_v): sum_v K_v = I, sum_v v K_v = X}``:
     one slot per block, the all-ones row and the vertex coordinates, target
     ``(I, X_1, ..., X_d)``.  Its adjoint takes a pencil ``H_0, ..., H_d`` to
@@ -384,14 +384,14 @@ def povm_constraints(vertices, X: Sequence[np.ndarray]) -> ConstraintMap:
     if V.ndim != 2 or V.shape[0] < 1:
         raise ValueError("need at least one vertex, as rows of a 2-d array")
     N, d = V.shape
-    X = [np.asarray(M, dtype=complex) for M in X]
+    X = np.asarray(X, dtype=complex)
     if len(X) != d:
         raise ValueError(f"tuple length {len(X)} does not match vertex dim {d}")
-    n = X[0].shape[0]
-    if any(M.shape != (n, n) for M in X):
+    if X.ndim != 3 or X.shape[1] != X.shape[2]:
         raise ValueError("tuple entries must be square matrices of one size")
+    n = X.shape[1]
     return ConstraintMap(np.vstack([np.ones((1, N)), V.T]),
-                         np.stack([np.eye(n, dtype=complex)] + X))
+                         np.concatenate([np.eye(n, dtype=complex)[None], X]))
 
 
 def affine_projector_povm(vertices, X: Sequence[np.ndarray],

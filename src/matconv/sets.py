@@ -7,6 +7,12 @@ linear-pencil positivity domains, the matrix cube, the quadratic matrix ball
 ``sum X_j^2 <= I`` and the self-dual tensor ball ``||sum X_j (x) conj(X_j)||
 <= 1``, plus scalar polar duality between polytope representations.
 
+A tuple is one read-only ``(d, n, n)`` complex stack, ``GenTuple.matrices``,
+and every oracle here works on the whole stack with the batched kernels of
+``numkernel``: signed sums and facet rows through ``lincomb`` and
+``min_eig``, pencils and the tensor ball through ``kron_sum``, the matrix
+cube through one ``opnorm``.
+
 All membership booleans take an explicit tolerance; pass ``tol=0`` for
 strictness at the price of numerical false negatives near the boundary.
 """
@@ -53,34 +59,42 @@ class MissingRepresentationError(SetsError):
 
 
 class GenTuple:
-    """A d-tuple of n x n complex matrices."""
+    """A d-tuple of n x n complex matrices, held as ``matrices``: one
+    read-only ``(d, n, n)`` array that owns its data.  Built from any
+    sequence of equal square matrices or from a stack."""
 
     hermitian = False
 
     def __init__(self, matrices: Sequence):
-        mats = [nk.as_cmatrix(M) for M in matrices]
-        if not mats:
+        S = np.array(matrices, dtype=complex)
+        if S.shape[:1] == (0,):
             raise ValueError("empty tuple")
-        n = mats[0].shape[0]
-        if any(M.shape != (n, n) for M in mats):
+        if S.ndim != 3 or S.shape[1] != S.shape[2]:
             raise ValueError("all tuple entries must be square of equal size")
-        self.matrices = tuple(M.copy() for M in mats)
-        for M in self.matrices:
-            M.flags.writeable = False
+        self.matrices = nk.as_cmatrix(S)
+        self.matrices.flags.writeable = False
 
     @property
     def d(self) -> int:
-        return len(self.matrices)
+        return self.matrices.shape[0]
 
     @property
     def n(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     def scaled(self, t: float) -> "GenTuple":
-        return type(self)([t * M for M in self.matrices])
+        return type(self)(t * self.matrices)
 
-    def norms(self) -> list[float]:
-        return [nk.opnorm(M) for M in self.matrices]
+    def norms(self) -> np.ndarray:
+        """Operator norm of each entry."""
+        return nk.opnorms(self.matrices)
+
+    def square_sum(self) -> np.ndarray:
+        """``sum_j X_j X_j``."""
+        return (self.matrices @ self.matrices).sum(axis=0)
+
+    def __len__(self) -> int:
+        return self.d
 
     def __iter__(self):
         return iter(self.matrices)
@@ -98,13 +112,14 @@ class HermTuple(GenTuple):
     hermitian = True
 
     def __init__(self, matrices: Sequence, herm_tol: float = nk.HERMITICITY_TOL):
-        mats = [nk.hermitize(M, tol=herm_tol) for M in matrices]
-        super().__init__(mats)
+        super().__init__(matrices)
+        self.matrices = nk.hermitize(self.matrices, tol=herm_tol)
+        self.matrices.flags.writeable = False
 
 
 def re_im_split(X: GenTuple) -> HermTuple:
     """Interleave real and imaginary parts: (Re X_1, Im X_1, ..., Im X_d)."""
-    return HermTuple(nk.re_im_parts(X))
+    return HermTuple(nk.re_im_parts(X.matrices))
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +281,7 @@ def pencil_eval(pencil: Pencil, X: GenTuple) -> np.ndarray:
     A = pencil.coefficients
     if A.d != X.d:
         raise ValueError(f"variable counts differ: pencil {A.d}, tuple {X.d}")
-    total = np.eye(A.n * X.n, dtype=complex)
-    for Aj, Xj in zip(A, X):
-        total = total - np.kron(Aj, Xj)
+    total = np.eye(A.n * X.n) - nk.kron_sum(A.matrices, X.matrices)
     # Already Hermitian in the self-adjoint case; in general this is the
     # Hermitian (real) part of the pencil value.
     return (total + total.conj().T) / 2.0
@@ -282,13 +295,11 @@ def pencil_member(pencil: Pencil, X: GenTuple,
 
 def cube_pencil(d: int) -> Pencil:
     """Diagonal-sign pencil with positivity domain [-1,1]^d entrywise."""
-    coeffs = []
-    for j in range(d):
-        E = np.zeros((2 * d, 2 * d))
-        E[j, j] = 1.0
-        E[d + j, d + j] = -1.0
-        coeffs.append(E)
-    return Pencil(HermTuple(coeffs))
+    E = np.zeros((d, 2 * d, 2 * d))
+    j = np.arange(d)
+    E[j, j, j] = 1.0
+    E[j, d + j, d + j] = -1.0
+    return Pencil(HermTuple(E))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +369,7 @@ def wmin_member(X: HermTuple, P: Polytope, max_iter: int = 20000,
     if P.dim != X.d:
         raise ValueError("polytope dimension does not match tuple length")
     try:
-        projector = affine_projector_povm(P.vertices, list(X))
+        projector = affine_projector_povm(P.vertices, X.matrices)
     except InconsistentConstraintsError as exc:
         return exc.result
     problem = BlockPsdProblem(
@@ -366,28 +377,27 @@ def wmin_member(X: HermTuple, P: Polytope, max_iter: int = 20000,
         affine_projector=projector,
         max_iter=max_iter,
         tol_feas=tol_feas,
-        verify_certificate=povm_constraints(P.vertices, list(X)).verify,
+        verify_certificate=povm_constraints(P.vertices, X.matrices).verify,
     )
     return reverified(
         dykstra_solve(problem),
-        lambda K: povm_constraint_residual(P.vertices, list(X), K))
+        lambda K: povm_constraint_residual(P.vertices, X.matrices, K))
 
 
 def ball_member(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL) -> bool:
     """Quadratic matrix ball: sum X_j^2 <= I."""
-    S = sum(M @ M for M in X)
-    return nk.min_eig(np.eye(X.n) - S, tol=1e-9) >= -tol
+    return nk.min_eig(np.eye(X.n) - X.square_sum(), tol=1e-9) >= -tol
 
 
 def selfdual_member(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL) -> bool:
     """Self-dual tensor ball: || sum X_j (x) conj(X_j) || <= 1."""
-    M = sum(np.kron(Mj, np.conj(Mj)) for Mj in X)
+    M = nk.kron_sum(X.matrices, X.matrices.conj())
     return nk.opnorm(M) <= 1.0 + tol
 
 
 def cube_member(X: GenTuple, tol: float = DEFAULT_MEMBER_TOL) -> bool:
     """Matrix cube: every entry is a contraction."""
-    return all(nrm <= 1.0 + tol for nrm in X.norms())
+    return nk.opnorm(X.matrices) <= 1.0 + tol
 
 
 def diamond_wmax_member(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL) -> bool:

@@ -61,50 +61,30 @@ class MapMode(Enum):
     CC = "CC"
 
 
-@dataclass
-class ChoiProblem:
-    """A map-existence query, with the doubled tuples it reduces to."""
-
-    source: GenTuple
-    target: GenTuple
-    mode: MapMode
-    reduced_source: GenTuple = None  # type: ignore[assignment]
-    reduced_target: GenTuple = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.source.d != self.target.d:
-            raise ValueError("source and target tuples must share d")
-        if self.mode is MapMode.UCP:
-            self.reduced_source, self.reduced_target = self.source, self.target
-        elif self.mode is MapMode.CC:
-            self.reduced_source = _hat_tuple(self.source)
-            self.reduced_target = _hat_tuple(self.target)
-        else:
-            self.reduced_source = _tilde_tuple(self.source)
-            self.reduced_target = _tilde_tuple(self.target)
-
-
 def _hat_tuple(X: GenTuple) -> HermTuple:
     """Off-diagonal self-adjoint embeddings [[0, X], [X*, 0]] on C^(2n)."""
-    mats = []
-    for M in X:
-        n = M.shape[0]
-        H = np.zeros((2 * n, 2 * n), dtype=complex)
-        H[:n, n:] = M
-        H[n:, :n] = M.conj().T
-        mats.append(H)
-    return HermTuple(mats)
+    n = X.n
+    H = np.zeros((X.d, 2 * n, 2 * n), dtype=complex)
+    H[:, :n, n:] = X.matrices
+    H[:, n:, :n] = X.matrices.conj().swapaxes(1, 2)
+    return HermTuple(H)
 
 
 def _tilde_tuple(X: GenTuple) -> GenTuple:
-    """Zero-padded embeddings diag(X, 0) on C^(n+1)."""
-    mats = []
-    for M in X:
-        n = M.shape[0]
-        H = np.zeros((n + 1, n + 1), dtype=complex)
-        H[:n, :n] = M
-        mats.append(H)
-    return GenTuple(mats) if not X.hermitian else HermTuple(mats)
+    """Zero-padded embeddings diag(X, 0) on C^(n+1), of the type of X."""
+    n = X.n
+    H = np.zeros((X.d, n + 1, n + 1), dtype=complex)
+    H[:, :n, :n] = X.matrices
+    return type(X)(H)
+
+
+# The tuples each mode reduces to before the one UCP test: CC to the
+# off-diagonal embeddings, CCP to the zero-padded ones.
+_REDUCTIONS = {
+    MapMode.UCP: lambda X: X,
+    MapMode.CC: _hat_tuple,
+    MapMode.CCP: _tilde_tuple,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +105,9 @@ def _choi_family(X: GenTuple) -> np.ndarray:
     """The stack ``I``, ``X_i / sqrt 2``, ``X_i* / sqrt 2``: the weights
     count each prescribed value once in the linear residual."""
     w = 1.0 / np.sqrt(2.0)
-    return np.stack([np.eye(X.n, dtype=complex)]
-                    + [w * np.asarray(M) for M in X]
-                    + [w * np.asarray(M).conj().T for M in X])
+    return np.concatenate([np.eye(X.n, dtype=complex)[None],
+                           w * X.matrices,
+                           w * X.matrices.conj().swapaxes(1, 2)])
 
 
 def choi_constraints(A: GenTuple, B: GenTuple) -> ConstraintMap:
@@ -157,8 +137,13 @@ def choi_affine_projector(A: GenTuple, B: GenTuple):
         "no linear map takes the prescribed values")
 
 
-def _run_choi(A: GenTuple, B: GenTuple, max_iter: int, tol_feas: float,
-              ) -> FeasibilityResult:
+def _map_exists(A: GenTuple, B: GenTuple, mode: MapMode, max_iter: int,
+                tol_feas: float) -> FeasibilityResult:
+    """The Choi feasibility test for a ``mode`` map ``A_i -> B_i``, run on
+    the tuples the mode reduces to."""
+    if A.d != B.d:
+        raise ValueError("source and target tuples must share d")
+    A, B = _REDUCTIONS[mode](A), _REDUCTIONS[mode](B)
     project, short = choi_affine_projector(A, B)
     if short is not None:
         return short
@@ -184,25 +169,19 @@ def ucp_exists(A: GenTuple, B: GenTuple, max_iter: int = 20000,
 
     Feasible witnesses carry the Choi matrix as the single block.
     """
-    prob = ChoiProblem(A, B, MapMode.UCP)
-    return _run_choi(prob.reduced_source, prob.reduced_target,
-                     max_iter, tol_feas)
+    return _map_exists(A, B, MapMode.UCP, max_iter, tol_feas)
 
 
 def cc_exists(A: GenTuple, B: GenTuple, max_iter: int = 20000,
               tol_feas: float = 1e-8) -> FeasibilityResult:
     """Does a completely contractive map send A_i -> B_i?"""
-    prob = ChoiProblem(A, B, MapMode.CC)
-    return _run_choi(prob.reduced_source, prob.reduced_target,
-                     max_iter, tol_feas)
+    return _map_exists(A, B, MapMode.CC, max_iter, tol_feas)
 
 
 def ccp_exists(A: GenTuple, B: GenTuple, max_iter: int = 20000,
                tol_feas: float = 1e-8) -> FeasibilityResult:
     """Does a completely contractive positive map send A_i -> B_i?"""
-    prob = ChoiProblem(A, B, MapMode.CCP)
-    return _run_choi(prob.reduced_source, prob.reduced_target,
-                     max_iter, tol_feas)
+    return _map_exists(A, B, MapMode.CCP, max_iter, tol_feas)
 
 
 # ---------------------------------------------------------------------------

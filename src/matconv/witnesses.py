@@ -60,28 +60,30 @@ class CliffordTuple:
     """
 
     d: int
-    matrices: tuple[np.ndarray, ...]   # int64, exact
+    matrices: np.ndarray   # (d, size, size) int64, exact
     anticommutation_exact: bool = True
+
+    def __post_init__(self):
+        self.matrices = np.asarray(self.matrices, dtype=np.int64)
 
     @property
     def size(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     def as_herm_tuple(self) -> HermTuple:
-        return HermTuple([M.astype(complex) for M in self.matrices])
+        return HermTuple(self.matrices)
 
     def verify_anticommutation(self) -> bool:
         """Exact check of B_i B_j + B_j B_i = 2 delta_ij I in float64 (BLAS):
-        with entries in {-1, 0, 1} every partial sum is an integer <= n."""
-        n = self.size
-        mats = [M.astype(float) for M in self.matrices]
-        I2 = 2 * np.eye(n)
+        with entries in {-1, 0, 1} every partial sum is an integer <= n.
+        One row ``j >= i`` of products is held at a time."""
+        mats = self.matrices.astype(float)
+        I2 = 2 * np.eye(self.size)
         for i in range(self.d):
-            for j in range(i, self.d):
-                S = mats[i] @ mats[j] + mats[j] @ mats[i]
-                want = I2 if i == j else np.zeros((n, n))
-                if not np.array_equal(S, want):
-                    return False
+            S = mats[i] @ mats[i:] + mats[i:] @ mats[i]
+            S[0] -= I2
+            if S.any():
+                return False
         return True
 
 
@@ -95,13 +97,14 @@ def clifford_tuple(d: int) -> CliffordTuple:
     """
     if not 1 <= d <= CLIFFORD_D_CAP:
         raise WitnessError(f"d must be between 1 and {CLIFFORD_D_CAP}")
-    mats = [np.array([[1]], dtype=np.int64)]
+    mats = np.ones((1, 1, 1), dtype=np.int64)
     for _ in range(d - 1):
-        size = mats[0].shape[0]
-        new = [np.kron(_E1, M) for M in mats]
-        new.append(np.kron(_E2, np.eye(size, dtype=np.int64)))
-        mats = new
-    out = CliffordTuple(d=d, matrices=tuple(mats))
+        size = mats.shape[1]
+        # kron of a (1, 2, 2) stack with a (k, s, s) one: _E1 (x) each member.
+        mats = np.concatenate([
+            np.kron(_E1[None], mats),
+            np.kron(_E2, np.eye(size, dtype=np.int64))[None]])
+    out = CliffordTuple(d=d, matrices=mats)
     out.anticommutation_exact = out.size > 256 or out.verify_anticommutation()
     if not out.anticommutation_exact:
         raise WitnessError("anticommutation check failed")  # pragma: no cover
@@ -113,41 +116,31 @@ def clifford_tuple(d: int) -> CliffordTuple:
 # ---------------------------------------------------------------------------
 
 
-def _tensor_sum_dense(mats: Sequence[np.ndarray], conj_right: bool) -> np.ndarray:
-    # Stay in real arithmetic when possible: the eigensolve is much cheaper.
-    real = all(np.isrealobj(M) or np.max(np.abs(M.imag)) == 0.0 for M in mats)
-    out = None
-    for M in mats:
-        M = M.real if real else M
-        R = np.conj(M) if conj_right else M
-        term = np.kron(M, R)
-        out = term if out is None else out + term
-    return out
-
-
-def _tensor_sum_extreme_eig(mats: Sequence[np.ndarray], conj_right: bool,
+def _tensor_sum_extreme_eig(mats: np.ndarray, conj_right: bool,
                             which: str, seed: int = 0) -> float:
-    """Extreme eigenvalue of ``sum_i M_i (x) (conj) M_i`` without forming it
-    when the tensor dimension is large: the operator acts on q x q matrices
-    as ``V -> sum M_i V R_i^T``, so a matrix-free Lanczos run suffices.
+    """Extreme eigenvalue of ``sum_i M_i (x) (conj) M_i`` for a ``(d, q,
+    q)`` stack, without forming it when the tensor dimension is large: the
+    operator acts on q x q matrices as ``V -> sum M_i V R_i^T``, so a
+    matrix-free Lanczos run suffices.
 
-    ``which`` is "max" (largest algebraic), "min", or "absmax".
+    ``which`` is "max" (largest algebraic) or "absmax".
     """
-    q = mats[0].shape[0]
+    mats = np.asarray(mats, dtype=complex)
+    q = mats.shape[1]
     dim = q * q
-    mats = [np.asarray(M, dtype=complex) for M in mats]
     if dim <= _DENSE_TENSOR_CUTOFF:
-        S = _tensor_sum_dense(mats, conj_right)
+        # Stay in real arithmetic when possible: the eigensolve is much
+        # cheaper.
+        M = mats if mats.imag.any() else mats.real
+        S = nk.kron_sum(M, np.conj(M) if conj_right else M)
         w = np.linalg.eigvalsh((S + S.conj().T) / 2.0)
         if which == "max":
             return float(w[-1])
-        if which == "min":
-            return float(w[0])
         return float(max(abs(w[0]), abs(w[-1])))
 
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    rights = [np.conj(M).T if conj_right else M.T for M in mats]
+    rights = (np.conj(mats) if conj_right else mats).swapaxes(1, 2)
 
     def matvec(v):
         V = v.reshape(q, q)
@@ -162,16 +155,14 @@ def _tensor_sum_extreme_eig(mats: Sequence[np.ndarray], conj_right: bool,
     if which == "absmax":
         vals = eigsh(op, k=1, which="LM", v0=v0, return_eigenvectors=False)
         return float(abs(vals[0]))
-    sigma_which = "LA" if which == "max" else "SA"
-    vals = eigsh(op, k=1, which=sigma_which, v0=v0, return_eigenvectors=False)
+    vals = eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)
     return float(vals[0])
 
 
 def tensor_square_top_eig(B: CliffordTuple, seed: int = 0) -> float:
     """Largest eigenvalue of ``sum_i B_i (x) B_i``."""
-    return _tensor_sum_extreme_eig(
-        [M.astype(float) for M in B.matrices], conj_right=False,
-        which="max", seed=seed)
+    return _tensor_sum_extreme_eig(B.matrices, conj_right=False,
+                                   which="max", seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +181,7 @@ def sharpness_check(d: int, num_dirs: int = 32, seed: int = 0) -> dict:
     if d > 8:
         raise WitnessError("tensor certificates capped at d=8")
     B = clifford_tuple(d)
-    mats = [M.astype(float) for M in B.matrices]
+    mats = B.matrices.astype(float)
     lam_max = _tensor_sum_extreme_eig(mats, conj_right=False, which="max",
                                       seed=seed)
 
@@ -229,8 +220,8 @@ def sqrt_d_check(d: int, tol: float = 1e-9, seed: int = 0) -> dict:
     if d > 8:
         raise WitnessError("tensor certificates capped at d=8")
     B = clifford_tuple(d)
-    mats = [M.astype(float) for M in B.matrices]
-    conj_gap = max(float(np.max(np.abs(np.conj(M) - M))) for M in mats)
+    mats = B.matrices.astype(float)
+    conj_gap = float(np.max(np.abs(np.conj(mats) - mats)))
     norm = _tensor_sum_extreme_eig(mats, conj_right=True, which="absmax",
                                    seed=seed)
     return {
@@ -251,14 +242,17 @@ def nonscalable_check(c_grid: Sequence[float]) -> dict:
     the identity: ``||c T - I||`` exceeds 1 on the whole grid, computed both
     as a singular value and as the largest root of
     ``t^2 - 2 c t - (1-c)^2 = 0``."""
+    grid = np.asarray(c_grid, dtype=float)
+    if np.any(grid <= 0):
+        raise WitnessError("grid values must be positive")
+    svs = nk.opnorms(grid[:, None, None] * NONSCALABLE_T - np.eye(2))
     rows = []
     worst_margin = np.inf
     worst_gap = 0.0
-    for c in c_grid:
-        c = float(c)
-        if c <= 0:
-            raise WitnessError("grid values must be positive")
-        sv = nk.opnorm(c * NONSCALABLE_T - np.eye(2))
+    for c, sv in zip(grid.tolist(), svs.tolist()):
+        # Scalar Python floats: ``** 2`` is libm's pow here, which differs
+        # from numpy's array square in the last bit now and then, and the
+        # report prints these digits.
         root = c + np.sqrt(c * c + (1.0 - c) ** 2)
         rows.append({"c": c, "svd_norm": float(sv), "root_norm": float(root)})
         worst_margin = min(worst_margin, sv - 1.0)
@@ -275,12 +269,10 @@ def switch_tuple(d: int) -> HermTuple:
     """The d matrices on C^(d+1) swapping e_1 with e_(i+1) and killing the
     rest; their pencil's positivity domain is exactly the quadratic ball,
     while their own squares sum to ``I + (d-1) e_1 e_1^T``."""
-    mats = []
-    for i in range(d):
-        M = np.zeros((d + 1, d + 1))
-        M[0, i + 1] = M[i + 1, 0] = 1.0
-        mats.append(M)
-    return HermTuple(mats)
+    S = np.zeros((d, d + 1, d + 1))
+    i = np.arange(d)
+    S[i, 0, i + 1] = S[i, i + 1, 0] = 1.0
+    return HermTuple(S)
 
 
 def ball_chain_witnesses(d: int, samples: int = 25, seed: int = 0,
@@ -308,7 +300,7 @@ def ball_chain_witnesses(d: int, samples: int = 25, seed: int = 0,
     in_pencil = pencil_member(Pencil(E), X, tol=tol)
 
     B = switch_tuple(d)
-    Bsq = sum(np.asarray(M) @ np.asarray(M) for M in B)
+    Bsq = B.square_sum()
     expect = np.eye(d + 1)
     expect[0, 0] = float(d)
     square_exact = bool(np.array_equal(Bsq.real, expect) and
@@ -321,7 +313,7 @@ def ball_chain_witnesses(d: int, samples: int = 25, seed: int = 0,
     for _ in range(samples):
         n = int(rng.integers(1, 4))
         Y = HermTuple(sampling.random_ball_member(d, n, rng))
-        S = sum(np.kron(np.asarray(Yj), np.asarray(Bj)) for Yj, Bj in zip(Y, B))
+        S = nk.kron_sum(Y.matrices, B.matrices)
         if nk.min_eig(np.eye(S.shape[0]) - S, tol=np.inf) < -tol:
             dual_ok = False
         if pencil_member(LB, Y, tol=1e-7) != ball_member(Y, tol=1e-7):
@@ -384,6 +376,16 @@ def tau_rho_harness(set_name: str, samples: int = 10, d: int = 2,
     feasible = 0
     extra: dict = {}
 
+    def scaled_below_identity(rows):
+        # Random tuples scaled so that every combination with coefficient
+        # rows ``rows()`` (drawn after the tuple) stays below I.
+        def sampler(n):
+            H = np.stack([sampling.random_herm(n, rng) for _ in range(d)])
+            worst = float(np.max(nk.max_eig(nk.lincomb(rows(), H),
+                                            tol=np.inf)))
+            return rng.uniform(0.2, 1.0) / max(worst, 1e-12) * H
+        return sampler
+
     if set_name == "cube":
         target = cube_polytope(d)
         sampler = lambda n: sampling.random_herm_contraction_tuple(d, n, rng)
@@ -395,22 +397,13 @@ def tau_rho_harness(set_name: str, samples: int = 10, d: int = 2,
         extra["witness_upper_bound"] = 1.0
     elif set_name == "ball":
         target = diamond_polytope(d)  # inscribed spectral target
-        def sampler(n):
-            H = [sampling.random_herm(n, rng) for _ in range(d)]
-            dirs = sampling.sphere_points(d, 400, rng)
-            worst = float(np.max(nk.max_eig(nk.lincomb(dirs, H), tol=np.inf)))
-            t = rng.uniform(0.2, 1.0) / max(worst, 1e-12)
-            return [t * M for M in H]
+        sampler = scaled_below_identity(
+            lambda: sampling.sphere_points(d, 400, rng))
         lam = tensor_square_top_eig(clifford_tuple(d))
         extra["witness_upper_bound"] = float(1.0 / np.sqrt(lam))  # = 1/sqrt(d)
     else:
         target = _simplex_polytope()
-        def sampler(n):
-            H = [sampling.random_herm(n, rng) for _ in range(3)]
-            worst = float(np.max(
-                nk.max_eig(-nk.lincomb(target.vertices, H), tol=np.inf)))
-            t = rng.uniform(0.2, 1.0) / max(worst, 1e-12)
-            return [t * M for M in H]
+        sampler = scaled_below_identity(lambda: -target.vertices)
         extra["witness_upper_bound"] = 1.0
 
     for _ in range(samples):

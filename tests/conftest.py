@@ -99,3 +99,92 @@ def dense_residuals(T, V, X, scale) -> dict:
         "compression": compression,
         "max_norm": max(nk.opnorm(Ti) for Ti in T),
     }
+
+
+# ---------------------------------------------------------------------------
+# Per-member loops that the batched stack forms replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: bit for bit, signs of zeros included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def kron_sum_loop(A, B) -> np.ndarray:
+    return sum(np.kron(Aj, Bj) for Aj, Bj in zip(A, B))
+
+
+def square_sum_loop(X) -> np.ndarray:
+    return sum(M @ M for M in X)
+
+
+def norms_loop(X) -> list[float]:
+    return [nk.opnorm(M) for M in X]
+
+
+def herm_stack_loop(mats, tol: float = nk.HERMITICITY_TOL) -> np.ndarray:
+    return np.stack([nk.hermitize(M, tol=tol) for M in mats])
+
+
+def hat_tuple_loop(X) -> list[np.ndarray]:
+    mats = []
+    for M in X:
+        n = M.shape[0]
+        H = np.zeros((2 * n, 2 * n), dtype=complex)
+        H[:n, n:] = M
+        H[n:, :n] = M.conj().T
+        mats.append(H)
+    return mats
+
+
+def tilde_tuple_loop(X) -> list[np.ndarray]:
+    mats = []
+    for M in X:
+        n = M.shape[0]
+        H = np.zeros((n + 1, n + 1), dtype=complex)
+        H[:n, :n] = M
+        mats.append(H)
+    return mats
+
+
+def re_im_parts_loop(mats) -> list[np.ndarray]:
+    parts = []
+    for M in mats:
+        M = np.asarray(M, dtype=complex)
+        parts.append((M + M.conj().T) / 2.0)
+        parts.append((M - M.conj().T) / 2.0j)
+    return parts
+
+
+def first_coincident_pair_loop(V, radius):
+    for i in range(V.shape[0]):
+        for j in range(i + 1, V.shape[0]):
+            if np.linalg.norm(V[i] - V[j]) <= radius[i]:
+                return i, j
+    return None
+
+
+def dilation_residuals_loop(T, V, X, scale) -> dict:
+    """``dilation.dilation_residuals`` with the blocks and compressions
+    gathered matrix by matrix."""
+    d, n = len(T), V.shape[1]
+    k = T[0].shape[0] // n
+    p = np.arange(k)
+    B = np.stack([Ti.reshape(n, k, n, k)[:, p, :, p] for Ti in T], axis=1)
+    Bh = B.conj().swapaxes(-1, -2)
+    i, j = np.triu_indices(d, 1)
+    comm = B[:, i] @ B[:, j] - B[:, j] @ B[:, i]
+    if np.array_equal(B, Bh):
+        comm = 0.5j * (comm - comm.conj().swapaxes(-1, -2))
+    Vh = V.conj().T
+    return {
+        "isometry": nk.opnorm(Vh @ V - np.eye(n)),
+        "commutator": nk.opnorm(comm),
+        "normality": nk.opnorm(B @ Bh - Bh @ B),
+        "compression": nk.opnorm(np.stack([Vh @ Ti @ V for Ti in T])
+                                 - scale * np.stack(list(X))),
+        "max_norm": nk.opnorm(B),
+    }

@@ -28,7 +28,7 @@ from matconv.sets import (
     wmin_member,
 )
 from matconv.ucp import (
-    ChoiProblem,
+    _REDUCTIONS,
     MapMode,
     cc_exists,
     ccp_exists,
@@ -345,19 +345,18 @@ def test_broken_source_dependency_certified_at_once(k, m, scalar, hermitian,
     A = kind([A1, draw(k, rng) if scalar else c * A1])
     W = random_isometry(k * m, m, rng)
     B = [W.conj().T @ np.kron(M, np.eye(m)) @ W for M in A]
-    kept = ChoiProblem(A, kind(B), mode)
-    _, short = choi_affine_projector(kept.reduced_source, kept.reduced_target)
+    reduce = _REDUCTIONS[mode]
+    _, short = choi_affine_projector(reduce(A), reduce(kind(B)))
     assert short is None
     M = draw(m, rng)
     B[0] = B[0] + push / np.linalg.norm(M) * M
-    prob = ChoiProblem(A, kind(B), mode)
     res = MAP_EXISTS[mode](A, kind(B), max_iter=100)
     if mode is MapMode.UCP or not scalar:
         assert res.status is Status.INFEASIBLE and res.iterations == 0
     if res.status is Status.INFEASIBLE and res.iterations == 0:
-        check_choi(res.certificate, prob.reduced_source, prob.reduced_target)
-        cmap = choi_constraints(prob.reduced_source, prob.reduced_target)
-        assert cmap.certify(res.certificate.dual)
+        RA, RB = reduce(A), reduce(kind(B))
+        check_choi(res.certificate, RA, RB)
+        assert choi_constraints(RA, RB).certify(res.certificate.dual)
 
 
 def test_hermitian_choi_map_skips_the_farkas_eigensolve(rng, monkeypatch):

@@ -730,7 +730,7 @@ def test_refused_builder_exits_4(kind):
     # that is not tight.
     code, out, err = run_quiet(["frame", kind, "cube_corners", "--d", "17"])
     assert code == 4
-    assert "beyond d=16" in err and out == ""
+    assert "capped at" in err and out == ""
 
 
 @pytest.mark.parametrize("builder", ["pm_basis", "cube_corners"])

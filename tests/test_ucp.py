@@ -9,7 +9,7 @@ from matconv import sampling
 from matconv.sdp import Status
 from matconv.sets import GenTuple, HermTuple, cube_polytope, diamond_polytope
 from matconv.ucp import (
-    ChoiProblem,
+    _REDUCTIONS,
     MapMode,
     RelaxVerdict,
     apply_choi,
@@ -132,12 +132,19 @@ class TestChoiMachinery:
 
     def test_mode_reductions_build_doubled_tuples(self):
         A = GenTuple([np.array([[1.0 + 1.0j]])])
-        prob_cc = ChoiProblem(A, A, MapMode.CC)
-        H = prob_cc.reduced_source[0]
-        assert np.allclose(H, np.array([[0, 1 + 1j], [1 - 1j, 0]]))
-        prob_ccp = ChoiProblem(A, A, MapMode.CCP)
-        T = prob_ccp.reduced_source[0]
-        assert np.allclose(T, np.array([[1 + 1j, 0], [0, 0]]))
+        assert _REDUCTIONS[MapMode.UCP](A) is A
+        H = _REDUCTIONS[MapMode.CC](A)
+        assert H.hermitian
+        assert np.allclose(H[0], np.array([[0, 1 + 1j], [1 - 1j, 0]]))
+        T = _REDUCTIONS[MapMode.CCP](A)
+        assert not T.hermitian
+        assert np.allclose(T[0], np.array([[1 + 1j, 0], [0, 0]]))
+
+    def test_mode_reductions_refuse_unequal_lengths(self):
+        A = GenTuple([np.eye(2), np.eye(2)])
+        for exists in (ucp_exists, cc_exists, ccp_exists):
+            with pytest.raises(ValueError, match="share d"):
+                exists(A, GenTuple([np.eye(2)]))
 
 
 def herm_basis(q: int) -> np.ndarray:
@@ -190,8 +197,8 @@ def projector_instance(kind, k, m, rng):
         return A, HermTuple([sampling.random_herm(m, rng) for _ in range(2)])
     A = GenTuple([sampling.random_gen(k, rng) for _ in range(2)])
     B = GenTuple([sampling.random_gen(m, rng) for _ in range(2)])
-    prob = ChoiProblem(A, B, MapMode.CCP)
-    return prob.reduced_source, prob.reduced_target
+    reduce = _REDUCTIONS[MapMode.CCP]
+    return reduce(A), reduce(B)
 
 
 class TestChoiProjector:

@@ -9,13 +9,25 @@ facts pin the scaling constants: d for cube-type inclusions and sqrt(d) for
 the tensor-ball ones, with explicit numerical witnesses rather than abstract
 arguments.
 
+Every member of the family is a signed permutation, ``B[a, perm[a]] =
+sign[a]`` with one +-1 entry per row, and the package uses that form twice.
+The anticommutation check compares permutations and signs of the products
+``B_i B_j`` in integer arithmetic.  The tensor eigensolves act with
+``sum B_i (x) B_i`` on q x q matrices V as ``V -> sum B_i V B_i^T``, and
+each term is the signed gather ``(sign sign^T) * V[perm][:, perm]``: O(q^2)
+per member instead of two O(q^3) matrix products.  Every entry of those
+dense products has exactly one nonzero term, a product with +-1, so they
+are exact and the gather reproduces them bit for bit.  Tensor dimensions up
+to ``_DENSE_TENSOR_CUTOFF`` (256, so d <= 5) take one dense ``eigvalsh``;
+from d = 6 on, seeded Lanczos (ARPACK) on the gather operator.
+
 Every report in this module is recomputed from the raw constructions at call
 time; nothing is cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +47,7 @@ from .sets import (
 )
 
 CLIFFORD_D_CAP = 12
-_DENSE_TENSOR_CUTOFF = 1024  # dense eigensolve up to this tensor dimension
+_DENSE_TENSOR_CUTOFF = 256  # dense eigensolve up to this tensor dimension
 
 
 class WitnessError(Exception):
@@ -50,21 +62,38 @@ _E1 = np.array([[0, 1], [1, 0]], dtype=np.int64)
 _E2 = np.array([[1, 0], [0, -1]], dtype=np.int64)
 
 
+def _signed_permutation_form(mats: np.ndarray):
+    """``(perm, sign)`` with ``mats[i, a, perm[i, a]] = sign[i, a]`` when
+    every row of every member holds exactly one nonzero entry and that
+    entry is +-1; ``(None, None)`` otherwise."""
+    nonzero = mats != 0
+    perm = nonzero.argmax(axis=2)
+    sign = np.take_along_axis(mats, perm[:, :, None], axis=2)[:, :, 0]
+    if (nonzero.sum(axis=2) != 1).any() or (np.abs(sign) != 1).any():
+        return None, None
+    return perm, sign
+
+
 @dataclass
 class CliffordTuple:
     """d anticommuting integer symmetric matrices of size 2^(d-1).
 
-    ``anticommutation_exact`` is the outcome established at build time by
-    ``clifford_tuple``: the exact check up to size 256, the construction
-    itself beyond.
+    ``perm`` and ``sign`` are the ``(d, size)`` signed-permutation form of
+    ``matrices`` (``B_i[a, perm[i, a]] = sign[i, a]``), read off on
+    construction; both are ``None`` when some row of some member is not a
+    single +-1 entry.  ``anticommutation_exact`` is the outcome of the
+    exact check that ``clifford_tuple`` runs at build time, at every d.
     """
 
     d: int
     matrices: np.ndarray   # (d, size, size) int64, exact
     anticommutation_exact: bool = True
+    perm: np.ndarray | None = field(init=False, repr=False)
+    sign: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self.matrices = np.asarray(self.matrices, dtype=np.int64)
+        self.perm, self.sign = _signed_permutation_form(self.matrices)
 
     @property
     def size(self) -> int:
@@ -74,26 +103,36 @@ class CliffordTuple:
         return HermTuple(self.matrices)
 
     def verify_anticommutation(self) -> bool:
-        """Exact check of B_i B_j + B_j B_i = 2 delta_ij I in float64 (BLAS):
-        with entries in {-1, 0, 1} every partial sum is an integer <= n.
-        One row ``j >= i`` of products is held at a time."""
-        mats = self.matrices.astype(float)
-        I2 = 2 * np.eye(self.size)
-        for i in range(self.d):
-            S = mats[i] @ mats[i:] + mats[i:] @ mats[i]
-            S[0] -= I2
-            if S.any():
-                return False
-        return True
+        """Exact check of B_i B_j + B_j B_i = 2 delta_ij I on the
+        signed-permutation form, in integer arithmetic and O(d^2 size).
+
+        B_i B_j has permutation ``perm_j o perm_i`` and signs
+        ``sign_i * (sign_j o perm_i)``.  So B_i^2 = I means ``perm_i o
+        perm_i = id`` with all signs 1, and for i != j the two products
+        anticommute exactly when their permutations are equal and their
+        signs opposite.  A family with a member that is not a signed
+        permutation returns False.
+        """
+        if self.perm is None:
+            return False
+        p, s = self.perm, self.sign
+        # [i, j, a]: permutation and sign of B_i B_j at row a.
+        prod_perm = p[:, p].swapaxes(0, 1)
+        prod_sign = s[:, None, :] * s[:, p].swapaxes(0, 1)
+        squares_to_id = (np.take_along_axis(p, p, axis=1)
+                         == np.arange(self.size)).all()
+        equal_perms = (prod_perm == prod_perm.swapaxes(0, 1)).all()
+        anti_signs = (prod_sign + prod_sign.swapaxes(0, 1)
+                      == 2 * np.eye(self.d, dtype=np.int64)[:, :, None]).all()
+        return bool(squares_to_id and equal_perms and anti_signs)
 
 
 def clifford_tuple(d: int) -> CliffordTuple:
     """Recursive construction: start from [1]; append a variable by tensoring
     the old family against the swap and adjoining the sign matrix.
 
-    Anticommutation is verified exactly (integer entries, float64 products)
-    up to size 256; beyond that the construction is still exact but the
-    O(d^2 n^3) check is skipped at build time.
+    Anticommutation is verified exactly on the signed-permutation form at
+    every d, so ``anticommutation_exact`` is always a checked result.
     """
     if not 1 <= d <= CLIFFORD_D_CAP:
         raise WitnessError(f"d must be between 1 and {CLIFFORD_D_CAP}")
@@ -105,7 +144,7 @@ def clifford_tuple(d: int) -> CliffordTuple:
             np.kron(_E1[None], mats),
             np.kron(_E2, np.eye(size, dtype=np.int64))[None]])
     out = CliffordTuple(d=d, matrices=mats)
-    out.anticommutation_exact = out.size > 256 or out.verify_anticommutation()
+    out.anticommutation_exact = out.verify_anticommutation()
     if not out.anticommutation_exact:
         raise WitnessError("anticommutation check failed")  # pragma: no cover
     return out
@@ -116,40 +155,60 @@ def clifford_tuple(d: int) -> CliffordTuple:
 # ---------------------------------------------------------------------------
 
 
-def _tensor_sum_extreme_eig(mats: np.ndarray, conj_right: bool,
-                            which: str, seed: int = 0) -> float:
-    """Extreme eigenvalue of ``sum_i M_i (x) (conj) M_i`` for a ``(d, q,
-    q)`` stack, without forming it when the tensor dimension is large: the
-    operator acts on q x q matrices as ``V -> sum M_i V R_i^T``, so a
-    matrix-free Lanczos run suffices.
+def _tensor_gather(B: CliffordTuple):
+    """The map ``V -> sum_i B_i V B_i^T`` on flattened complex q x q
+    matrices, i.e. ``sum_i B_i (x) B_i`` acting on vec(V), as signed
+    gathers: the i-th term is ``(sign_i sign_i^T) * V[perm_i][:, perm_i]``.
+
+    The terms are added in member order onto a zero start.  Each term
+    equals the dense product ``B_i @ V @ B_i^T`` bit for bit, because
+    every entry of that product has exactly one nonzero summand, a product
+    with +-1.  The family is real, so the operator with the right factor
+    conjugated is the same map.
+    """
+    if B.perm is None:
+        raise WitnessError("the tensor operator needs a signed-permutation "
+                           "family")
+    p, s, q = B.perm, B.sign, B.size
+    # Flat source index and sign of every entry of every term.
+    sources = (p[:, :, None] * q + p[:, None, :]).reshape(len(p), -1)
+    signs = (s[:, :, None] * s[:, None, :]).reshape(len(p), -1).astype(float)
+
+    def matvec(v):
+        v = v.reshape(-1)
+        out = np.zeros(q * q, dtype=complex)
+        for src, sgn in zip(sources, signs):
+            out += sgn * v.take(src)
+        return out
+
+    return matvec
+
+
+def _tensor_sum_extreme_eig(B: CliffordTuple, which: str,
+                            seed: int = 0) -> float:
+    """Extreme eigenvalue of ``sum_i B_i (x) B_i``, which for this real
+    family is also ``sum_i B_i (x) conj(B_i)``.
+
+    Tensor dimensions up to ``_DENSE_TENSOR_CUTOFF`` (256, d <= 5) take one
+    dense ``eigvalsh`` of the integer tensor sum.  Larger ones run seeded
+    matrix-free Lanczos (ARPACK ``eigsh``) on the complex signed-gather
+    operator of ``_tensor_gather``, which gives the same vectors bit for bit
+    as the dense products ``B_i V B_i^T`` would, at O(d q^2) per step.
 
     ``which`` is "max" (largest algebraic) or "absmax".
     """
-    mats = np.asarray(mats, dtype=complex)
-    q = mats.shape[1]
+    q = B.size
     dim = q * q
     if dim <= _DENSE_TENSOR_CUTOFF:
-        # Stay in real arithmetic when possible: the eigensolve is much
-        # cheaper.
-        M = mats if mats.imag.any() else mats.real
-        S = nk.kron_sum(M, np.conj(M) if conj_right else M)
-        w = np.linalg.eigvalsh((S + S.conj().T) / 2.0)
+        M = B.matrices.astype(float)
+        w = np.linalg.eigvalsh(nk.kron_sum(M, M))
         if which == "max":
             return float(w[-1])
         return float(max(abs(w[0]), abs(w[-1])))
 
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    rights = (np.conj(mats) if conj_right else mats).swapaxes(1, 2)
-
-    def matvec(v):
-        V = v.reshape(q, q)
-        out = np.zeros_like(V)
-        for M, R in zip(mats, rights):
-            out += M @ V @ R
-        return out.reshape(-1)
-
-    op = LinearOperator((dim, dim), matvec=matvec, dtype=complex)
+    op = LinearOperator((dim, dim), matvec=_tensor_gather(B), dtype=complex)
     rng = sampling.rng_from(seed)
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     if which == "absmax":
@@ -161,8 +220,7 @@ def _tensor_sum_extreme_eig(mats: np.ndarray, conj_right: bool,
 
 def tensor_square_top_eig(B: CliffordTuple, seed: int = 0) -> float:
     """Largest eigenvalue of ``sum_i B_i (x) B_i``."""
-    return _tensor_sum_extreme_eig(B.matrices, conj_right=False,
-                                   which="max", seed=seed)
+    return _tensor_sum_extreme_eig(B, which="max", seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +240,7 @@ def sharpness_check(d: int, num_dirs: int = 32, seed: int = 0) -> dict:
         raise WitnessError("tensor certificates capped at d=8")
     B = clifford_tuple(d)
     mats = B.matrices.astype(float)
-    lam_max = _tensor_sum_extreme_eig(mats, conj_right=False, which="max",
-                                      seed=seed)
+    lam_max = _tensor_sum_extreme_eig(B, which="max", seed=seed)
 
     rng = sampling.rng_from(seed)
     dirs = sampling.sphere_points(d, num_dirs, rng)
@@ -222,8 +279,7 @@ def sqrt_d_check(d: int, tol: float = 1e-9, seed: int = 0) -> dict:
     B = clifford_tuple(d)
     mats = B.matrices.astype(float)
     conj_gap = float(np.max(np.abs(np.conj(mats) - mats)))
-    norm = _tensor_sum_extreme_eig(mats, conj_right=True, which="absmax",
-                                   seed=seed)
+    norm = _tensor_sum_extreme_eig(B, which="absmax", seed=seed)
     return {
         "d": d,
         "conjugation_gap": conj_gap,

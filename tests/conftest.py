@@ -113,6 +113,20 @@ def same_bits(a, b) -> bool:
             and a.tobytes() == b.tobytes())
 
 
+def tensor_matvec_dense(mats, conj_right: bool, v) -> np.ndarray:
+    """``vec(V) -> vec(sum_i M_i V R_i^T)`` with ``R_i = conj(M_i)`` or
+    ``M_i``, by dense matrix products: the Lanczos matvec that the signed
+    gather of ``witnesses._tensor_gather`` replaced."""
+    mats = np.asarray(mats, dtype=complex)
+    q = mats.shape[1]
+    rights = (np.conj(mats) if conj_right else mats).swapaxes(1, 2)
+    V = v.reshape(q, q)
+    out = np.zeros_like(V)
+    for M, R in zip(mats, rights):
+        out += M @ V @ R
+    return out.reshape(-1)
+
+
 def kron_sum_loop(A, B) -> np.ndarray:
     return sum(np.kron(Aj, Bj) for Aj, Bj in zip(A, B))
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import tensor_matvec_dense
 from matconv import numkernel as nk
 from matconv.sets import selfdual_member
 from matconv.cli import main
 from matconv.witnesses import (
+    _DENSE_TENSOR_CUTOFF,
     CliffordTuple,
     WitnessError,
+    _tensor_gather,
     ball_chain_witnesses,
     clifford_tuple,
     nonscalable_check,
@@ -47,6 +51,41 @@ class TestCliffordTuple:
         i, j = np.argwhere(mats[-1] != 0)[0]
         mats[-1][i, j] = -mats[-1][i, j]
         assert not CliffordTuple(d, tuple(mats)).verify_anticommutation()
+
+    def test_two_nonzeros_in_a_row_fails(self):
+        mats = clifford_tuple(3).matrices.copy()
+        mats[1, 0, :2] = 1
+        B = CliffordTuple(3, mats)
+        assert B.perm is None and B.sign is None
+        assert B.verify_anticommutation() is False
+
+    def test_commuting_pair_fails(self):
+        # Signed permutations that square to I but commute.
+        twice = clifford_tuple(3).matrices[[0, 0]]
+        assert not CliffordTuple(2, twice).verify_anticommutation()
+
+    def test_member_not_an_involution_fails(self):
+        # A signed permutation with all signs 1 whose square is a 3-cycle.
+        cycle = np.eye(3, dtype=np.int64)[[1, 2, 0]]
+        assert CliffordTuple(1, cycle[None]).verify_anticommutation() is False
+
+    def test_products_on_different_permutations_fail(self):
+        # Both members square to I and the product signs cancel row by row,
+        # but B_0 B_1 and B_1 B_0 put each row's entry in different columns.
+        rows = np.arange(4)
+        mats = np.zeros((2, 4, 4), dtype=np.int64)
+        mats[0, rows, [0, 1, 3, 2]] = [1, 1, -1, -1]
+        mats[1, rows, [2, 3, 0, 1]] = 1
+        assert (mats[0] @ mats[1] + mats[1] @ mats[0]).any()
+        assert CliffordTuple(2, mats).verify_anticommutation() is False
+
+    def test_signed_permutation_form(self):
+        B = clifford_tuple(4)
+        rows = np.arange(B.size)
+        for M, p, s in zip(B.matrices, B.perm, B.sign):
+            want = np.zeros_like(M)
+            want[rows, p] = s
+            assert np.array_equal(M, want)
 
     def test_range_guard(self):
         with pytest.raises(WitnessError):
@@ -106,6 +145,11 @@ class TestAnticommutationCheckedOnce:
         r = sharpness_check(d)
         assert checks == [d]
         assert r["anticommutation_exact"] is True
+
+    @pytest.mark.parametrize("d", [9, 10])
+    def test_clifford_tuple_beyond_size_256(self, checks, d):
+        assert clifford_tuple(d).anticommutation_exact is True
+        assert checks == [d]
 
     def test_witness_clifford_cli(self, checks, capsys):
         assert main(["witness", "clifford", "--d", "4"]) == 0
@@ -208,3 +252,32 @@ def test_tensor_square_top_eig_matches_dense():
     M = sum(np.kron(Mi, Mi).astype(float) for Mi in B.matrices)
     dense = float(np.linalg.eigvalsh(M)[-1])
     assert tensor_square_top_eig(B) == pytest.approx(dense, abs=1e-10)
+
+
+class TestTensorGather:
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @pytest.mark.parametrize("conj_right", [False, True])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_bit_identical_to_dense_products(self, d, conj_right, seed):
+        B = clifford_tuple(d)
+        rng = np.random.default_rng(seed)
+        dim = B.size ** 2
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        want = tensor_matvec_dense(B.matrices, conj_right, v)
+        assert np.array_equal(_tensor_gather(B)(v), want)
+
+    def test_rejects_non_signed_permutation(self):
+        mats = clifford_tuple(2).matrices.copy()
+        mats[0, 0, 0] = 1
+        with pytest.raises(WitnessError):
+            _tensor_gather(CliffordTuple(2, mats))
+
+    @pytest.mark.parametrize("d", [5, 6, 7])
+    def test_top_eig_across_dense_cutoff(self, d):
+        B = clifford_tuple(d)
+        assert (B.size ** 2 <= _DENSE_TENSOR_CUTOFF) == (d <= 5)
+        assert abs(tensor_square_top_eig(B) - d) <= 1e-12 * d
+
+    def test_sqrt_d_norm_at_d6(self):
+        assert abs(sqrt_d_check(6)["tensor_norm_over_d"] - 1.0) <= 1e-12

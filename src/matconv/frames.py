@@ -13,9 +13,12 @@ dilation machinery needs.
 Symmetry search is over Gram-preserving index permutations, which is sound
 and complete for spanning frames: any such permutation extends to a unique
 orthogonal map, reconstructed here on a maximal independent subset and then
-verified.  The search is capped (default 24 vectors) to keep the worst-case
-backtracking tractable.  Validation compares every pair of vectors, a chunk
-of rows at a time, and is capped at ``FRAME_PAIR_CAP`` pair coordinates.
+verified.  The search extends every partial assignment of one depth at
+once, as one array, and is capped twice: at 24 vectors by default, and at
+``SYMMETRY_ENTRY_CAP`` entries in the array of partial assignments, which
+bounds its memory whatever the group order.  Validation compares every pair
+of vectors, a chunk of rows at a time, and is capped at ``FRAME_PAIR_CAP``
+pair coordinates.
 
 Numerical caveat: the rank-1 fixed-space test compares eigenvalues of an
 averaged orthogonal representation against ``1 - tol``; frames that are
@@ -43,6 +46,11 @@ CLOSURE_CHUNK_ROWS = 1 << 16  # compositions sorted at once
 # test alone took 2.65 s at d = 13 (4.4e8; 2-core Xeon, one BLAS thread).
 FRAME_PAIR_CAP = 1 << 27
 PAIR_CHUNK = 1 << 16  # coordinate differences held at once, or one row
+# Most entries, rows times N, that one depth of the symmetry search may hold
+# in its array of partial assignments.  `pm_basis --d 7` (6.5e5 symmetries
+# of 14 vectors, 9.0e6 entries) passes; `pm_basis --d 8` (1.03e7
+# symmetries of 16 vectors) is refused at its sixth depth.
+SYMMETRY_ENTRY_CAP = 1 << 24
 
 
 class FrameError(Exception):
@@ -175,9 +183,6 @@ class SymmetryGroup:
             reached[self.permutations[:, reached]] = True
         return bool(reached.all())
 
-    def orbit(self, i: int) -> set[int]:
-        return set(self.permutations[:, i].tolist())
-
     def verify_closure(self) -> bool:
         """Exact check that the index permutations contain every inverse and
         all G^2 compositions, a chunk of compositions at a time."""
@@ -217,34 +222,37 @@ def _rows_within(rows: np.ndarray, table: np.ndarray) -> bool:
 
 
 def _gram_permutations(G: np.ndarray, tol: float) -> np.ndarray:
-    """All Gram-preserving index permutations, as ``(P, N)`` rows in the
-    order of a backtracking search with partial-Gram pruning."""
+    """All Gram-preserving index permutations, as ``(P, N)`` rows in
+    lexicographic order.
+
+    The search is level-synchronous: the frontier holds every partial
+    assignment ``0..i-1 -> rows`` that preserves the Gram entries among its
+    indices, as one ``(M, i)`` array in lexicographic order, and level i
+    extends all of them at once: a row may send i to every j of the same
+    norm that it has not used, with ``|G[rows[:, k], j] - G[k, i]| <= tol``
+    for every k < i, one ``(M, N)`` gather per k.  The children of each row
+    come out in increasing j, so the order is that of a depth-first
+    backtracking search.  A level whose frontier would pass
+    ``SYMMETRY_ENTRY_CAP`` entries (rows times N) raises
+    :class:`FrameError` before it is built.
+    """
     N = G.shape[0]
-    out: list[list[int]] = []
-    assigned = [-1] * N
-    used = [False] * N
-
-    def extend(i: int):
-        if i == N:
-            out.append(assigned.copy())
-            return
-        for j in range(N):
-            if used[j] or abs(G[j, j] - G[i, i]) > tol:
-                continue
-            ok = True
-            for k in range(i):
-                if abs(G[assigned[k], j] - G[k, i]) > tol:
-                    ok = False
-                    break
-            if ok:
-                assigned[i] = j
-                used[j] = True
-                extend(i + 1)
-                used[j] = False
-                assigned[i] = -1
-
-    extend(0)
-    return np.array(out, dtype=np.intp).reshape(-1, N)
+    diag = np.diagonal(G)
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for i in range(N):
+        mask = np.repeat((np.abs(diag - G[i, i]) <= tol)[None], len(rows), 0)
+        np.put_along_axis(mask, rows, False, axis=1)
+        for k in range(i):
+            mask &= np.abs(G[rows[:, k]] - G[k, i]) <= tol
+        count = np.count_nonzero(mask)
+        if count * N > SYMMETRY_ENTRY_CAP:
+            raise FrameError(
+                f"symmetry search would hold {count} partial assignments of "
+                f"{N} vectors after {i + 1} levels, above the "
+                f"SYMMETRY_ENTRY_CAP of {SYMMETRY_ENTRY_CAP} entries")
+        parent, j = np.nonzero(mask)         # in row-major order
+        rows = np.concatenate([rows[parent], j[:, None]], axis=1)
+    return rows
 
 
 def _independent_rows(V: np.ndarray, d: int) -> list[int]:
@@ -265,10 +273,12 @@ def symmetry_group(frame: Frame, cap: int = DEFAULT_CAP,
                    tol: float = DEFAULT_GROUP_TOL) -> SymmetryGroup:
     """Enumerate the orthogonal symmetries permuting the frame.
 
-    Gram-preserving permutations are enumerated by backtracking; each is
-    lifted to the unique linear map agreeing on a maximal independent subset
-    and kept only if that map is orthogonal and permutes the whole frame to
-    ``tol``.
+    Gram-preserving permutations are enumerated one depth at a time by
+    :func:`_gram_permutations`; each is lifted to the unique linear map
+    agreeing on a maximal independent subset and kept only if that map is
+    orthogonal and permutes the whole frame to ``tol``.  Raises
+    :class:`FrameError` for more than ``cap`` vectors, and when a depth of
+    the search would pass ``SYMMETRY_ENTRY_CAP`` entries.
     """
     if frame.count > cap:
         raise FrameError(

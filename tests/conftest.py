@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from matconv import frames
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv.frames import Frame, check_tight
@@ -179,6 +180,48 @@ def first_coincident_pair_loop(V, radius):
             if np.linalg.norm(V[i] - V[j]) <= radius[i]:
                 return i, j
     return None
+
+
+def gram_permutations_backtrack(G, tol) -> np.ndarray:
+    """Gram-preserving index permutations by depth-first backtracking with
+    partial-Gram pruning: the search that the level-synchronous one of
+    ``frames._gram_permutations`` replaced, rows in the order found."""
+    N = G.shape[0]
+    out: list[list[int]] = []
+    assigned = [-1] * N
+    used = [False] * N
+
+    def extend(i: int):
+        if i == N:
+            out.append(assigned.copy())
+            return
+        for j in range(N):
+            if used[j] or abs(G[j, j] - G[i, i]) > tol:
+                continue
+            ok = True
+            for k in range(i):
+                if abs(G[assigned[k], j] - G[k, i]) > tol:
+                    ok = False
+                    break
+            if ok:
+                assigned[i] = j
+                used[j] = True
+                extend(i + 1)
+                used[j] = False
+                assigned[i] = -1
+
+    extend(0)
+    return np.array(out, dtype=np.intp).reshape(-1, N)
+
+
+def assert_search_matches_backtracking(G, tol) -> None:
+    """``frames._gram_permutations`` returns the oracle's rows, in its
+    order, which is strictly increasing lexicographic order."""
+    rows = frames._gram_permutations(G, tol)
+    assert rows.dtype == np.intp and rows.shape[1:] == (G.shape[0],)
+    assert np.array_equal(rows, gram_permutations_backtrack(G, tol))
+    listed = rows.tolist()
+    assert all(a < b for a, b in zip(listed, listed[1:]))
 
 
 def dilation_residuals_loop(T, V, X, scale) -> dict:

@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import subprocess
 import sys
@@ -6,12 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import combine_frames, random_povm
+from conftest import (
+    assert_search_matches_backtracking,
+    combine_frames,
+    random_povm,
+)
 from matconv import frames, sampling
 from matconv import numkernel as nk
+from matconv.cli import main
 from matconv.dilation import LambdaFamily, lambda_dilation
 from matconv.frames import (
     CLOSURE_CHUNK_ROWS,
+    SYMMETRY_ENTRY_CAP,
     FrameError,
     NotEqualNormError,
     NotTightError,
@@ -108,8 +116,8 @@ class TestSymmetryGroup:
         assert not g.is_transitive()
         # Orbits stay inside the two parts, and every element is block
         # diagonal with respect to the 4 + 2 coordinate split.
-        assert g.orbit(0) == set(range(10))
-        assert g.orbit(10) == set(range(10, 15))
+        assert set(g.permutations[:, 0].tolist()) == set(range(10))
+        assert set(g.permutations[:, 10].tolist()) == set(range(10, 15))
         for U in g.matrices:
             assert np.max(np.abs(U[:4, 4:])) <= 1e-8
             assert np.max(np.abs(U[4:, :4])) <= 1e-8
@@ -224,6 +232,48 @@ class TestSymmetryGroup:
                 assert verdicts == (closed(perms), transitive(perms))
                 seen.add(verdicts)
         assert seen == {(a, b) for a in (True, False) for b in (True, False)}
+
+
+class TestGramSearch:
+    @pytest.mark.parametrize("frame", [
+        pentagon_frame(), simplex3_frame(), s5_orbit_frame(),
+        *(pm_basis_frame(d) for d in range(2, 6)),
+        *(cube_corners_frame(d) for d in range(2, 5)),
+    ], ids=lambda f: f"N{f.count}d{f.dim}")
+    def test_builders_match_backtracking(self, frame):
+        assert_search_matches_backtracking(
+            frame.gram(), 1e-8 * max(frame.norm ** 2, 1.0))
+
+    def test_entry_cap_boundary(self, monkeypatch):
+        # cube_corners --d 3: its last depth holds 48 rows of 8 indices.
+        G = cube_corners_frame(3).gram()
+        monkeypatch.setattr(frames, "SYMMETRY_ENTRY_CAP", 48 * 8)
+        assert _gram_permutations(G, 1e-8).shape == (48, 8)
+        monkeypatch.setattr(frames, "SYMMETRY_ENTRY_CAP", 48 * 8 - 1)
+        with pytest.raises(FrameError, match="SYMMETRY_ENTRY_CAP"):
+            _gram_permutations(G, 1e-8)
+
+    def test_group_past_entry_cap_exits_4(self):
+        # pm_basis --d 8 has 16 vectors, under the vector cap, and 2^8 8!
+        # symmetries: refused from its sixth depth, long before the search
+        # or the lift could fill memory.
+        assert 2 ** 8 * math.factorial(8) * 16 > SYMMETRY_ENTRY_CAP
+        run = subprocess.run(
+            [sys.executable, "-m", "matconv.cli", "frame", "reflexive",
+             "pm_basis", "--d", "8"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+            text=True, timeout=60)
+        assert run.returncode == 4 and run.stdout == ""
+        assert "SYMMETRY_ENTRY_CAP" in run.stderr
+
+    def test_group_under_entry_cap_runs(self, capsys):
+        assert main(["frame", "reflexive", "pm_basis", "--d", "6"]) == 0
+        report = json.loads(capsys.readouterr().out)["result"]
+        assert report["vertex_reflexive"] is True
+        # 46080 symmetries; the stabilizer of each +-e_i is the signed
+        # permutations of the other five coordinates, 2^5 5! of them.
+        assert all(r["stabilizer_order"] == 3840
+                   for r in report["per_vector"])
 
 
 class TestVertexReflexive:

@@ -40,7 +40,7 @@ from .frames import (
     projection_invariance,
     symmetry_group,
 )
-from .sdp import Status
+from .sdp import LpCycleGuardError, Status
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -265,15 +265,15 @@ def _cmd_frame(args) -> tuple[int, dict]:
             "tight": True, "count": f.count, "dim": f.dim,
             "norm": f.norm, "sigma": f.sigma,
         }
-    g = symmetry_group(f, cap=args.cap)
     if args.kind == "sym":
+        g = symmetry_group(f, cap=args.cap)
         return EXIT_POSITIVE, {
             "order": g.order,
             "transitive": g.is_transitive(),
             "closure": g.verify_closure(),
         }
     if args.kind == "reflexive":
-        ok, report = is_vertex_reflexive(f, g)
+        ok, report = is_vertex_reflexive(f, symmetry_group(f, cap=args.cap))
         return _bool_exit(ok), {
             "vertex_reflexive": ok,
             "per_vector": [
@@ -281,7 +281,11 @@ def _cmd_frame(args) -> tuple[int, dict]:
                  for k, v in r.items()} for r in report
             ],
         }
-    ok = projection_invariance(f)
+    try:
+        ok = projection_invariance(f)
+    except LpCycleGuardError as exc:  # an LP hit its iteration cap
+        return EXIT_UNDECIDED, {"projection_invariant": None,
+                                "message": str(exc)}
     return _bool_exit(ok), {"projection_invariant": ok}
 
 

@@ -43,6 +43,7 @@ STALL_WINDOW = 200         # iterations a plateau is judged over
 STALL_REL = 1e-4           # relative gap spread that counts as flat
 CERTIFICATE_MARGIN = 1e-9  # relative margin a separating value must clear
 WITNESS_TOL = 1e-7         # re-verified constraint residual and PSD slack
+RAYLEIGH_MARGIN = 1e-12    # relative margin of the affine-side PSD screen
 
 
 class SdpError(Exception):
@@ -231,25 +232,52 @@ def _block_norms(K: np.ndarray) -> np.ndarray:
     return np.linalg.norm(K.reshape(len(K), -1), axis=1)
 
 
-def _frob(blocks: Sequence[np.ndarray]) -> float:
-    # Block by block: the reported residual keeps this summation order.
-    return float(np.sqrt(sum(np.linalg.norm(B) ** 2 for B in blocks)))
+def _frob(K: np.ndarray) -> float:
+    """Frobenius norm of an ``(N, n, n)`` stack, bit-identical to
+    ``sqrt(sum(np.linalg.norm(B) ** 2 for B in K))`` on a C-contiguous copy
+    of ``K``: each block's squared norm is ``re.re + im.im`` from two
+    strided ``dot`` calls (the vector case of ``matmul``), as ``norm``
+    forms it, its root is squared again, and the squares are added left to
+    right (``cumsum``)."""
+    X = np.ascontiguousarray(K).reshape(len(K), -1)
+    sq = ((X.real[:, None, :] @ X.real[:, :, None]).ravel()
+          + (X.imag[:, None, :] @ X.imag[:, :, None]).ravel())
+    s = np.sqrt(sq)
+    return float(np.sqrt(np.cumsum(s * s)[-1]))
 
 
-def psd_project(K: np.ndarray) -> np.ndarray:
-    """Nearest PSD point of an ``(N, n, n)`` stack, block by block, from one
-    batched ``eigh``: each block is symmetrized, and a block with a negative
-    eigenvalue is rebuilt with its negative eigenvalues clipped to zero.
-    Blocks that are already PSD come back as their symmetrized input."""
+def psd_project(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest PSD point ``H`` of an ``(N, n, n)`` stack, block by block,
+    from one batched ``eigh``: each block is symmetrized, and a block with a
+    negative eigenvalue is rebuilt with its negative eigenvalues clipped to
+    zero.  Blocks that are already PSD come back as their symmetrized input.
+
+    Returns ``(H, v)``, with ``v`` the ``(N, n)`` unit eigenvectors of each
+    symmetrized block's smallest eigenvalue (``eigh``'s first columns)."""
     H = _sym(K)
     w, Q = np.linalg.eigh(H)
+    v = Q[:, :, 0]
     neg = w[:, 0] < 0.0
     if not neg.any():
-        return H
+        return H, v
     w, Q = w[neg], Q[neg]
     H[neg] = _sym((Q * np.clip(w, 0.0, None)[:, None, :])
                   @ Q.conj().swapaxes(1, 2))
-    return H
+    return H, v
+
+
+def _rayleigh_rules_out(K: np.ndarray, v: np.ndarray, tol: float) -> bool:
+    """True when some block's Rayleigh quotient ``Re(v_b^H K_b v_b)`` lies
+    below ``-tol - RAYLEIGH_MARGIN |K_b|_F``, so that ``eigvalsh`` of the
+    symmetrized stack cannot give a smallest eigenvalue ``>= -tol``.
+
+    The smallest eigenvalue is at most every Rayleigh quotient of a unit
+    vector.  The margin is over 100 times the rounding of the quotient and
+    of ``eigvalsh`` (each a small multiple of ``n u |K_b|_F`` for blocks up
+    to 36 x 36), so a quotient past it places the computed eigenvalue below
+    ``-tol`` too.  A NaN quotient rules nothing out."""
+    r = (v.conj()[:, None, :] @ K @ v[:, :, None]).real.ravel()
+    return bool(np.any(r < -tol - RAYLEIGH_MARGIN * _block_norms(K)))
 
 
 def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
@@ -260,7 +288,12 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
     satisfies the other constraint to ``tol_feas``: the PSD-side point when
     its Frobenius distance to the affine set is small, or the affine-side
     point when its blocks are PSD up to ``-tol_feas``.  A feasible witness
-    is the list of the N blocks.
+    is the list of the N blocks.  The affine-side test is screened with
+    the PSD step's own eigenvectors: a block whose Rayleigh quotient at the
+    eigenvector of its PSD-step input's smallest eigenvalue lies below
+    ``-tol_feas`` by the screen's margin rules acceptance out, and
+    ``eigvalsh`` runs only when no block does.  An iteration that is not
+    accepted then usually costs one eigensolve, the PSD step's ``eigh``.
 
     Every ``CERTIFICATE_EVERY`` iterations, while the gap exceeds
     ``10 tol_feas``, the PSD-side point ``y`` minus its projection ``y_aff``
@@ -297,7 +330,7 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
     verify = problem.verify_certificate
     for it in range(1, problem.max_iter + 1):
         y_in = x + p
-        y = psd_project(y_in)
+        y, v = psd_project(y_in)
         p = y_in - y
 
         y_aff = project(y)
@@ -305,10 +338,11 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
         gaps.append(gap)
         if gap <= tol:
             return FeasibilityResult(Status.FEASIBLE, list(y), gap, it)
-        neg = float(np.linalg.eigvalsh(_sym(y_aff))[:, 0].min())
-        if neg >= -tol:
-            return FeasibilityResult(Status.FEASIBLE, list(y_aff),
-                                     max(0.0, -neg), it)
+        if not _rayleigh_rules_out(y_aff, v, tol):
+            neg = float(np.linalg.eigvalsh(_sym(y_aff))[:, 0].min())
+            if neg >= -tol:
+                return FeasibilityResult(Status.FEASIBLE, list(y_aff),
+                                         max(0.0, -neg), it)
         if verify is not None and it % CERTIFICATE_EVERY == 0 \
                 and gap > 10 * tol:
             cert = _separation(y, y_aff, verify)

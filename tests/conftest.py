@@ -107,6 +107,13 @@ def dense_residuals(T, V, X, scale) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def frob_blocks_loop(blocks) -> float:
+    """Frobenius norm of a block stack, one ``np.linalg.norm`` per block,
+    squares added left to right: the ``sdp._frob`` that the batched form
+    replaced, whose printed residuals that form must keep bit for bit."""
+    return float(np.sqrt(sum(np.linalg.norm(B) ** 2 for B in blocks)))
+
+
 def same_bits(a, b) -> bool:
     """Equal dtype, shape and bytes: bit for bit, signs of zeros included."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)

@@ -13,7 +13,7 @@ from conftest import (
     combine_frames,
     random_povm,
 )
-from matconv import frames, sampling
+from matconv import frames, sampling, sdp
 from matconv import numkernel as nk
 from matconv.cli import main
 from matconv.dilation import LambdaFamily, lambda_dilation
@@ -360,6 +360,29 @@ class TestProjectionInvariance:
         run = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
+
+    @pytest.mark.parametrize("name, d", [("cube_corners", 5),
+                                         ("pm_basis", 8)])
+    def test_cli_skips_the_symmetry_search(self, capsys, name, d):
+        # Neither group can be searched: 32 vectors are above the default
+        # search cap of 24, and 2^8 8! symmetries above SYMMETRY_ENTRY_CAP.
+        # Invariance never reads the group.
+        assert main(["frame", "invariance", name, "--d", str(d)]) == 0
+        report = json.loads(capsys.readouterr().out)["result"]
+        assert report == {"projection_invariant": True}
+        assert main(["frame", "sym", name, "--d", str(d)]) == 4
+
+    def test_cli_lp_cap_is_undecided(self, capsys, monkeypatch):
+        lp_feasible = sdp.lp_feasible
+
+        def capped(problem, pivot_tol=sdp.PIVOT_TOL):
+            return lp_feasible(problem, pivot_tol, max_iter=1)
+
+        monkeypatch.setattr(sdp, "lp_feasible", capped)
+        assert main(["frame", "invariance", "cube_corners", "--d", "3"]) == 2
+        report = json.loads(capsys.readouterr().out)["result"]
+        assert report["projection_invariant"] is None
+        assert "iteration cap" in report["message"]
 
 
 def _frame_family_spectrum_in_hull(f, X, facets) -> bool:

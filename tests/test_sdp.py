@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import pauli_pair
-from matconv import sdp
+from conftest import frob_blocks_loop, pauli_pair
+from matconv import sampling, sdp
 from matconv.sdp import (
     BlockPsdProblem,
     LpProblem,
@@ -64,8 +64,9 @@ class TestDykstra:
              + 1j * rng.standard_normal((6, 3, 3)))
         K = A + A.conj().swapaxes(1, 2)
         K[:2] = A[:2] @ A[:2].conj().swapaxes(1, 2)     # already PSD
-        got = sdp.psd_project(K)
-        for B, P in zip(K, got):
+        got, low = sdp.psd_project(K)
+        assert low.shape == (6, 3)
+        for B, P, v in zip(K, got, low):
             H = (B + B.conj().T) / 2.0
             w, Q = np.linalg.eigh(H)
             if w[0] >= 0.0:
@@ -74,6 +75,51 @@ class TestDykstra:
                 R = (Q * np.clip(w, 0.0, None)) @ Q.conj().T
                 want = (R + R.conj().T) / 2.0
             assert P.tobytes() == want.tobytes()
+            assert v.tobytes() == Q[:, 0].tobytes()
+
+    @pytest.mark.parametrize("N, n, scale", [
+        (1, 1, 1.0), (7, 3, 1e-150), (64, 4, 1.0), (256, 4, 1e2),
+        (512, 36, 1e150), (33, 36, 1e-8),
+    ])
+    def test_frob_matches_per_block_norms(self, rng, N, n, scale):
+        K = scale * 10.0 ** rng.uniform(-3, 3, (N, 1, 1)) * (
+            rng.standard_normal((N, n, n))
+            + 1j * rng.standard_normal((N, n, n)))
+        K[::5] = 0.0                                     # zero blocks
+        with np.errstate(over="ignore"):     # both overflow to inf at 1e150
+            for S in (K, K.real, K.real + 0j, np.ascontiguousarray(K.real)):
+                assert sdp._frob(S) == frob_blocks_loop(S)
+
+    def test_affine_side_test_runs_no_eigensolve_when_screened(
+            self, monkeypatch):
+        # A 0.9-scaled Hermitian contraction tuple near the boundary of
+        # Wmin(cube), 64 blocks, capped at 50 iterations: the solve ends
+        # undecided, so every eigvalsh call is a separation candidate's or
+        # its certify's; the Rayleigh screen rules out every affine-side
+        # acceptance without one.
+        rng = np.random.default_rng(3)
+        X = []
+        for _ in range(6):
+            H = sampling.random_herm(3, rng)
+            X.append(0.9 * H / np.abs(np.linalg.eigvalsh(H)).max())
+        calls = {"eigvalsh": 0, "separation": 0, "certify": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(sdp, "_separation",
+                            counted("separation", sdp._separation))
+        monkeypatch.setattr(sdp.ConstraintMap, "certify",
+                            counted("certify", sdp.ConstraintMap.certify))
+        res = wmin_member(HermTuple(X), cube_polytope(6), max_iter=50)
+        assert res.status is Status.UNDECIDED and res.iterations == 50
+        assert calls["separation"] == 5
+        assert calls["eigvalsh"] == calls["separation"] + calls["certify"]
 
     def test_deterministic(self):
         X = pauli_pair()

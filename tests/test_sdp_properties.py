@@ -1,0 +1,76 @@
+"""Property tests of the Dykstra solver's batched kernels: the Frobenius gap
+against the per-block oracle, bit for bit, and the soundness of the
+Rayleigh screen of the affine-side PSD test."""
+
+import numpy as np
+import pytest
+
+from conftest import frob_blocks_loop
+from matconv import sdp
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.integers(1, 512), n=st.integers(1, 36),
+       exponent=st.integers(-150, 150),
+       kind=st.sampled_from(["complex", "real", "real_as_complex",
+                             "real_view"]),
+       zero_every=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_frob_matches_per_block_oracle(N, n, exponent, kind, zero_every,
+                                       seed):
+    # Block magnitudes spread over six decades around 10^exponent, so the
+    # left-to-right order of the sum shows in the last bit.
+    rng = np.random.default_rng(seed)
+    spread = 10.0 ** rng.uniform(-3, 3, (N, 1, 1))
+    K = (10.0 ** exponent) * spread * (
+        rng.standard_normal((N, n, n)) + 1j * rng.standard_normal((N, n, n)))
+    if zero_every:
+        K[::zero_every] = 0.0
+    K = {"complex": K, "real": np.ascontiguousarray(K.real),
+         "real_as_complex": K.real + 0j, "real_view": K.real}[kind]
+    with np.errstate(over="ignore"):         # both overflow to inf alike
+        assert sdp._frob(K) == frob_blocks_loop(K)
+
+
+def _unitary(rng, n):
+    Q, R = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=st.integers(1, 12), n=st.integers(1, 36),
+       tol=st.sampled_from([1e-10, 1e-8, 1e-6, 1e-3, 1.0]),
+       place=st.sampled_from([1.0 + 1e-9, 1.0, 1.0 - 1e-9]),
+       top=st.integers(-10, 4),
+       vec=st.sampled_from(["eigh", "exact", "perturbed", "random"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rayleigh_screen_fires_only_below_tol(N, n, tol, place, top, vec,
+                                              seed):
+    # Hermitian blocks whose smallest eigenvalue over the stack is placed at
+    # -tol (1 +- 1e-9) or exactly at -tol, with the other eigenvalues up to
+    # 10^top above it, so |K_b|_F ranges from about tol to far above it.
+    rng = np.random.default_rng(seed)
+    low = -tol * place
+    K = np.empty((N, n, n), dtype=complex)
+    exact = np.empty((N, n), dtype=complex)
+    for b in range(N):
+        w = np.sort(low + 10.0 ** top * rng.uniform(0.0, 1.0, n))
+        w[0] = low if b == 0 else max(low, w[0])
+        Q = _unitary(rng, n)
+        K[b] = (Q * w) @ Q.conj().T
+        exact[b] = Q[:, 0]
+    K = (K + K.conj().swapaxes(1, 2)) / 2.0
+    if vec == "eigh":
+        v = np.linalg.eigh(K)[1][:, :, 0]
+    elif vec == "exact":
+        v = exact
+    else:
+        v = rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n))
+        if vec == "perturbed":
+            v = exact + 1e-8 * v
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    if sdp._rayleigh_rules_out(K, v, tol):
+        assert float(np.linalg.eigvalsh(K)[:, 0].min()) < -tol

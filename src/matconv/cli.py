@@ -303,7 +303,7 @@ def _cmd_witness(args) -> tuple[int, dict]:
         ok = abs(r["lambda_max"] - args.d) <= 1e-9
         return _bool_exit(ok), r
     if args.kind == "sqrtd":
-        r = wit.sqrt_d_check(args.d, seed=args.seed)
+        r = wit.sqrt_d_check(args.d)
         ok = (abs(r["tensor_norm_over_d"] - 1.0) <= 1e-9
               and r["boundary_member"] and not r["shrunk_member"])
         return _bool_exit(ok), r

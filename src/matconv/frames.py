@@ -38,7 +38,6 @@ from .sdp import point_in_hull
 
 DEFAULT_GROUP_TOL = 1e-8
 DEFAULT_CAP = 24
-CLOSURE_CHUNK_ROWS = 1 << 16  # compositions sorted at once
 # Most pair coordinates, N (N - 1) / 2 * d for N vectors in R^d, that the
 # coincidence test of ``check_tight`` compares; the dimensioned builders
 # check it before they allocate.  `matconv frame check cube_corners --d 12`
@@ -184,18 +183,37 @@ class SymmetryGroup:
         return bool(reached.all())
 
     def verify_closure(self) -> bool:
-        """Exact check that the index permutations contain every inverse and
-        all G^2 compositions, a chunk of compositions at a time."""
+        """Exact check that the rows form a group, grown from generators.
+
+        R starts as the identity and the generator set T as empty.  While R
+        misses a row t of S, t joins T: its right-multiplication map
+        ``s -> s o t`` on S is looked up with one sort, and fails the check
+        unless every product is a row of S.  R then grows breadth first
+        under the maps of T.  At the end R = <T> = S, so S is a group;
+        conversely a product outside S shows that S is not closed.  R is a
+        subgroup after each round and strictly grows, so by Lagrange there
+        are at most log2 P generators and the work is O(P log P N).
+        Repeated rows count once.
+        """
         N = self.permutations.shape[1]
         perms = self.permutations.astype(np.min_scalar_type(N))
-        if not _rows_within(np.argsort(perms, axis=1), perms):
+        order, starts = _sorted_runs(perms)
+        S = perms[order[starts]]                 # distinct rows, sorted
+        reached = (S == np.arange(N)).all(axis=1)
+        if not reached.any():
             return False
-        step = max(1, CLOSURE_CHUNK_ROWS // max(self.order, 1))
-        for lo in range(0, self.order, step):
-            # q o p for every q and every p in the chunk: (G, step, N)
-            composed = perms[:, perms[lo:lo + step]]
-            if not _rows_within(composed.reshape(-1, N), perms):
+        maps = np.empty((0, len(S)), dtype=np.intp)
+        while not reached.all():
+            step = _row_indices(S[:, S[np.argmin(reached)]], S)
+            if step is None:
                 return False
+            maps = np.vstack([maps, step])
+            frontier = np.flatnonzero(reached)
+            while frontier.size:
+                images = np.sort(maps[:, frontier], axis=None)
+                images = images[~reached[images]]
+                frontier = images[np.diff(images, prepend=-1) != 0]
+                reached[frontier] = True
         return True
 
 
@@ -211,14 +229,19 @@ def _sorted_runs(rows: np.ndarray, *tiebreak: np.ndarray,
     return order, starts
 
 
-def _rows_within(rows: np.ndarray, table: np.ndarray) -> bool:
-    """Is every row of ``rows`` a row of ``table``?  Both are sorted
-    together, lexicographically, with table rows first among equal rows; a
-    run of equal rows that starts with a row of ``rows`` has no match."""
+def _row_indices(rows: np.ndarray, table: np.ndarray):
+    """The index in ``table`` (distinct rows) of every row of ``rows``, or
+    None when some row is not in ``table``.  Both are sorted together,
+    lexicographically, with table rows first among equal rows, so each run
+    of equal rows starts with its table row, if it has one."""
     both = np.concatenate([table, rows.astype(table.dtype)])
     from_rows = np.repeat([False, True], [len(table), len(rows)])
     order, starts = _sorted_runs(both, from_rows)
-    return not np.any(from_rows[order][starts])
+    if np.any(from_rows[order][starts]):
+        return None
+    index = np.empty(len(both), dtype=np.intp)
+    index[order] = order[starts][np.cumsum(starts) - 1]
+    return index[len(table):]
 
 
 def _gram_permutations(G: np.ndarray, tol: float) -> np.ndarray:

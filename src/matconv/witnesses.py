@@ -6,20 +6,24 @@ optimality claim in the package: d integer matrices of size 2^(d-1) with
 ``||v||^2 I``, so each ``sum v_i B_i`` is a unit-norm reflection for unit v,
 while the tensor sum ``sum B_i (x) B_i`` reaches the eigenvalue d.  Those two
 facts pin the scaling constants: d for cube-type inclusions and sqrt(d) for
-the tensor-ball ones, with explicit numerical witnesses rather than abstract
-arguments.
+the tensor-ball ones.
 
 Every member of the family is a signed permutation, ``B[a, perm[a]] =
-sign[a]`` with one +-1 entry per row, and the package uses that form twice.
-The anticommutation check compares permutations and signs of the products
-``B_i B_j`` in integer arithmetic.  The tensor eigensolves act with
-``sum B_i (x) B_i`` on q x q matrices V as ``V -> sum B_i V B_i^T``, and
-each term is the signed gather ``(sign sign^T) * V[perm][:, perm]``: O(q^2)
-per member instead of two O(q^3) matrix products.  Every entry of those
-dense products has exactly one nonzero term, a product with +-1, so they
-are exact and the gather reproduces them bit for bit.  Tensor dimensions up
-to ``_DENSE_TENSOR_CUTOFF`` (256, so d <= 5) take one dense ``eigvalsh``;
-from d = 6 on, seeded Lanczos (ARPACK) on the gather operator.
+sign[a]`` with one +-1 entry per row and column, and every exact fact the
+reports print about it is checked on that form in integer arithmetic.
+Anticommutation compares the permutations and signs of the products
+``B_i B_j``.  The tensor value d needs no eigensolve: each B_i is
+orthogonal, so ``sum_i B_i B_i^T = d I`` and vec(I) is an eigenvector of
+the tensor sum with eigenvalue d, while ``||sum_i B_i (x) B_i|| <= sum_i ||B_i||^2 = d``
+bounds it from above; the members are symmetric, so the top eigenvalue and
+the norm are both exactly d (:func:`tensor_certificate`).  For a unit
+direction v, ``lambda_max(sum v_i B_i) = ||v||`` in closed form, backed by
+the printed square residual and the traceless members.
+
+Both tensor reports still refuse d > 8.  The sharpness report squares
+every sampled direction, and at d = 12 the (32, 2048, 2048) direction stack
+alone takes 1 GiB, so a larger d waits for a square-residual check of
+bounded memory.
 
 Every report in this module is recomputed from the raw constructions at call
 time; nothing is cached.
@@ -47,7 +51,6 @@ from .sets import (
 )
 
 CLIFFORD_D_CAP = 12
-_DENSE_TENSOR_CUTOFF = 256  # dense eigensolve up to this tensor dimension
 
 
 class WitnessError(Exception):
@@ -151,76 +154,50 @@ def clifford_tuple(d: int) -> CliffordTuple:
 
 
 # ---------------------------------------------------------------------------
-# Tensor-operator eigenvalue helpers (avoid forming 4^(d-1) matrices)
+# Exact tensor certificate
 # ---------------------------------------------------------------------------
 
 
-def _tensor_gather(B: CliffordTuple):
-    """The map ``V -> sum_i B_i V B_i^T`` on flattened complex q x q
-    matrices, i.e. ``sum_i B_i (x) B_i`` acting on vec(V), as signed
-    gathers: the i-th term is ``(sign_i sign_i^T) * V[perm_i][:, perm_i]``.
+def tensor_certificate(B: CliffordTuple) -> dict:
+    """Integer facts that make the top eigenvalue and the norm of
+    ``sum_i B_i (x) B_i`` exactly d, the number of members, checked in
+    int64 on the signed-permutation form, with no eigensolve.
 
-    The terms are added in member order onto a zero start.  Each term
-    equals the dense product ``B_i @ V @ B_i^T`` bit for bit, because
-    every entry of that product has exactly one nonzero summand, a product
-    with +-1.  The family is real, so the operator with the right factor
-    conjugated is the same map.
+    * ``members_signed_permutations``: every ``perm_i`` is a bijection and
+      every sign is +-1, so each B_i is a signed permutation matrix,
+      ``B_i B_i^T = I`` and ``||B_i|| = 1``.  Hence
+      ``||sum_i B_i (x) B_i|| <= sum_i ||B_i||^2 = d``
+      (``tensor_norm_bound``).
+    * ``identity_eigenvalue``: ``sum_i B_i B_i^T`` is diagonal, every term
+      being I, and its diagonal ``sum_i sign_i^2`` is d on every row.  The
+      tensor sum maps vec(I) to ``vec(sum_i B_i I B_i^T) = d vec(I)``, so
+      vec(I) is an eigenvector with eigenvalue d and the norm is at least d.
+    * ``members_symmetric``: ``perm_i`` is an involution with
+      ``sign_i o perm_i = sign_i``, that is ``B_i = B_i^T``.  The tensor sum
+      is then symmetric, and its top eigenvalue lies between the Rayleigh
+      quotient d of vec(I) and the norm.
+
+    The two bounds meet, so ``lambda_max = ||sum_i B_i (x) B_i|| = d``; the
+    family is real, so ``||sum_i B_i (x) conj(B_i)|| = d`` as well.  Raises
+    :class:`WitnessError` when a member is not a signed permutation matrix
+    or not symmetric.
     """
-    if B.perm is None:
-        raise WitnessError("the tensor operator needs a signed-permutation "
-                           "family")
-    p, s, q = B.perm, B.sign, B.size
-    # Flat source index and sign of every entry of every term.
-    sources = (p[:, :, None] * q + p[:, None, :]).reshape(len(p), -1)
-    signs = (s[:, :, None] * s[:, None, :]).reshape(len(p), -1).astype(float)
-
-    def matvec(v):
-        v = v.reshape(-1)
-        out = np.zeros(q * q, dtype=complex)
-        for src, sgn in zip(sources, signs):
-            out += sgn * v.take(src)
-        return out
-
-    return matvec
-
-
-def _tensor_sum_extreme_eig(B: CliffordTuple, which: str,
-                            seed: int = 0) -> float:
-    """Extreme eigenvalue of ``sum_i B_i (x) B_i``, which for this real
-    family is also ``sum_i B_i (x) conj(B_i)``.
-
-    Tensor dimensions up to ``_DENSE_TENSOR_CUTOFF`` (256, d <= 5) take one
-    dense ``eigvalsh`` of the integer tensor sum.  Larger ones run seeded
-    matrix-free Lanczos (ARPACK ``eigsh``) on the complex signed-gather
-    operator of ``_tensor_gather``, which gives the same vectors bit for bit
-    as the dense products ``B_i V B_i^T`` would, at O(d q^2) per step.
-
-    ``which`` is "max" (largest algebraic) or "absmax".
-    """
-    q = B.size
-    dim = q * q
-    if dim <= _DENSE_TENSOR_CUTOFF:
-        M = B.matrices.astype(float)
-        w = np.linalg.eigvalsh(nk.kron_sum(M, M))
-        if which == "max":
-            return float(w[-1])
-        return float(max(abs(w[0]), abs(w[-1])))
-
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    op = LinearOperator((dim, dim), matvec=_tensor_gather(B), dtype=complex)
-    rng = sampling.rng_from(seed)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    if which == "absmax":
-        vals = eigsh(op, k=1, which="LM", v0=v0, return_eigenvectors=False)
-        return float(abs(vals[0]))
-    vals = eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)
-    return float(vals[0])
-
-
-def tensor_square_top_eig(B: CliffordTuple, seed: int = 0) -> float:
-    """Largest eigenvalue of ``sum_i B_i (x) B_i``."""
-    return _tensor_sum_extreme_eig(B, which="max", seed=seed)
+    p, s, rows = B.perm, B.sign, np.arange(B.size)
+    if p is None or not (np.sort(p, axis=1) == rows).all():
+        raise WitnessError("a member is not a signed permutation matrix")
+    if not ((np.take_along_axis(p, p, axis=1) == rows).all()
+            and (np.take_along_axis(s, p, axis=1) == s).all()):
+        raise WitnessError("a member is not symmetric")
+    d = len(s)
+    if ((s * s).sum(axis=0) != d).any():  # the diagonal of sum B_i B_i^T
+        raise WitnessError(  # pragma: no cover
+            "sum B_i B_i^T is not d times the identity")
+    return {
+        "identity_eigenvalue": d,
+        "members_signed_permutations": True,
+        "members_symmetric": True,
+        "tensor_norm_bound": d,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +208,40 @@ def tensor_square_top_eig(B: CliffordTuple, seed: int = 0) -> float:
 def sharpness_check(d: int, num_dirs: int = 32, seed: int = 0) -> dict:
     """Certificates that the constant d cannot be improved.
 
-    (a) the top eigenvalue of ``sum B_i (x) B_i`` equals d;
-    (b) for sampled unit directions v, ``sum v_i B_i <= I`` holds with the
-        exact identity ``(sum v_i B_i)^2 = ||v||^2 I``;
+    (a) the top eigenvalue of ``sum B_i (x) B_i`` is exactly d, by the
+        integer certificate of :func:`tensor_certificate`, whose fields the
+        report carries;
+    (b) for sampled unit directions v, ``S_v = sum v_i B_i <= I``, with
+        ``lambda_max(S_v) = ||v||`` in closed form.  The exact
+        anticommutation gives ``S_v^2 = ||v||^2 I``, and for d >= 2 every
+        B_i is traceless (checked in integers), so ``tr S_v = 0`` and the
+        eigenvalues are ``+-||v||`` in equal number.  (For d = 1, S_v is the
+        1 x 1 matrix ``[v_1]``.)  The certificate for the computed
+        combinations S is ``unit_direction_square_residual``,
+        ``r = max |S^2 - I|`` entrywise: S is symmetric, so every
+        eigenvalue l of S has ``|l^2 - 1| <= ||S^2 - I|| <= size * r``,
+        hence ``lambda_max(S) <= sqrt(1 + size * r) <= 1 + size * r / 2``;
     (c) ``min eig (I - (1/C) sum B (x) B) = 1 - d/C`` flips sign at C = d.
+
+    The direction stack and its squares hold ``num_dirs * 4^(d-1)``
+    entries each, which is what keeps d at most 8 here.
     """
     if d > 8:
         raise WitnessError("tensor certificates capped at d=8")
     B = clifford_tuple(d)
-    mats = B.matrices.astype(float)
-    lam_max = _tensor_sum_extreme_eig(B, which="max", seed=seed)
+    cert = tensor_certificate(B)
+    lam_max = float(cert["identity_eigenvalue"])
 
     rng = sampling.rng_from(seed)
     dirs = sampling.sphere_points(d, num_dirs, rng)
-    S = nk.lincomb(dirs, mats)
-    worst_norm = max(0.0, float(np.max(nk.max_eig(S, tol=np.inf))))
+    S = nk.lincomb(dirs, B.matrices.astype(float))
+    if d == 1:
+        top = dirs[:, 0]
+    elif np.trace(B.matrices, axis1=1, axis2=2).any():
+        raise WitnessError("a member is not traceless")  # pragma: no cover
+    else:
+        top = np.linalg.norm(dirs, axis=1)
+    worst_norm = max(0.0, float(np.max(top)))
     worst_square = max(0.0, float(np.max(np.abs(S @ S - np.eye(B.size)))))
 
     grid = [d * (1.0 - 1e-6), float(d), d * (1.0 + 1e-6), d / 2.0, 2.0 * d]
@@ -257,34 +253,38 @@ def sharpness_check(d: int, num_dirs: int = 32, seed: int = 0) -> dict:
         "d": d,
         "size": B.size,
         "anticommutation_exact": B.anticommutation_exact,
-        "lambda_max": float(lam_max),
-        "lambda_max_minus_d": float(lam_max - d),
-        "unit_direction_max_eig": float(worst_norm),
-        "unit_direction_square_residual": float(worst_square),
+        **cert,
+        "lambda_max": lam_max,
+        "lambda_max_minus_d": lam_max - d,
+        "unit_direction_max_eig": worst_norm,
+        "unit_direction_square_residual": worst_square,
         "min_eig_at_C": crossing,
     }
 
 
-def sqrt_d_check(d: int, tol: float = 1e-9, seed: int = 0) -> dict:
+def sqrt_d_check(d: int, tol: float = 1e-9) -> dict:
     """Optimality of sqrt(d) for the self-dual tensor ball.
 
     The family is real, so conjugating the right tensor factor changes
-    nothing and ``||sum B_i (x) conj(B_i)|| = d`` exactly; B/sqrt(d) sits on
-    the boundary of the tensor ball while any shorter scaling already
-    escapes it.  Scaling B by t scales the tensor sum by t^2, so both
-    memberships are read off the one computed norm.
+    nothing, and ``||sum B_i (x) conj(B_i)|| = d`` exactly by the integer
+    certificate of :func:`tensor_certificate`, whose fields the report
+    carries; B/sqrt(d) sits on the boundary of the tensor ball while any
+    shorter scaling already escapes it.  Scaling B by t scales the tensor
+    sum by t^2, so both memberships are read off the one norm.
     """
     if d > 8:
         raise WitnessError("tensor certificates capped at d=8")
     B = clifford_tuple(d)
+    cert = tensor_certificate(B)
     mats = B.matrices.astype(float)
     conj_gap = float(np.max(np.abs(np.conj(mats) - mats)))
-    norm = _tensor_sum_extreme_eig(B, which="absmax", seed=seed)
+    norm = float(cert["tensor_norm_bound"])
     return {
         "d": d,
+        **cert,
         "conjugation_gap": conj_gap,
-        "tensor_norm": float(norm),
-        "tensor_norm_over_d": float(norm / d),
+        "tensor_norm": norm,
+        "tensor_norm_over_d": norm / d,
         "boundary_member": bool(norm / d <= 1.0 + tol),
         "shrunk_member": bool(norm / (0.999 ** 2 * d) <= 1.0 + tol),
     }
@@ -445,7 +445,7 @@ def tau_rho_harness(set_name: str, samples: int = 10, d: int = 2,
     if set_name == "cube":
         target = cube_polytope(d)
         sampler = lambda n: sampling.random_herm_contraction_tuple(d, n, rng)
-        lam = tensor_square_top_eig(clifford_tuple(d))
+        lam = tensor_certificate(clifford_tuple(d))["identity_eigenvalue"]
         extra["witness_upper_bound"] = float(np.sqrt(d) / lam)  # = 1/sqrt(d)
     elif set_name == "diamond":
         target = diamond_polytope(d)
@@ -455,7 +455,7 @@ def tau_rho_harness(set_name: str, samples: int = 10, d: int = 2,
         target = diamond_polytope(d)  # inscribed spectral target
         sampler = scaled_below_identity(
             lambda: sampling.sphere_points(d, 400, rng))
-        lam = tensor_square_top_eig(clifford_tuple(d))
+        lam = tensor_certificate(clifford_tuple(d))["identity_eigenvalue"]
         extra["witness_upper_bound"] = float(1.0 / np.sqrt(lam))  # = 1/sqrt(d)
     else:
         target = _simplex_polytope()

@@ -121,18 +121,14 @@ def same_bits(a, b) -> bool:
             and a.tobytes() == b.tobytes())
 
 
-def tensor_matvec_dense(mats, conj_right: bool, v) -> np.ndarray:
-    """``vec(V) -> vec(sum_i M_i V R_i^T)`` with ``R_i = conj(M_i)`` or
-    ``M_i``, by dense matrix products: the Lanczos matvec that the signed
-    gather of ``witnesses._tensor_gather`` replaced."""
-    mats = np.asarray(mats, dtype=complex)
-    q = mats.shape[1]
-    rights = (np.conj(mats) if conj_right else mats).swapaxes(1, 2)
-    V = v.reshape(q, q)
-    out = np.zeros_like(V)
-    for M, R in zip(mats, rights):
-        out += M @ V @ R
-    return out.reshape(-1)
+def tensor_sum_extremes_dense(mats) -> tuple[float, float]:
+    """Top eigenvalue and operator norm of ``sum_i M_i (x) M_i`` for a real
+    integer family, from one dense ``eigvalsh`` of the tensor sum: the
+    eigensolve that the exact certificate of ``witnesses.tensor_certificate``
+    replaced, kept as an independent oracle for small tensor dimensions."""
+    M = np.asarray(mats, dtype=float)
+    w = np.linalg.eigvalsh(nk.kron_sum(M, M))
+    return float(w[-1]), float(max(abs(w[0]), abs(w[-1])))
 
 
 def kron_sum_loop(A, B) -> np.ndarray:
@@ -229,6 +225,35 @@ def assert_search_matches_backtracking(G, tol) -> None:
     assert np.array_equal(rows, gram_permutations_backtrack(G, tol))
     listed = rows.tolist()
     assert all(a < b for a, b in zip(listed, listed[1:]))
+
+
+def _rows_within_sort(rows, table) -> bool:
+    """Is every row of ``rows`` a row of ``table``?  One lexicographic sort
+    of both, table rows first among equal rows."""
+    both = np.concatenate([table, rows.astype(table.dtype)])
+    from_rows = np.repeat([False, True], [len(table), len(rows)])
+    order = np.lexsort((from_rows, *both.T[::-1]))
+    both = both[order]
+    starts = np.ones(len(both), dtype=bool)
+    starts[1:] = np.any(both[1:] != both[:-1], axis=1)
+    return not np.any(from_rows[order][starts])
+
+
+def closure_all_pairs(perms) -> bool:
+    """Do the rows of ``perms`` hold every inverse and all P^2 compositions?
+    A chunk of compositions at a time: the O(P^2 N) check that the
+    generator growth of ``SymmetryGroup.verify_closure`` replaced."""
+    perms = np.asarray(perms)
+    N = perms.shape[1]
+    perms = perms.astype(np.min_scalar_type(N))
+    if not _rows_within_sort(np.argsort(perms, axis=1), perms):
+        return False
+    step = max(1, (1 << 16) // max(len(perms), 1))
+    for lo in range(0, len(perms), step):
+        composed = perms[:, perms[lo:lo + step]]
+        if not _rows_within_sort(composed.reshape(-1, N), perms):
+            return False
+    return True
 
 
 def dilation_residuals_loop(T, V, X, scale) -> dict:

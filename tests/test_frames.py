@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     assert_search_matches_backtracking,
+    closure_all_pairs,
     combine_frames,
     random_povm,
 )
@@ -18,7 +19,6 @@ from matconv import numkernel as nk
 from matconv.cli import main
 from matconv.dilation import LambdaFamily, lambda_dilation
 from matconv.frames import (
-    CLOSURE_CHUNK_ROWS,
     SYMMETRY_ENTRY_CAP,
     FrameError,
     NotEqualNormError,
@@ -146,11 +146,41 @@ class TestSymmetryGroup:
                             np.concatenate([g.matrices, np.eye(2)[None]]))
         assert not bad.verify_closure()
 
-    def test_closure_of_the_combined_frame_runs_in_chunks(self):
+    def test_closure_of_the_combined_frame(self):
         g = symmetry_group(combine_frames(s5_orbit_frame(), pentagon_frame()))
         assert g.order == 1200
-        assert g.order ** 2 > CLOSURE_CHUNK_ROWS
         assert g.verify_closure()
+        assert closure_all_pairs(g.permutations)
+
+    @pytest.mark.parametrize("name, d", [
+        ("simplex3", None), ("pentagon", None), ("s5_orbit", None),
+        *(("pm_basis", d) for d in range(1, 5)),
+        *(("cube_corners", d) for d in range(1, 5)),
+    ])
+    def test_closure_of_every_builder_matches_all_pairs(self, name, d):
+        perms = symmetry_group(build_frame(name, d)).permutations
+        assert SymmetryGroup(perms, None).verify_closure()
+        assert closure_all_pairs(perms)
+        # Without its last row (never the identity, which comes first) the
+        # set is a group only when the identity alone is left.
+        fewer = perms[:-1]
+        assert (SymmetryGroup(fewer, None).verify_closure()
+                == closure_all_pairs(fewer) == (len(fewer) == 1))
+
+    def test_closure_runs_on_few_generators(self, monkeypatch):
+        # pm_basis --d 5: 3840 symmetries, each right-multiplication map
+        # looked up once per generator, at most log2(3840) < 12 of them.
+        perms = symmetry_group(pm_basis_frame(5)).permutations
+        calls = []
+        lookup = frames._row_indices
+
+        def counted(rows, table):
+            calls.append(len(rows))
+            return lookup(rows, table)
+
+        monkeypatch.setattr(frames, "_row_indices", counted)
+        assert SymmetryGroup(perms, None).verify_closure()
+        assert 1 <= len(calls) <= 11 and set(calls) == {len(perms)}
 
     def test_closure_indices_beyond_a_byte(self):
         # The cyclic group on 300 points: indices above 255 must survive.

@@ -1,16 +1,19 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from conftest import tensor_matvec_dense
+from conftest import tensor_sum_extremes_dense
 from matconv import numkernel as nk
+from matconv import sampling
 from matconv.sets import selfdual_member
 from matconv.cli import main
 from matconv.witnesses import (
-    _DENSE_TENSOR_CUTOFF,
     CliffordTuple,
     WitnessError,
-    _tensor_gather,
     ball_chain_witnesses,
     clifford_tuple,
     nonscalable_check,
@@ -18,8 +21,10 @@ from matconv.witnesses import (
     sqrt_d_check,
     switch_tuple,
     tau_rho_harness,
-    tensor_square_top_eig,
+    tensor_certificate,
 )
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 class TestCliffordTuple:
@@ -247,37 +252,89 @@ class TestTauRhoHarness:
             tau_rho_harness("orbit", d=2)
 
 
-def test_tensor_square_top_eig_matches_dense():
-    B = clifford_tuple(3)
-    M = sum(np.kron(Mi, Mi).astype(float) for Mi in B.matrices)
-    dense = float(np.linalg.eigvalsh(M)[-1])
-    assert tensor_square_top_eig(B) == pytest.approx(dense, abs=1e-10)
+class TestTensorCertificate:
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_matches_the_dense_eigensolve(self, d):
+        top, norm = tensor_sum_extremes_dense(clifford_tuple(d).matrices)
+        assert abs(sharpness_check(d)["lambda_max"] - top) <= 1e-12
+        assert abs(sqrt_d_check(d)["tensor_norm"] - norm) <= 1e-12
 
-
-class TestTensorGather:
-    @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1))
-    @pytest.mark.parametrize("conj_right", [False, True])
     @pytest.mark.parametrize("d", range(1, 9))
-    def test_bit_identical_to_dense_products(self, d, conj_right, seed):
-        B = clifford_tuple(d)
-        rng = np.random.default_rng(seed)
-        dim = B.size ** 2
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        want = tensor_matvec_dense(B.matrices, conj_right, v)
-        assert np.array_equal(_tensor_gather(B)(v), want)
+    def test_printed_values_are_exact(self, d):
+        r, s = sharpness_check(d), sqrt_d_check(d)
+        assert (r["lambda_max"], r["lambda_max_minus_d"]) == (d, 0.0)
+        assert (s["tensor_norm"], s["tensor_norm_over_d"]) == (d, 1.0)
+        grid = [d * (1.0 - 1e-6), d, d * (1.0 + 1e-6), d / 2.0, 2.0 * d]
+        assert r["min_eig_at_C"] == {f"{C:.9f}": 1.0 - d / C for C in grid}
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_rechecks_in_plain_numpy(self, d):
+        # The printed fields, verified again on the dense integer matrices
+        # with no eigensolve.
+        M = clifford_tuple(d).matrices
+        r = sharpness_check(d)
+        nonzero = M != 0
+        # One +-1 entry per row and per column: signed permutation
+        # matrices, so each has norm 1 and the norm bound is the count.
+        assert (nonzero.sum(axis=1) == 1).all()
+        assert (nonzero.sum(axis=2) == 1).all()
+        assert (np.abs(M[nonzero]) == 1).all()
+        assert r["members_signed_permutations"] is True
+        assert r["tensor_norm_bound"] == len(M) == d
+        assert r["members_symmetric"] is True
+        assert np.array_equal(M, M.swapaxes(1, 2))
+        # sum B_i I B_i^T = d I: vec(I) is an eigenvector with eigenvalue d.
+        gram = (M @ M.swapaxes(1, 2)).sum(axis=0)
+        assert np.array_equal(gram,
+                              r["identity_eigenvalue"] * np.eye(len(gram)))
+        assert r["identity_eigenvalue"] == r["tensor_norm_bound"]
+        assert r["lambda_max"] == r["identity_eigenvalue"]
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_unit_direction_closed_form_matches_eigensolve(self, d):
+        dirs = sampling.sphere_points(d, 32, sampling.rng_from(5))
+        S = np.einsum("fi,iab->fab", dirs,
+                      clifford_tuple(d).matrices.astype(float))
+        top = max(0.0, float(np.linalg.eigvalsh(S)[:, -1].max()))
+        r = sharpness_check(d, seed=5)
+        assert abs(r["unit_direction_max_eig"] - top) <= 1e-12
 
     def test_rejects_non_signed_permutation(self):
         mats = clifford_tuple(2).matrices.copy()
         mats[0, 0, 0] = 1
-        with pytest.raises(WitnessError):
-            _tensor_gather(CliffordTuple(2, mats))
+        with pytest.raises(WitnessError, match="signed permutation"):
+            tensor_certificate(CliffordTuple(2, mats))
 
-    @pytest.mark.parametrize("d", [5, 6, 7])
-    def test_top_eig_across_dense_cutoff(self, d):
-        B = clifford_tuple(d)
-        assert (B.size ** 2 <= _DENSE_TENSOR_CUTOFF) == (d <= 5)
-        assert abs(tensor_square_top_eig(B) - d) <= 1e-12 * d
+    def test_rejects_rows_sharing_a_column(self):
+        # One +-1 entry per row, and sum B_i B_i^T = 2 I all the same, but
+        # ||B_i|| = sqrt(2): the identity alone bounds nothing.
+        mats = np.array([[[1, 0], [1, 0]], [[1, 0], [-1, 0]]])
+        B = CliffordTuple(2, mats)
+        assert B.perm is not None
+        assert np.array_equal((mats @ mats.swapaxes(1, 2)).sum(axis=0),
+                              2 * np.eye(2))
+        with pytest.raises(WitnessError, match="signed permutation"):
+            tensor_certificate(B)
+
+    def test_rejects_non_symmetric(self):
+        cycle = np.eye(3, dtype=np.int64)[[1, 2, 0]]
+        with pytest.raises(WitnessError, match="symmetric"):
+            tensor_certificate(CliffordTuple(1, cycle[None]))
+        flipped = np.diag([1, -1])[None] @ np.array([[[0, 1], [1, 0]]])
+        with pytest.raises(WitnessError, match="symmetric"):
+            tensor_certificate(CliffordTuple(1, flipped))
 
     def test_sqrt_d_norm_at_d6(self):
         assert abs(sqrt_d_check(6)["tensor_norm_over_d"] - 1.0) <= 1e-12
+
+    def test_d8_reports_skip_scipy_sparse(self):
+        code = ("import contextlib, io, sys\n"
+                "from matconv.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert main(['witness', 'sharpness', '--d', '8']) == 0\n"
+                "    assert main(['witness', 'sqrtd', '--d', '8']) == 0\n"
+                "assert 'scipy.sparse.linalg' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr

@@ -131,6 +131,21 @@ def tensor_sum_extremes_dense(mats) -> tuple[float, float]:
     return float(w[-1]), float(max(abs(w[0]), abs(w[-1])))
 
 
+def tensor_matvec_dense(mats, conj_right: bool, v) -> np.ndarray:
+    """``vec(V) -> vec(sum_i M_i V R_i^T)`` with ``R_i = conj(M_i)`` or
+    ``M_i``, by dense matrix products: the action of the tensor sum
+    ``sum_i M_i (x) R_i`` that a signed gather on the ``(perm, sign)`` form
+    of a signed-permutation family must reproduce."""
+    mats = np.asarray(mats, dtype=complex)
+    q = mats.shape[1]
+    rights = (np.conj(mats) if conj_right else mats).swapaxes(1, 2)
+    V = v.reshape(q, q)
+    out = np.zeros_like(V)
+    for M, R in zip(mats, rights):
+        out += M @ V @ R
+    return out.reshape(-1)
+
+
 def kron_sum_loop(A, B) -> np.ndarray:
     return sum(np.kron(Aj, Bj) for Aj, Bj in zip(A, B))
 

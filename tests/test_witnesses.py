@@ -5,8 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import tensor_sum_extremes_dense
+from conftest import tensor_matvec_dense, tensor_sum_extremes_dense
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv.sets import selfdual_member
@@ -250,6 +251,36 @@ class TestTauRhoHarness:
             tau_rho_harness("simplex", d=2)
         with pytest.raises(WitnessError):
             tau_rho_harness("orbit", d=2)
+
+
+class TestTensorGather:
+    """The ``(perm, sign)`` form that :func:`tensor_certificate` and the
+    anticommutation check read is the dense family itself: the tensor sum
+    applied by signed gathers on that form matches dense products bit for
+    bit."""
+
+    @staticmethod
+    def _gather_matvec(B, conj_right, v):
+        # B_i V R_i^T at (a, b) is sign_i[a] sign_i[b] V[perm_i[a], perm_i[b]].
+        q = B.size
+        V = v.reshape(q, q)
+        right = np.conj(B.sign) if conj_right else B.sign
+        out = np.zeros_like(V)
+        for p, s, r in zip(B.perm, B.sign, right):
+            out += (s[:, None] * r[None, :]) * V[p][:, p]
+        return out.reshape(-1)
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @pytest.mark.parametrize("conj_right", [False, True])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_bit_identical_to_dense_products(self, d, conj_right, seed):
+        B = clifford_tuple(d)
+        rng = np.random.default_rng(seed)
+        dim = B.size ** 2
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        want = tensor_matvec_dense(B.matrices, conj_right, v)
+        assert np.array_equal(self._gather_matvec(B, conj_right, v), want)
 
 
 class TestTensorCertificate:

@@ -21,12 +21,10 @@ from .numkernel import (  # noqa: F401
 from .sdp import (  # noqa: F401
     BlockPsdProblem,
     FeasibilityResult,
-    LpProblem,
     Status,
     affine_projector_povm,
     dykstra_solve,
-    lp_feasible,
-    point_in_hull,
+    hull_weights,
 )
 from .sets import (  # noqa: F401
     GenTuple,

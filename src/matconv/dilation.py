@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numkernel as nk
-from .sdp import LpProblem, lp_feasible
+from .sdp import hull_weights
 from .sets import (
     GenTuple,
     HermTuple,
@@ -274,17 +274,13 @@ def _coordinate_family(d: int) -> LambdaFamily:
     return LambdaFamily(lams, np.full(d, 1.0 / d))
 
 
-def decompose_identity(lambdas: Sequence, pivot_tol: float = 1e-9,
-                       ) -> LambdaFamily:
+def decompose_identity(lambdas: Sequence) -> LambdaFamily:
     """Find convex weights beta with ``sum_p beta_p lam^(p) = I`` by linear
     programming (first Bland-feasible solution; only existence matters)."""
     lams = np.array(lambdas, dtype=float)
     k, d = lams.shape[0], lams.shape[1]
-    # Row 0 is the weight sum, row 1 + (i d + j) entry (i, j).
-    rows = np.vstack([np.ones(k), lams.reshape(k, d * d).T])
-    rhs = np.concatenate([[1.0], np.eye(d).ravel()])
-    ok, beta = lp_feasible(LpProblem(rows, rhs), pivot_tol=pivot_tol)
-    if not ok:
+    beta = hull_weights(lams.reshape(k, d * d), np.eye(d).ravel())
+    if beta is None:
         raise DilationError("identity not in convex hull of the family")
     beta = np.clip(beta, 0.0, None)
     beta = beta / beta.sum()

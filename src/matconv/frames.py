@@ -20,6 +20,13 @@ bounds its memory whatever the group order.  Validation compares every pair
 of vectors, a chunk of rows at a time, and is capped at ``FRAME_PAIR_CAP``
 pair coordinates.
 
+Projection invariance never reads the group.  The projected vertices on the
+ray of ``v_i`` fill at most the segment from ``m_i v_i`` to ``v_i``, where
+``m_i`` is the least of the ``<v_i, v_j> / l^2``, so the test is one
+hull-membership LP (:func:`sdp.hull_weights`) per distinct ``m_i v_i``: at
+most N LPs for N vectors, where testing every projected vertex took up to
+N^2.
+
 Numerical caveat: the rank-1 fixed-space test compares eigenvalues of an
 averaged orthogonal representation against ``1 - tol``; frames that are
 nearly degenerate (almost-coincident vectors, near-reducible symmetry) can
@@ -34,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import numkernel as nk
-from .sdp import point_in_hull
+from .sdp import hull_weights
 
 DEFAULT_GROUP_TOL = 1e-8
 DEFAULT_CAP = 24
@@ -364,17 +371,19 @@ def is_vertex_reflexive(frame: Frame, group: SymmetryGroup,
     return overall, report
 
 
-def projection_invariance(frame: Frame, tol: float = 1e-9) -> bool:
+def projection_invariance(frame: Frame) -> bool:
     """Is conv(frame) invariant under every scaled projection
-    ``(1/l^2) v_i v_i^T``?  By linearity it is enough that every projected
-    vertex ``(1/l^2) <v_j, v_i> v_i`` stays in the hull: one LP test per
-    distinct point, since Gram values repeat."""
+    ``(1/l^2) v_i v_i^T``?
+
+    By linearity it is enough that every projected vertex ``c_ij v_i``, with
+    ``c_ij = <v_i, v_j> / l^2``, stays in the hull.  On the ray of ``v_i``
+    these points lie between ``m_i v_i``, ``m_i = min_j c_ij``, and
+    ``c_ii v_i = v_i`` (equal norms), and the hull is convex, so one LP test
+    per distinct ``m_i v_i`` decides them all."""
     V = frame.vectors
-    G = frame.gram()
-    W = ((G.T / frame.norm ** 2)[:, :, None] * V[:, None, :]
-         ).reshape(-1, frame.dim)                          # row (i, j)
-    order, starts = _sorted_runs(W)
-    return all(point_in_hull(V, w, pivot_tol=tol) for w in W[order][starts])
+    M = (frame.gram() / frame.norm ** 2).min(axis=1)[:, None] * V
+    order, starts = _sorted_runs(M)
+    return all(hull_weights(V, w) is not None for w in M[order][starts])
 
 
 # ---------------------------------------------------------------------------

@@ -360,7 +360,7 @@ def simultaneous_diagonalize(mats: Sequence, tol: float = 1e-8,
             j = int(np.argmax(norms > bound))
             raise NotCommutingError(i, i + 1 + j, float(norms[j]), bound)
     if not _offdiag_norms(mats).any():
-        points = np.diagonal(mats, axis1=1, axis2=2).T.copy()
+        points = np.diagonal(mats, axis1=1, axis2=2).real.T.copy()
         return np.eye(n, dtype=complex), JointSpectrum(points=points)
     rng = np.random.default_rng(seed)
     cluster_tol = CLUSTER_TOL_REL * max(scale, 1e-300)

@@ -20,15 +20,15 @@ Two solvers live here:
   solver reads a candidate off it every ``CERTIFICATE_EVERY`` iterations.  A
   gap that stops moving without a certificate gives ``Undecided``.
 
-* :func:`lp_feasible` -- a phase-1 dense simplex with Bland's rule for linear
-  feasibility systems ``A x = b`` with selected variables constrained
-  nonnegative.  Floating-point pivoting with a fixed pivot tolerance; Bland's
-  rule rules out cycling, and an iteration cap guards the implementation.
+* :func:`hull_weights` -- the one linear program: is ``x`` a convex
+  combination of given points, and with which weights?  A phase-1 dense
+  simplex with Bland's rule and a fixed pivot tolerance; Bland's rule rules
+  out cycling, and a pivot cap guards the implementation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -458,74 +458,46 @@ def povm_constraint_residual(vertices, X: Sequence[np.ndarray],
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LpProblem:
-    """Equality system ``A x = b`` with per-variable nonnegativity flags."""
-
-    A_eq: np.ndarray
-    b_eq: np.ndarray
-    nonneg: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        self.A_eq = np.atleast_2d(np.asarray(self.A_eq, dtype=float))
-        self.b_eq = np.asarray(self.b_eq, dtype=float).ravel()
-        if self.A_eq.shape[0] != self.b_eq.shape[0]:
-            raise ValueError("row count of A_eq does not match b_eq")
-        if self.nonneg is None:
-            self.nonneg = np.ones(self.A_eq.shape[1], dtype=bool)
-        else:
-            self.nonneg = np.asarray(self.nonneg, dtype=bool).ravel()
-            if self.nonneg.shape[0] != self.A_eq.shape[1]:
-                raise ValueError("nonneg flags do not match variable count")
+LP_PIVOT_CAP = 50000   # simplex pivots before LpCycleGuardError
 
 
-def lp_feasible(problem: LpProblem, pivot_tol: float = PIVOT_TOL,
-                max_iter: int = 50000) -> tuple[bool, Optional[np.ndarray]]:
-    """Phase-1 simplex feasibility test; returns (feasible, witness).
+def hull_weights(points, x) -> Optional[np.ndarray]:
+    """Convex weights ``lam`` with ``points.T @ lam = x``, or None when
+    ``x`` is not in the convex hull of the rows of ``points`` (real).
 
-    Free variables are split into positive and negative parts internally.
-    Entering/leaving choices follow Bland's rule (smallest index) so the walk
-    cannot cycle; the iteration cap raises :class:`LpCycleGuardError` if it is
-    ever hit.
+    Phase-1 simplex on ``[1^T; P^T] lam = [1; x]``, ``lam >= 0``, from an
+    artificial basis.  Entering and leaving choices follow Bland's rule
+    (smallest index) so the walk cannot cycle; ``LP_PIVOT_CAP`` pivots raise
+    :class:`LpCycleGuardError` if it is ever hit.
     """
-    A, b, nonneg = problem.A_eq, problem.b_eq, problem.nonneg
-    m, n = A.shape
+    P = np.asarray(points, dtype=float)
+    N = P.shape[0]
+    A = np.vstack([np.ones((1, N)), P.T])
+    b = np.concatenate([[1.0], np.asarray(x, dtype=float).ravel()])
+    m = A.shape[0]
+    flip = b < 0
+    A[flip] *= -1
+    b[flip] *= -1
 
-    free_idx = np.where(~nonneg)[0]
-    cols = [A]
-    if free_idx.size:
-        cols.append(-A[:, free_idx])
-    A2 = np.hstack(cols)
-    n2 = A2.shape[1]
-
-    A2 = A2.copy()
-    b2 = b.copy()
-    flip = b2 < 0
-    A2[flip] *= -1
-    b2[flip] *= -1
-
-    # Tableau with artificial basis: rows [A2 | I | b].
-    T = np.zeros((m + 1, n2 + m + 1))
-    T[:m, :n2] = A2
-    T[:m, n2:n2 + m] = np.eye(m)
-    T[:m, -1] = b2
-    basis = list(range(n2, n2 + m))
+    # Tableau with artificial basis: rows [A | I | b].
+    T = np.zeros((m + 1, N + m + 1))
+    T[:m, :N] = A
+    T[:m, N:N + m] = np.eye(m)
+    T[:m, -1] = b
+    basis = list(range(N, N + m))
     # Phase-1 objective: minimize the sum of artificials.
     T[m, :] = -T[:m, :].sum(axis=0)
-    T[m, n2:n2 + m] = 0.0
+    T[m, N:N + m] = 0.0
 
-    for _ in range(max_iter):
-        enter = -1
-        for j in range(n2 + m):
-            if T[m, j] < -pivot_tol:
-                enter = j
-                break
-        if enter < 0:
+    for _ in range(LP_PIVOT_CAP):
+        improving = T[m, :-1] < -PIVOT_TOL
+        enter = int(np.argmax(improving))
+        if not improving[enter]:
             break
         leave, best_ratio, best_basis = -1, np.inf, None
         for i in range(m):
             a = T[i, enter]
-            if a > pivot_tol:
+            if a > PIVOT_TOL:
                 ratio = T[i, -1] / a
                 if (ratio < best_ratio - 1e-15 or
                         (abs(ratio - best_ratio) <= 1e-15 and
@@ -535,43 +507,19 @@ def lp_feasible(problem: LpProblem, pivot_tol: float = PIVOT_TOL,
             # Unbounded phase-1 column cannot improve feasibility; drop it.
             T[m, enter] = 0.0
             continue
-        piv = T[leave, enter]
-        T[leave] /= piv
-        for r in range(m + 1):
-            if r != leave and T[r, enter] != 0.0:
-                T[r] -= T[r, enter] * T[leave]
+        T[leave] /= T[leave, enter]
+        factors = T[:, enter].copy()
+        factors[leave] = 0.0
+        rows = np.flatnonzero(factors)
+        T[rows] -= factors[rows, None] * T[leave]
         basis[leave] = enter
     else:
         raise LpCycleGuardError("simplex iteration cap reached; undecided")
 
-    scale = max(1.0, float(np.max(np.abs(b2))) if m else 1.0)
-    objective = -T[m, -1]
-    if objective > 1e-8 * scale:
-        return False, None
-    x2 = np.zeros(n2)
+    if -T[m, -1] > 1e-8 * max(1.0, float(np.max(b))):
+        return None
+    lam = np.zeros(N)
     for i, bi in enumerate(basis):
-        if bi < n2:
-            x2[basis[i]] = T[i, -1]
-    x = x2[:n].copy()
-    if free_idx.size:
-        x[free_idx] -= x2[n:n2]
-    return True, x
-
-
-def point_in_hull(points, x, pivot_tol: float = PIVOT_TOL) -> bool:
-    """Is ``x`` a convex combination of the given points?  (LP feasibility.)
-
-    Complex coordinates are handled by stacking real and imaginary parts.
-    """
-    P = np.asarray(points)
-    x = np.asarray(x).ravel()
-    if np.iscomplexobj(P) or np.iscomplexobj(x):
-        P = np.hstack([P.real, P.imag])
-        x = np.concatenate([np.asarray(x).real, np.asarray(x).imag])
-    P = np.asarray(P, dtype=float)
-    x = np.asarray(x, dtype=float)
-    N = P.shape[0]
-    A = np.vstack([np.ones((1, N)), P.T])
-    b = np.concatenate([[1.0], x])
-    ok, _ = lp_feasible(LpProblem(A, b), pivot_tol=pivot_tol)
-    return ok
+        if bi < N:
+            lam[bi] = T[i, -1]
+    return lam

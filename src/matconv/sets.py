@@ -32,7 +32,7 @@ from .sdp import (
     InconsistentConstraintsError,
     affine_projector_povm,
     dykstra_solve,
-    point_in_hull,
+    hull_weights,
     povm_constraint_residual,
     povm_constraints,
     reverified,
@@ -197,7 +197,7 @@ class Polytope:
         if self.has_facets:
             return bool(np.all(self.facet_normals @ x
                                <= self.facet_offsets + tol))
-        return point_in_hull(self.vertices, x)
+        return hull_weights(self.vertices, x) is not None
 
 
 def cube_polytope(d: int) -> Polytope:
@@ -239,7 +239,7 @@ def polar_dual_polytope(P: Polytope, margin: float = 1e-6) -> Polytope:
         scale = max(1.0, float(np.max(np.abs(P.vertices))))
         probe = margin * scale
         interior = all(
-            point_in_hull(P.vertices, probe * e)
+            hull_weights(P.vertices, probe * e) is not None
             for e in np.vstack([np.eye(P.dim), -np.eye(P.dim)])
         )
     else:

@@ -41,7 +41,7 @@ from .sdp import (
     FeasibilityResult,
     Status,
     dykstra_solve,
-    point_in_hull,
+    hull_weights,
     reverified,
 )
 from .sets import (
@@ -210,7 +210,10 @@ def normal_ucp_exists(atoms_a, atoms_b, mode: MapMode = MapMode.UCP) -> bool:
             raise ValueError("CC mode needs real (self-adjoint) atoms")
         A = np.vstack([A.real, -A.real])
         B = B.real
-    return all(point_in_hull(A, b) for b in B)
+    if np.iscomplexobj(A) or np.iscomplexobj(B):  # C^d as R^(2d)
+        A = np.hstack([A.real, A.imag])
+        B = np.hstack([B.real, B.imag])
+    return all(hull_weights(A, b) is not None for b in B)
 
 
 # ---------------------------------------------------------------------------

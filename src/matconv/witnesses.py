@@ -299,6 +299,8 @@ def nonscalable_check(c_grid: Sequence[float]) -> dict:
     as a singular value and as the largest root of
     ``t^2 - 2 c t - (1-c)^2 = 0``."""
     grid = np.asarray(c_grid, dtype=float)
+    if not grid.size:
+        raise WitnessError("the grid must hold at least 1 point, got 0")
     if np.any(grid <= 0):
         raise WitnessError("grid values must be positive")
     svs = nk.opnorms(grid[:, None, None] * NONSCALABLE_T - np.eye(2))
@@ -425,6 +427,8 @@ def tau_rho_harness(set_name: str, samples: int = 10, d: int = 2,
         raise WitnessError(f"set must be one of {_HARNESS_SETS}")
     if d > 6:
         raise WitnessError("harness capped at d=6")
+    if samples < 1:
+        raise WitnessError(f"samples must be at least 1, got {samples}")
     if set_name == "simplex" and d != 3:
         raise WitnessError("the simplex harness is three-dimensional")
     rng = sampling.rng_from(seed)

@@ -3,7 +3,7 @@ import pytest
 
 from matconv import frames
 from matconv import numkernel as nk
-from matconv import sampling
+from matconv import sampling, sdp
 from matconv.frames import Frame, check_tight
 from matconv.numkernel import JointSpectrum
 from matconv.sets import HermTuple
@@ -292,3 +292,84 @@ def dilation_residuals_loop(T, V, X, scale) -> dict:
                                  - scale * np.stack(list(X))),
         "max_norm": nk.opnorm(B),
     }
+
+
+def hull_weights_loop(points, x):
+    """``sdp.hull_weights`` with a per-scalar entering scan and a per-row
+    elimination: the phase-1 Bland simplex of the general ``lp_feasible``
+    that it replaced, on the same system ``[1^T; P^T] lam = [1; x]``, whose
+    verdicts and weights ``hull_weights`` must keep bit for bit."""
+    P = np.asarray(points, dtype=float)
+    N = P.shape[0]
+    A = np.vstack([np.ones((1, N)), P.T])
+    b = np.concatenate([[1.0], np.asarray(x, dtype=float).ravel()])
+    m = A.shape[0]
+    flip = b < 0
+    A[flip] *= -1
+    b[flip] *= -1
+    T = np.zeros((m + 1, N + m + 1))
+    T[:m, :N] = A
+    T[:m, N:N + m] = np.eye(m)
+    T[:m, -1] = b
+    basis = list(range(N, N + m))
+    T[m, :] = -T[:m, :].sum(axis=0)
+    T[m, N:N + m] = 0.0
+    for _ in range(sdp.LP_PIVOT_CAP):
+        enter = -1
+        for j in range(N + m):
+            if T[m, j] < -sdp.PIVOT_TOL:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave, best_ratio, best_basis = -1, np.inf, None
+        for i in range(m):
+            a = T[i, enter]
+            if a > sdp.PIVOT_TOL:
+                ratio = T[i, -1] / a
+                if (ratio < best_ratio - 1e-15 or
+                        (abs(ratio - best_ratio) <= 1e-15 and
+                         (best_basis is None or basis[i] < best_basis))):
+                    leave, best_ratio, best_basis = i, ratio, basis[i]
+        if leave < 0:
+            T[m, enter] = 0.0
+            continue
+        piv = T[leave, enter]
+        T[leave] /= piv
+        for r in range(m + 1):
+            if r != leave and T[r, enter] != 0.0:
+                T[r] -= T[r, enter] * T[leave]
+        basis[leave] = enter
+    else:
+        raise sdp.LpCycleGuardError("simplex iteration cap reached")
+    if -T[m, -1] > 1e-8 * max(1.0, float(np.max(np.abs(b)))):
+        return None
+    lam = np.zeros(N)
+    for i, bi in enumerate(basis):
+        if bi < N:
+            lam[bi] = T[i, -1]
+    return lam
+
+
+def convex_weights_hold(points, x, lam, tol: float = 1e-8) -> bool:
+    """Are ``lam`` convex weights that reproduce ``x`` from the rows of
+    ``points``, each of ``lam >= 0``, ``sum lam = 1`` and ``P^T lam = x``
+    within ``tol * max(1, ||x||_inf)``?  The simplex leaves basic weights
+    that should be 0 at about -1e-17 now and then."""
+    P = np.asarray(points, dtype=float)
+    x = np.asarray(x, dtype=float).ravel()
+    scale = max(1.0, float(np.max(np.abs(x), initial=0.0)))
+    return bool(lam is not None and np.all(lam >= -tol * scale)
+                and abs(lam.sum() - 1.0) <= tol * scale
+                and np.max(np.abs(P.T @ lam - x), initial=0.0) <= tol * scale)
+
+
+def projection_invariance_per_point(frame: Frame) -> bool:
+    """One LP per distinct projected vertex ``(1/l^2) <v_j, v_i> v_i``: the
+    test that the one-point-per-vector ``frames.projection_invariance``
+    replaced."""
+    V = frame.vectors
+    W = ((frame.gram().T / frame.norm ** 2)[:, :, None] * V[:, None, :]
+         ).reshape(-1, frame.dim)
+    order, starts = frames._sorted_runs(W)
+    return all(sdp.hull_weights(V, w) is not None for w in W[order][starts])

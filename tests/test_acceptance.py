@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import combine_frames, random_isometry
+from conftest import combine_frames, convex_weights_hold, random_isometry
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv.dilation import (
@@ -26,7 +26,7 @@ from matconv.frames import (
     simplex3_frame,
     symmetry_group,
 )
-from matconv.sdp import WITNESS_TOL, Status, point_in_hull, \
+from matconv.sdp import WITNESS_TOL, Status, hull_weights, \
     povm_constraint_residual
 from matconv.sets import (
     HermTuple,
@@ -196,7 +196,7 @@ def test_ac07_cube_to_scaled_diamond():
         _, spec = nk.simultaneous_diagonalize(D.T, seed=0)
         scaled_verts = d * diamond_polytope(d).vertices
         for pt in spec.points:
-            if not point_in_hull(scaled_verts, pt):
+            if hull_weights(scaled_verts, pt) is None:
                 ok = False
     ok = ok and worst_sign <= 1e-9
     _verdict(7, ok,
@@ -230,7 +230,8 @@ def test_ac08_frame_dilations():
                 ok = False
             _, spec = nk.simultaneous_diagonalize(D.T, seed=0)
             for pt in spec.points:
-                if not point_in_hull(K_vertices, pt, pivot_tol=1e-8):
+                lam = hull_weights(K_vertices, pt)
+                if not convex_weights_hold(K_vertices, pt, lam, tol=1e-8):
                     ok = False
         details.append(f"{name}: kappa={kappa_expect}")
     _verdict(8, ok, "spectra of scaled frame dilations inside conv(+-frame) "

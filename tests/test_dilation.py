@@ -32,7 +32,7 @@ from matconv.dilation import (
     lambda_dilation,
     nonsa_flip_dilation,
 )
-from matconv.sdp import Status, point_in_hull, povm_constraint_residual
+from matconv.sdp import Status, hull_weights, povm_constraint_residual
 from matconv.sets import GenTuple, HermTuple, cube_polytope, diamond_polytope, wmin_member
 from matconv.witnesses import clifford_tuple
 
@@ -284,14 +284,11 @@ class TestDiamondDilation:
         U, spec = nk.simultaneous_diagonalize(D.T, seed=11)
         P = cube_polytope(2)
         Ks = [np.zeros((X.n, X.n), dtype=complex) for _ in range(4)]
-        from matconv.sdp import LpProblem, lp_feasible
         for col in range(D.dim):
             pt = spec.points[col]
             # Convex coordinates of the spectrum point over the vertices.
-            A = np.vstack([np.ones(4), P.vertices.T])
-            ok, theta = lp_feasible(
-                LpProblem(A, np.concatenate([[1.0], pt])))
-            assert ok
+            theta = hull_weights(P.vertices, pt)
+            assert theta is not None
             theta = np.clip(theta, 0, None)
             theta /= theta.sum()
             u = U[:, col]
@@ -319,7 +316,8 @@ class TestCubeToDiamond:
             l1 = np.abs(spec.points).sum(axis=1)
             assert np.max(l1) <= d + 1e-8
             for pt in spec.points:
-                assert point_in_hull(d * diamond_polytope(d).vertices, pt)
+                assert hull_weights(d * diamond_polytope(d).vertices,
+                                    pt) is not None
             assert_tight_dilation(D, compress=1e-10)
 
     def test_scalar_and_clifford(self):
@@ -360,7 +358,7 @@ class TestFrameDilation:
         _, spec = nk.simultaneous_diagonalize(D.T, seed=2)
         K = np.vstack([corners, -corners])
         for pt in spec.points:
-            assert point_in_hull(K, pt)
+            assert hull_weights(K, pt) is not None
 
     def test_pentagon_kappa_half(self, rng):
         k = np.arange(5)
@@ -374,7 +372,7 @@ class TestFrameDilation:
         _, spec = nk.simultaneous_diagonalize(D.T, seed=3)
         K = np.vstack([pent, -pent])
         for pt in spec.points:
-            assert point_in_hull(K, pt)
+            assert hull_weights(K, pt) is not None
 
     def test_rejects_untight_vectors(self):
         X = HermTuple([np.zeros((1, 1)), np.zeros((1, 1))])

@@ -12,6 +12,7 @@ from conftest import (
     assert_search_matches_backtracking,
     closure_all_pairs,
     combine_frames,
+    projection_invariance_per_point,
     random_povm,
 )
 from matconv import frames, sampling, sdp
@@ -37,7 +38,7 @@ from matconv.frames import (
     simplex3_frame,
     symmetry_group,
 )
-from matconv.sdp import point_in_hull
+from matconv.sdp import hull_weights
 from matconv.sets import HermTuple, Polytope, cube_polytope, wmax_member
 from matconv.witnesses import clifford_tuple
 
@@ -364,20 +365,39 @@ class TestProjectionInvariance:
         assert not projection_invariance(f)
 
     def test_one_lp_per_distinct_point(self, monkeypatch):
-        # 16 vectors give 256 ordered pairs, but the Gram values over l^2
-        # are 0, +-1/2 and +-1 and the frame is symmetric, so the projected
-        # points are 0, the 16 vectors and their 16 halves.
+        # 16 vectors give 256 ordered pairs and 33 distinct projected points
+        # (0, the 16 vectors and their 16 halves), but only the far end
+        # m_i v_i = -v_i of each ray is tested: at most one LP per vector.
         calls = []
 
-        def counting(V, w, **kwargs):
+        def counting(V, w):
             calls.append(w)
-            return point_in_hull(V, w, **kwargs)
+            return hull_weights(V, w)
 
-        monkeypatch.setattr(frames, "point_in_hull", counting)
-        assert projection_invariance(cube_corners_frame(4))
-        assert len(calls) == 33
+        monkeypatch.setattr(frames, "hull_weights", counting)
+        f = cube_corners_frame(4)
+        assert projection_invariance(f)
+        assert len(calls) == f.count
         # Distinct, in the lexicographic order of np.unique.
         assert np.array_equal(calls, np.unique(calls, axis=0))
+        assert np.array_equal(calls, np.unique(-f.vectors, axis=0))
+
+    def test_built_frames_match_per_point_oracle(self):
+        th = np.deg2rad([0.0, 45.0, 90.0, 135.0])
+        built = ([pm_basis_frame(d) for d in range(1, 6)]
+                 + [cube_corners_frame(d) for d in range(1, 6)]
+                 + [simplex3_frame(), pentagon_frame(), s5_orbit_frame(),
+                    combine_frames(pentagon_frame(), pentagon_frame()),
+                    check_tight(np.column_stack([np.cos(th), np.sin(th)]))])
+        for f in built:
+            assert projection_invariance(f) == \
+                projection_invariance_per_point(f)
+
+    def test_cli_cube_corners_d10_is_decided(self, capsys):
+        # 1024 vectors: the per-point test ran its LPs until the pivot cap.
+        assert main(["frame", "invariance", "cube_corners", "--d", "10"]) == 0
+        report = json.loads(capsys.readouterr().out)["result"]
+        assert report == {"projection_invariant": True}
 
     def test_cold_cli_run_skips_numpy_ma(self):
         # np.unique(axis=0) imports numpy.ma (about 13 ms) on first use.
@@ -403,12 +423,7 @@ class TestProjectionInvariance:
         assert main(["frame", "sym", name, "--d", str(d)]) == 4
 
     def test_cli_lp_cap_is_undecided(self, capsys, monkeypatch):
-        lp_feasible = sdp.lp_feasible
-
-        def capped(problem, pivot_tol=sdp.PIVOT_TOL):
-            return lp_feasible(problem, pivot_tol, max_iter=1)
-
-        monkeypatch.setattr(sdp, "lp_feasible", capped)
+        monkeypatch.setattr(sdp, "LP_PIVOT_CAP", 1)
         assert main(["frame", "invariance", "cube_corners", "--d", "3"]) == 2
         report = json.loads(capsys.readouterr().out)["result"]
         assert report["projection_invariant"] is None
@@ -425,7 +440,8 @@ def _frame_family_spectrum_in_hull(f, X, facets) -> bool:
     D = lambda_dilation(X, LambdaFamily(lams, np.full(f.count, 1 / f.count)))
     assert D.residuals["compression"] <= 1e-9
     _, spec = nk.simultaneous_diagonalize(D.T, seed=0)
-    return all(point_in_hull(f.vectors, pt / d) for pt in spec.points)
+    return all(hull_weights(f.vectors, pt / d) is not None
+               for pt in spec.points)
 
 
 class TestPipeline:
@@ -471,7 +487,7 @@ class TestPipeline:
             assert D.residuals["compression"] <= 1e-10
             _, spec = nk.simultaneous_diagonalize(D.T, seed=0)
             for pt in spec.points:
-                assert point_in_hull(3.0 * K_vertices, pt)
+                assert hull_weights(3.0 * K_vertices, pt) is not None
 
 
 class TestBuilders:

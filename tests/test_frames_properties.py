@@ -1,12 +1,17 @@
 """Property tests of the frame symmetry search against the backtracking
-oracle, on small random Gram matrices, and of the group closure check
-against the all-pairs oracle, on random subgroups of S_N."""
+oracle, on small random Gram matrices, of the group closure check against
+the all-pairs oracle, on random subgroups of S_N, and of projection
+invariance against the per-point oracle, on rotated harmonic frames."""
 
 import numpy as np
 import pytest
 
-from conftest import assert_search_matches_backtracking, closure_all_pairs
-from matconv.frames import SymmetryGroup
+from conftest import (
+    assert_search_matches_backtracking,
+    closure_all_pairs,
+    projection_invariance_per_point,
+)
+from matconv.frames import SymmetryGroup, check_tight, projection_invariance
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -69,3 +74,20 @@ def test_random_subgroups_match_all_pairs(n, gens, seed):
         assert _closure(fewer) == closure_all_pairs(fewer) == (len(H) == 2)
     more = np.vstack([H, rng.permutation(n)])
     assert _closure(more) == closure_all_pairs(more)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), symmetric=st.booleans(),
+       angle=st.floats(0.0, 2.0 * np.pi))
+def test_harmonic_frames_match_per_point_oracle(n, symmetric, angle):
+    # The n unit vectors at angles pi k / n, turned by angle, form a tight
+    # frame whose hull is not invariant: the projection of one vector onto
+    # the line of another falls outside.  With their negatives added they
+    # are the regular 2n-gon, which is invariant.
+    th = angle + np.pi * np.arange(n) / n
+    V = np.column_stack([np.cos(th), np.sin(th)])
+    if symmetric:
+        V = np.vstack([V, -V])
+    f = check_tight(V)
+    assert projection_invariance(f) == projection_invariance_per_point(f) \
+        == symmetric

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -634,6 +637,52 @@ def test_valid_inputs_are_accepted(command, schemas, tmp_path):
     assert code in (0, 1, 2) and out
 
 
+WITNESS_COMMANDS = ["witness clifford --d 3", "witness sharpness --d 2",
+                    "witness sqrtd --d 2", "witness nonscalable --count 5",
+                    "witness chain --d 2", "witness taurho --samples 1"]
+
+NO_SCIPY_RUNNER = textwrap.dedent("""
+    import contextlib, importlib.abc, io, json, sys
+
+    class NoScipy(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path=None, target=None):
+            if name.partition(".")[0] == "scipy":
+                raise ImportError(f"No module named {name!r}")
+
+    sys.meta_path.insert(0, NoScipy())
+    try:
+        import scipy  # noqa: F401
+    except ImportError:
+        pass
+    else:
+        raise SystemExit("scipy was not blocked")
+    from matconv.cli import main
+    codes = []
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main(argv))
+    print(json.dumps(codes))
+""")
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import failing, one
+    # query of each subcommand gives the exit code it gives here.
+    runs = [command.split() + write_inputs(tmp_path, schemas, None, "")
+            + ["--max-iter", "50"] for command, schemas in FILE_COMMANDS]
+    runs += [w.split() + ["--max-iter", "50"] for w in WITNESS_COMMANDS]
+    usual = [run_quiet(argv)[0] for argv in runs]
+    assert 4 not in usual
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUNNER, json.dumps(runs)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == usual
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_malformed_file_exits_3_or_4_naming_it(data, tmp_path_factory):
@@ -731,6 +780,19 @@ def test_refused_builder_exits_4(kind):
     code, out, err = run_quiet(["frame", kind, "cube_corners", "--d", "17"])
     assert code == 4
     assert "capped at" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "witness taurho --samples 0", "witness taurho --samples -3",
+    "witness taurho --set diamond --samples 0",
+    "witness nonscalable --count 0"])
+def test_witness_without_evidence_exits_4(argv):
+    # No sample or grid point is no evidence: an input error, never exit 0
+    # on an empty bracket or an infinite margin over an empty grid.
+    code, out, err = run_quiet(argv.split())
+    assert code == 4
+    assert "at least 1" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("builder", ["pm_basis", "cube_corners"])

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import frob_blocks_loop, pauli_pair
+from conftest import convex_weights_hold, frob_blocks_loop, pauli_pair
 from matconv import sampling, sdp
 from matconv.sdp import (
     BlockPsdProblem,
-    LpProblem,
     Status,
     affine_projector_povm,
     dykstra_solve,
-    lp_feasible,
-    point_in_hull,
+    hull_weights,
     povm_constraint_residual,
 )
 from matconv.sets import HermTuple, cube_polytope, diamond_polytope, wmin_member
@@ -191,40 +189,32 @@ class TestLpFeasible:
     def test_barycenter_of_simplex(self):
         V = SIMPLEX_VERTICES
         bary = V.mean(axis=0)
-        A = np.vstack([np.ones((1, 4)), V.T])
-        b = np.concatenate([[1.0], bary])
-        ok, x = lp_feasible(LpProblem(A, b))
-        assert ok
-        assert np.allclose(A @ x, b, atol=1e-9)
-        assert np.all(x >= -1e-12)
+        lam = hull_weights(V, bary)
+        assert lam is not None
+        assert np.allclose(V.T @ lam, bary, atol=1e-9)
+        assert abs(lam.sum() - 1.0) <= 1e-9
+        assert np.all(lam >= -1e-12)
 
     def test_point_outside_cube_hull(self):
         verts = cube_polytope(3).vertices
-        assert not point_in_hull(verts, np.array([2.0, 0.0, 0.0]))
+        assert hull_weights(verts, np.array([2.0, 0.0, 0.0])) is None
 
     def test_simplex_vertex_is_member(self):
-        assert point_in_hull(SIMPLEX_VERTICES, np.array([1.0, 1.0, 1.0]))
-
-    def test_free_variables(self):
-        # x + y = 1 with y free and x >= 0 is feasible even for y < 0.
-        ok, x = lp_feasible(LpProblem(np.array([[1.0, 1.0]]), np.array([3.0]),
-                                      nonneg=np.array([True, False])))
-        assert ok
-        assert abs(x.sum() - 3.0) <= 1e-9
+        lam = hull_weights(SIMPLEX_VERTICES, np.array([1.0, 1.0, 1.0]))
+        assert np.array_equal(lam, [1.0, 0.0, 0.0, 0.0])
 
     def test_against_scipy_oracle(self, rng):
         for trial in range(25):
-            m, n = int(rng.integers(1, 5)), int(rng.integers(2, 7))
-            A = rng.standard_normal((m, n))
+            n, dim = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            P = rng.standard_normal((n, dim))
             if trial % 2 == 0:
-                x0 = rng.uniform(0, 1, size=n)     # feasible by construction
-                b = A @ x0
+                x = P.T @ rng.dirichlet(np.ones(n))  # inside by construction
             else:
-                b = rng.standard_normal(m)
-            ok, x = lp_feasible(LpProblem(A, b))
-            ref = linprog(np.zeros(n), A_eq=A, b_eq=b,
+                x = rng.standard_normal(dim)
+            lam = hull_weights(P, x)
+            ref = linprog(np.zeros(n), A_eq=np.vstack([np.ones(n), P.T]),
+                          b_eq=np.concatenate([[1.0], x]),
                           bounds=[(0, None)] * n, method="highs")
-            assert ok == ref.success
-            if ok:
-                assert np.allclose(A @ x, b, atol=1e-8)
-                assert np.all(x >= -1e-9)
+            assert (lam is not None) == ref.success
+            if ref.success:
+                assert convex_weights_hold(P, x, lam)

@@ -1,11 +1,13 @@
 """Property tests of the Dykstra solver's batched kernels: the Frobenius gap
 against the per-block oracle, bit for bit, and the soundness of the
-Rayleigh screen of the affine-side PSD test."""
+Rayleigh screen of the affine-side PSD test.  Property tests of the hull LP:
+bit for bit against the per-scalar simplex loop, verdicts against HiGHS,
+and its convex weights checked in plain numpy."""
 
 import numpy as np
 import pytest
 
-from conftest import frob_blocks_loop
+from conftest import convex_weights_hold, frob_blocks_loop, hull_weights_loop
 from matconv import sdp
 
 pytest.importorskip("hypothesis")
@@ -74,3 +76,68 @@ def test_rayleigh_screen_fires_only_below_tol(N, n, tol, place, top, vec,
         v /= np.linalg.norm(v, axis=1, keepdims=True)
     if sdp._rayleigh_rules_out(K, v, tol):
         assert float(np.linalg.eigvalsh(K)[:, 0].min()) < -tol
+
+
+def _hull_instance(rng, n, dim, points, target):
+    """Points and a query point: real, rounded to a grid of 1/4 (ties and
+    degenerate hulls), with repeated rows, or integer; the query a convex
+    combination, a vertex, an edge midpoint or a random point."""
+    P = rng.uniform(-2.0, 2.0, (n, dim))
+    if points == "rounded":
+        P = np.round(4.0 * P) / 4.0
+    elif points == "repeated":
+        P = P[rng.integers(0, n, n)]
+    elif points == "integer":
+        P = rng.integers(-1, 2, (n, dim)).astype(float)
+    if target == "combination":
+        x = P.T @ rng.dirichlet(np.ones(n))
+    elif target == "vertex":
+        x = P[rng.integers(n)].copy()
+    elif target == "midpoint":
+        x = (P[rng.integers(n)] + P[rng.integers(n)]) / 2.0
+    else:
+        x = np.round(4.0 * rng.uniform(-2.0, 2.0, dim)) / 4.0
+    return P, x
+
+
+HULL_POINTS = st.sampled_from(["real", "rounded", "repeated", "integer"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), dim=st.integers(1, 5), points=HULL_POINTS,
+       target=st.sampled_from(["combination", "vertex", "midpoint",
+                               "random"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hull_weights_match_loop_oracle(n, dim, points, target, seed):
+    P, x = _hull_instance(np.random.default_rng(seed), n, dim, points, target)
+    lam = sdp.hull_weights(P, x)
+    ref = hull_weights_loop(P, x)
+    assert (lam is None) == (ref is None)
+    if ref is not None:
+        assert lam.tobytes() == ref.tobytes()
+        assert convex_weights_hold(P, x, lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), dim=st.integers(1, 5), points=HULL_POINTS,
+       push=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hull_verdict_matches_highs(n, dim, points, push, seed):
+    # A convex combination (push 0), or one pushed out along a unit
+    # direction u to push beyond the hull's support value in u, so that its
+    # distance to the hull is at least push.
+    from scipy.optimize import linprog
+    rng = np.random.default_rng(seed)
+    P, x = _hull_instance(rng, n, dim, points, "combination")
+    if push:
+        u = rng.standard_normal(dim)
+        u /= np.linalg.norm(u)
+        x = x + (float(np.max(P @ u)) - float(x @ u) + push) * u
+    lam = sdp.hull_weights(P, x)
+    ref = linprog(np.zeros(n), A_eq=np.vstack([np.ones(n), P.T]),
+                  b_eq=np.concatenate([[1.0], x]),
+                  bounds=[(0, None)] * n, method="highs")
+    assert ref.status in (0, 2)
+    assert (lam is not None) == (ref.status == 0) == (push == 0.0)
+    if lam is not None:
+        assert convex_weights_hold(P, x, lam)

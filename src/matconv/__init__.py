@@ -9,14 +9,11 @@ __version__ = "0.1.0"
 
 from .numkernel import (  # noqa: F401
     EigenDecomposition,
-    JointSpectrum,
     herm_eig,
     hermitize,
     min_eig,
     max_eig,
     opnorm,
-    simultaneous_diagonalize,
-    joint_spectrum_normal,
 )
 from .sdp import (  # noqa: F401
     BlockPsdProblem,

@@ -38,13 +38,21 @@ and scalar multiples), so the residual record is computed block by block:
 a masked max shows that every entry between blocks is exactly 0.0 (any
 other value raises ``DilationError``), then the commutators, normality
 defects and norms of the k diagonal n x n blocks each come from one
-batched ``opnorm``.
+batched ``opnorm``.  A stated ``norm_bound`` is checked against the largest
+norm.  Where a theorem names the set that holds the joint spectrum (d times
+the cube for flip, the cube for diamond, d times the l1 ball for
+cube-to-diamond, ``conv{+-c_m v^(m)}`` for a frame), the record also
+carries ``spectrum_excess``, the largest gauge of a joint eigenvalue in
+that set less 1, and a positive one is refused.  It needs the family's
+factors ``lam^(p) = u_p w_p^T`` as well: the spectrum is the points
+``mu u_p``, mu an eigenvalue of ``H_p = sum_j w_pj X_j``, from one batched
+``eigvalsh`` of the k n x n matrices H_p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -85,7 +93,8 @@ class Dilation:
 
     ``V* T_i V`` equals ``scale * X_i`` for the source tuple ``X``; the
     residual record carries nothing that cannot be recomputed from
-    ``(T, V, scale)`` and the source.
+    ``(T, V, scale)``, the source and, for ``spectrum_excess``, the factors
+    ``(u, w)`` of the rank-one family it was built from.
     """
 
     T: np.ndarray                # (d, dim, dim)
@@ -167,8 +176,9 @@ def _require_contractions(X: GenTuple, tol: float = 1e-9) -> None:
 
 
 def _validate(dil: Dilation) -> Dilation:
-    """Hard caps on the residual record; a violation is a construction bug,
-    not an input problem."""
+    """Hard caps on the residual record, with the norm bound and the
+    spectrum excess where it states them; a violation means the dilation
+    is not what its construction claims."""
     r = dil.residuals
     big = max(1.0, r["max_norm"])
     if r["isometry"] > 1e-10:
@@ -177,6 +187,13 @@ def _validate(dil: Dilation) -> Dilation:
         raise DilationError(f"commutator residual {r['commutator']:.3e}")
     if r["compression"] > 1e-9 * max(1.0, abs(dil.scale)):
         raise DilationError(f"compression residual {r['compression']:.3e}")
+    if "norm_bound" in r and r["max_norm"] > (1 + 1e-9) * r["norm_bound"]:
+        raise DilationError(f"largest norm {r['max_norm']:.9g} exceeds the "
+                            f"norm bound {r['norm_bound']:.9g}")
+    if r.get("spectrum_excess", 0.0) > 1e-9:
+        raise DilationError(
+            f"spectrum excess {r['spectrum_excess']:.3e}: the joint "
+            f"spectrum leaves the target set")
     return dil
 
 
@@ -202,11 +219,24 @@ def _build(X: HermTuple, fam: LambdaFamily,
 
 
 def _finish(T: np.ndarray, V: np.ndarray, X: GenTuple,
-            scale: float = 1.0, **extra: float) -> Dilation:
+            scale: float = 1.0, fam: LambdaFamily | None = None,
+            gauge: Callable[[np.ndarray], np.ndarray] | None = None,
+            **extra: float) -> Dilation:
     """Wrap ``(T, V)`` with its recomputed residuals plus ``extra`` and
-    check them."""
+    check them.
+
+    Given the family ``T`` was built from and the gauge of the target set
+    of its theorem (row-wise on ``(k, d)`` points, 1 on the boundary), the
+    record also carries ``spectrum_excess``, the largest gauge over the
+    joint spectrum ``{scale mu u_p}`` less 1: on block p that is the gauge
+    of ``scale rho_p u_p``, with ``rho_p`` the spectral radius of ``H_p``.
+    """
     dil = Dilation(T=T, V=V, scale=scale,
                    residuals=dilation_residuals(T, V, X, scale))
+    if gauge is not None:
+        rho = np.abs(block_spectra(X, fam)).max(axis=1)
+        top = float(gauge(scale * rho[:, None] * fam.u).max())
+        dil.residuals["spectrum_excess"] = top - 1.0
     dil.residuals.update(extra)
     return _validate(dil)
 
@@ -218,10 +248,17 @@ def _finish(T: np.ndarray, V: np.ndarray, X: GenTuple,
 
 @dataclass
 class LambdaFamily:
-    """Rank-one real d x d matrices with convex weights reconstructing I."""
+    """Rank-one real d x d matrices with convex weights reconstructing I.
+
+    ``u`` and ``w`` are the factors ``lam^(p) = u_p w_p^T``, each ``(k, d)``,
+    from the leading singular pair of each member.  Betas in
+    ``[-1e-12, 0)`` are rounding and are clipped to 0.
+    """
 
     lambdas: np.ndarray          # (k, d, d)
     betas: np.ndarray            # (k,)
+    u: np.ndarray = field(init=False, repr=False)
+    w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
@@ -230,7 +267,7 @@ class LambdaFamily:
             raise ValueError("lambdas must be a stack of square matrices")
         if self.betas.shape != (self.lambdas.shape[0],):
             raise ValueError("betas length mismatch")
-        sv = np.linalg.svd(self.lambdas, compute_uv=False)      # (k, d)
+        U, sv, Wt = np.linalg.svd(self.lambdas)      # sv is (k, d)
         bad = (sv[:, 0] == 0.0) | np.any(
             sv[:, 1:] > RANK_ONE_REL_TOL * sv[:, :1], axis=1)
         if bad.any():
@@ -238,12 +275,15 @@ class LambdaFamily:
                 f"family member {int(np.argmax(bad))} is not numerically rank one")
         if np.any(self.betas < -1e-12):
             raise ValueError("betas must be nonnegative")
+        self.betas = np.maximum(self.betas, 0.0)
         if abs(self.betas.sum() - 1.0) > 1e-9:
             raise ValueError("betas must sum to one")
         recon = np.tensordot(self.betas, self.lambdas, axes=(0, 0))
         err = float(np.linalg.norm(recon - np.eye(self.d)))
         if err > IDENTITY_RECON_TOL:
             raise ValueError(f"identity reconstruction residual {err:.3e}")
+        self.u = U[:, :, 0] * sv[:, :1]
+        self.w = Wt[:, 0, :]
 
     @property
     def k(self) -> int:
@@ -282,9 +322,7 @@ def decompose_identity(lambdas: Sequence) -> LambdaFamily:
     beta = hull_weights(lams.reshape(k, d * d), np.eye(d).ravel())
     if beta is None:
         raise DilationError("identity not in convex hull of the family")
-    beta = np.clip(beta, 0.0, None)
-    beta = beta / beta.sum()
-    return LambdaFamily(lams, beta)
+    return LambdaFamily(lams, beta / beta.sum())
 
 
 def lambda_blocks(X: HermTuple, fam: LambdaFamily) -> np.ndarray:
@@ -296,6 +334,14 @@ def lambda_blocks(X: HermTuple, fam: LambdaFamily) -> np.ndarray:
             f"family dimension {fam.d} does not match tuple length {X.d}")
     Y = nk.lincomb(fam.lambdas.reshape(fam.k * fam.d, fam.d), X.matrices)
     return Y.reshape(fam.k, fam.d, X.n, X.n)
+
+
+def block_spectra(X: HermTuple, fam: LambdaFamily) -> np.ndarray:
+    """Ascending eigenvalues of ``H_p = sum_j w_pj X_j``, one row per family
+    member, as a ``(k, n)`` array.  Block p of the rank-one-family dilation
+    is ``Y[p, i] = u_pi H_p``, so its joint spectrum is the points
+    ``mu u_p`` for mu in row p."""
+    return np.linalg.eigvalsh(nk.lincomb(fam.w, X.matrices))
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +357,13 @@ def lambda_dilation(X: HermTuple, fam: LambdaFamily) -> Dilation:
 
 def flip_dilation(X: HermTuple, tol: float = 1e-9) -> Dilation:
     """Commuting self-adjoint dilation of a Hermitian contraction tuple on
-    dimension ``n * 2^(d-1)`` with ``||T_i|| <= d`` and exact compression."""
+    dimension ``n * 2^(d-1)`` with ``||T_i|| <= d`` and exact compression;
+    the joint spectrum lands in d times the cube."""
     fam = flip_sign_family(X.d, X.n)
     _require_contractions(X, tol)
-    return _finish(*_build(X, fam), X, norm_bound=float(X.d))
+    return _finish(*_build(X, fam), X, fam=fam,
+                   gauge=lambda x: np.abs(x).max(axis=1) / X.d,
+                   norm_bound=float(X.d))
 
 
 def diamond_dilation(X: HermTuple, tol: float = 1e-9) -> Dilation:
@@ -328,7 +377,8 @@ def diamond_dilation(X: HermTuple, tol: float = 1e-9) -> Dilation:
     if bad is not None:
         raise DilationError(
             f"signed sum with signs {bad.astype(int).tolist()} exceeds I")
-    return _finish(*_build(X, fam), X, norm_bound=1.0)
+    return _finish(*_build(X, fam), X, fam=fam,
+                   gauge=lambda x: np.abs(x).max(axis=1), norm_bound=1.0)
 
 
 def cube_to_diamond_dilation(X: HermTuple, tol: float = 1e-9) -> Dilation:
@@ -340,7 +390,9 @@ def cube_to_diamond_dilation(X: HermTuple, tol: float = 1e-9) -> Dilation:
     """
     if not cube_member(X, tol):
         raise DilationError("input is not a tuple of contractions")
-    return _finish(*_build(X, _coordinate_family(X.d)), X,
+    fam = _coordinate_family(X.d)
+    return _finish(*_build(X, fam), X, fam=fam,
+                   gauge=lambda x: np.abs(x).sum(axis=1) / X.d,
                    sign_sum_bound=float(X.d))
 
 
@@ -385,7 +437,7 @@ def frame_dilation(X: HermTuple, vectors, weights=None,
 
     Returns a Dilation whose ``T`` is already the kappa-scaled tuple, so
     ``scale = kappa`` and ``V* T_i V = kappa X_i``.  The residual record
-    carries kappa and sigma.
+    carries kappa, sigma and the spectrum excess over K.
     """
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     N, d = V.shape
@@ -417,7 +469,12 @@ def frame_dilation(X: HermTuple, vectors, weights=None,
     csum = float(c.sum())
     b = csum / (sigma * c)
     lams = b[:, None, None] * (V[:, :, None] * V[:, None, :])
-    T, W = _build(X, LambdaFamily(lams, c / csum))
+    fam = LambdaFamily(lams, c / csum)
+    T, W = _build(X, fam)
     kappa = sigma * float(np.min(c) ** 3) / csum
-    return _finish(kappa * T, W, X, kappa,
+    # Point p of the spectrum lies on the line through v^(p), at t v^(p);
+    # +- c_p v^(p) are vertices of K, so |t| / c_p bounds its gauge in K.
+    cv = c * np.linalg.norm(V, axis=1)
+    return _finish(kappa * T, W, X, kappa, fam=fam,
+                   gauge=lambda x: np.linalg.norm(x, axis=1) / cv,
                    kappa=kappa, sigma=sigma)

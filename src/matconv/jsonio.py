@@ -55,6 +55,9 @@ from .frames import Frame, check_tight
 from .numkernel import NumKernelError
 from .sets import GenTuple, HermTuple, Polytope
 
+# Largest entry of M - M* that a decoded Hermitian tuple may have.
+TUPLE_HERM_TOL = 1e-9
+
 
 class SchemaError(ValueError):
     """Structurally valid JSON that does not match the expected schema."""
@@ -148,14 +151,13 @@ def encode_tuple(X: GenTuple) -> dict:
             "matrices": _re_im(X.matrices).tolist()}
 
 
-def decode_tuple(obj, hermitian: bool = True,
-                 herm_tol: float = 1e-9) -> GenTuple:
+def decode_tuple(obj, hermitian: bool = True) -> GenTuple:
     mats = _numbers(_field(obj, "matrices", '{"d", "n", "matrices"}'),
                     "matrices", 3, pairs=True)
     _size(obj, "d", mats.shape[0])
     _size(obj, "n", mats.shape[1])
     try:
-        return (HermTuple(mats, herm_tol=herm_tol) if hermitian
+        return (HermTuple(mats, herm_tol=TUPLE_HERM_TOL) if hermitian
                 else GenTuple(mats))
     except (ValueError, NumKernelError) as exc:
         raise SchemaError(str(exc)) from exc

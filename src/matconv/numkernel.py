@@ -14,8 +14,6 @@ stack and route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
@@ -23,10 +21,6 @@ HERMITICITY_TOL = 1e-12
 # opnorm prunes by squared Frobenius norms only from this size up to overflow:
 # outside that range the squares lose their relative precision.
 _PRUNE_MIN = float(np.sqrt(np.finfo(float).tiny))
-
-# Simultaneous diagonalization: eigenvalue clusters of a random combination are
-# split at 1e-8 * max operator norm of the family.
-CLUSTER_TOL_REL = 1e-8
 
 
 class NumKernelError(Exception):
@@ -43,19 +37,6 @@ class EigenSolveError(NumKernelError):
     def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)
         self.residual = residual
-
-
-class NotCommutingError(NumKernelError):
-    """A family handed to the joint diagonalizer fails the commutator test."""
-
-    def __init__(self, i: int, j: int, norm: float, bound: float):
-        super().__init__(
-            f"matrices {i} and {j} do not commute: "
-            f"commutator norm {norm:.3e} exceeds bound {bound:.3e}"
-        )
-        self.pair = (i, j)
-        self.norm = norm
-        self.bound = bound
 
 
 def as_cmatrix(entries) -> np.ndarray:
@@ -251,131 +232,6 @@ def opnorms(A) -> np.ndarray:
     return _member_norms(A, herm)
 
 
-@dataclass(frozen=True)
-class JointSpectrum:
-    """Joint eigenvalue tuples of a commuting family, listed with multiplicity.
-
-    ``points`` has one row per ambient dimension; rows repeat according to
-    multiplicity.  Rows are real for Hermitian families, complex for normal
-    ones.
-    """
-
-    points: np.ndarray  # (n, d)
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-    def sorted_points(self) -> np.ndarray:
-        """Rows sorted lexicographically (real then imaginary parts)."""
-        pts = self.points
-        keys = []
-        for j in range(pts.shape[1] - 1, -1, -1):
-            keys.append(pts[:, j].imag)
-            keys.append(pts[:, j].real)
-        order = np.lexsort(keys)
-        return pts[order]
-
-
-def _offdiag_norms(M: np.ndarray) -> np.ndarray:
-    """Frobenius norms of the off-diagonal parts of an ``(F, n, n)`` stack."""
-    return np.linalg.norm(M * (1.0 - np.eye(M.shape[-1])), axis=(-2, -1))
-
-
-def _split_clusters(w: np.ndarray, gap: float) -> list[slice]:
-    """Slice the ascending eigenvalue list into clusters separated by > gap."""
-    clusters = []
-    start = 0
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > gap:
-            clusters.append(slice(start, i))
-            start = i
-    clusters.append(slice(start, len(w)))
-    return clusters
-
-
-def _simdiag_recurse(mats: np.ndarray, rng: np.random.Generator,
-                     cluster_tol: float, depth: int) -> np.ndarray:
-    n = mats.shape[1]
-    if n == 1:
-        return np.eye(1, dtype=complex)
-    if not _offdiag_norms(mats).any():
-        return np.eye(n, dtype=complex)
-    # Deviation from a scalar family: any orthonormal basis diagonalizes it.
-    means = np.trace(mats, axis1=1, axis2=2)[:, None, None] / n
-    dev = float(np.linalg.norm(mats - means * np.eye(n), axis=(1, 2)).max())
-    if dev <= cluster_tol:
-        return np.eye(n, dtype=complex)
-    if depth > 40:
-        raise EigenSolveError(
-            "joint diagonalization failed to split a degenerate cluster",
-            residual=dev,
-        )
-    coeffs = rng.standard_normal(len(mats))
-    M = lincomb(coeffs[None, :], mats)[0]
-    w, Q = np.linalg.eigh((M + M.conj().T) / 2.0)
-    clusters = _split_clusters(w, cluster_tol)
-    if len(clusters) == 1:
-        # Unlucky combination; retry with fresh coefficients.
-        return _simdiag_recurse(mats, rng, cluster_tol, depth + 1)
-    blocks = []
-    for cl in clusters:
-        Qc = Q[:, cl]
-        if cl.stop - cl.start == 1:
-            blocks.append(Qc)
-            continue
-        Usub = _simdiag_recurse(Qc.conj().T @ mats @ Qc, rng, cluster_tol,
-                                depth + 1)
-        blocks.append(Qc @ Usub)
-    return np.hstack(blocks)
-
-
-def simultaneous_diagonalize(mats: Sequence, tol: float = 1e-8,
-                             seed: int = 0) -> tuple[np.ndarray, JointSpectrum]:
-    """Jointly diagonalize a commuting family of Hermitian matrices of one
-    size (a ``(d, n, n)`` stack or a sequence): a unitary ``U`` with
-    ``U* T_i U`` diagonal to within the commutator bound, and the joint
-    spectrum read off the diagonals.  An already-diagonal family comes back
-    exactly, with ``U = I``.
-
-    ``tol`` bounds every commutator relative to the largest operator norm;
-    the first pair in index order that breaks it raises
-    :class:`NotCommutingError`.  ``seed`` seeds the random combinations
-    that split degenerate eigenspaces, so the result is deterministic.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    if not len(mats):
-        raise ValueError("empty family")
-    if mats.ndim != 3:
-        raise ValueError("family members must share one size")
-    mats = hermitize(mats)
-    n = mats.shape[1]
-    scale = opnorm(mats)
-    bound = tol * max(scale, 1e-300)
-    # One row of commutators at a time: [T_i, T_j] for every j > i.
-    for i in range(len(mats) - 1):
-        comm = mats[i] @ mats[i + 1:] - mats[i + 1:] @ mats[i]
-        if opnorm(comm) > bound:
-            norms = opnorms(comm)
-            j = int(np.argmax(norms > bound))
-            raise NotCommutingError(i, i + 1 + j, float(norms[j]), bound)
-    if not _offdiag_norms(mats).any():
-        points = np.diagonal(mats, axis1=1, axis2=2).real.T.copy()
-        return np.eye(n, dtype=complex), JointSpectrum(points=points)
-    rng = np.random.default_rng(seed)
-    cluster_tol = CLUSTER_TOL_REL * max(scale, 1e-300)
-    U = _simdiag_recurse(mats, rng, cluster_tol, 0)
-    D = U.conj().T @ mats @ U
-    res = float(_offdiag_norms(D).max())
-    if res > max(bound * 10 * n, cluster_tol * 10 * n):
-        raise EigenSolveError(
-            f"joint diagonalization residual {res:.3e} too large",
-            residual=res,
-        )
-    points = np.real(np.diagonal(D, axis1=1, axis2=2)).T.copy()
-    return U, JointSpectrum(points=points)
-
-
 def re_im_parts(mats) -> np.ndarray:
     """Hermitian real and imaginary parts of a ``(d, n, n)`` stack,
     interleaved: ``(Re M_1, Im M_1, ..., Re M_d, Im M_d)`` with
@@ -388,17 +244,3 @@ def re_im_parts(mats) -> np.ndarray:
     parts[0::2] = (M + Mh) / 2.0
     parts[1::2] = (M - Mh) / 2.0j
     return parts
-
-
-def joint_spectrum_normal(mats: Sequence, tol: float = 1e-8,
-                          seed: int = 0) -> tuple[np.ndarray, JointSpectrum]:
-    """Joint spectrum of a commuting *normal* family via real/imaginary parts.
-
-    Each matrix splits as ``M = R + iS`` with ``R, S`` Hermitian; for a
-    commuting normal family the 2d-tuple of parts commutes, so the Hermitian
-    routine applies and the complex points are recombined afterwards.
-    """
-    U, spec = simultaneous_diagonalize(re_im_parts(mats), tol=tol, seed=seed)
-    pts = spec.points
-    complex_pts = pts[:, 0::2] + 1j * pts[:, 1::2]
-    return U, JointSpectrum(points=complex_pts)

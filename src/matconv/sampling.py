@@ -23,10 +23,6 @@ def random_herm(n: int, rng: np.random.Generator) -> np.ndarray:
     return (A + A.conj().T) / 2.0
 
 
-def random_gen(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
 def random_herm_contraction_tuple(d: int, n: int, rng: np.random.Generator,
                                   shrink: float = 1.0) -> list[np.ndarray]:
     """d Hermitian matrices, each of operator norm <= shrink (<= 1)."""

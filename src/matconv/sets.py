@@ -19,7 +19,7 @@ strictness at the price of numerical false negatives near the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,6 +43,12 @@ SIGN_ENUMERATION_CAP = 24  # refuse 2^d sign sweeps beyond this many variables
 # Rows per batched eigensolve in the early-exit sweeps: a sweep that fails
 # early stops after one chunk, and one chunk bounds the memory of any sweep.
 SWEEP_CHUNK = 256
+# A polytope given both ways has each vertex inside each facet, and each
+# facet tight at some vertex, to this tolerance relative to its entries.
+POLYTOPE_CHECK_TOL = 1e-9
+# Relative margin by which 0 must lie inside a polytope to dualize it; it
+# stays above the LP feasibility tolerance of the vertex probe.
+POLAR_INTERIOR_MARGIN = 1e-6
 
 
 class SetsError(Exception):
@@ -141,7 +147,6 @@ class Polytope:
     vertices: Optional[np.ndarray] = None
     facet_normals: Optional[np.ndarray] = None
     facet_offsets: Optional[np.ndarray] = None
-    check_tol: float = field(default=1e-9, repr=False)
 
     def __post_init__(self):
         if self.vertices is not None:
@@ -166,11 +171,11 @@ class Polytope:
         gaps = self.facet_offsets[None, :] - self.vertices @ self.facet_normals.T
         scale = max(1.0, float(np.max(np.abs(self.facet_offsets))),
                     float(np.max(np.abs(self.vertices))))
-        if gaps.min() < -self.check_tol * scale:
+        if gaps.min() < -POLYTOPE_CHECK_TOL * scale:
             raise ValueError(
                 f"vertex violates a facet by {-gaps.min():.3e}")
         slack_per_facet = gaps.min(axis=0)
-        if slack_per_facet.max() > self.check_tol * scale:
+        if slack_per_facet.max() > POLYTOPE_CHECK_TOL * scale:
             loose = int(np.argmax(slack_per_facet))
             raise ValueError(
                 f"facet {loose} is tight at no vertex "
@@ -222,22 +227,23 @@ def diamond_polytope(d: int) -> Polytope:
                     facet_offsets=offsets)
 
 
-def polar_dual_polytope(P: Polytope, margin: float = 1e-6) -> Polytope:
+def polar_dual_polytope(P: Polytope) -> Polytope:
     """Scalar polar dual {x : <x, y> <= 1 for all y in P}.
 
     Representations swap: each vertex v becomes the facet (v, 1) and each
     facet (alpha, a) with a > 0 becomes the vertex alpha / a.  Requires 0
-    strictly inside P (probed with the given relative margin, which must stay
-    above the LP feasibility tolerance); otherwise the dual is unbounded and
-    this raises.
+    strictly inside P (probed with the relative margin
+    ``POLAR_INTERIOR_MARGIN``); otherwise the dual is unbounded and this
+    raises.
     """
     interior = False
     if P.has_facets:
         nrm = np.linalg.norm(P.facet_normals, axis=1)
-        interior = bool(np.all(P.facet_offsets > margin * np.maximum(nrm, 1.0)))
+        interior = bool(np.all(
+            P.facet_offsets > POLAR_INTERIOR_MARGIN * np.maximum(nrm, 1.0)))
     elif P.has_vertices:
         scale = max(1.0, float(np.max(np.abs(P.vertices))))
-        probe = margin * scale
+        probe = POLAR_INTERIOR_MARGIN * scale
         interior = all(
             hull_weights(P.vertices, probe * e) is not None
             for e in np.vstack([np.eye(P.dim), -np.eye(P.dim)])
@@ -407,13 +413,13 @@ def diamond_wmax_member(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL) -> bool:
 
 
 def first_violated_sign(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL,
-                        bound: float = 1.0) -> Optional[np.ndarray]:
-    """First sign vector eps (lexicographic) with sum eps_j X_j > bound*I."""
+                        ) -> Optional[np.ndarray]:
+    """First sign vector eps (lexicographic) with sum eps_j X_j > I."""
     if X.d > SIGN_ENUMERATION_CAP:
         raise SetsError(
             f"refusing 2^{X.d} sign combinations (cap {SIGN_ENUMERATION_CAP})")
     bad = first_failing_row(
-        X, 2 ** X.d, lambda lo, hi: (nk.sign_rows(X.d, lo, hi), bound), tol)
+        X, 2 ** X.d, lambda lo, hi: (nk.sign_rows(X.d, lo, hi), 1.0), tol)
     return None if bad is None else nk.sign_rows(X.d, bad, bad + 1)[0]
 
 

@@ -51,6 +51,8 @@ from .sets import (
 )
 
 CLIFFORD_D_CAP = 12
+# Sampled unit directions v of the sharpness report's S_v <= I check.
+SHARPNESS_DIRECTIONS = 32
 
 
 class WitnessError(Exception):
@@ -205,7 +207,7 @@ def tensor_certificate(B: CliffordTuple) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def sharpness_check(d: int, num_dirs: int = 32, seed: int = 0) -> dict:
+def sharpness_check(d: int, seed: int = 0) -> dict:
     """Certificates that the constant d cannot be improved.
 
     (a) the top eigenvalue of ``sum B_i (x) B_i`` is exactly d, by the
@@ -223,8 +225,8 @@ def sharpness_check(d: int, num_dirs: int = 32, seed: int = 0) -> dict:
         hence ``lambda_max(S) <= sqrt(1 + size * r) <= 1 + size * r / 2``;
     (c) ``min eig (I - (1/C) sum B (x) B) = 1 - d/C`` flips sign at C = d.
 
-    The direction stack and its squares hold ``num_dirs * 4^(d-1)``
-    entries each, which is what keeps d at most 8 here.
+    The direction stack and its squares hold ``SHARPNESS_DIRECTIONS *
+    4^(d-1)`` entries each, which is what keeps d at most 8 here.
     """
     if d > 8:
         raise WitnessError("tensor certificates capped at d=8")
@@ -233,7 +235,7 @@ def sharpness_check(d: int, num_dirs: int = 32, seed: int = 0) -> dict:
     lam_max = float(cert["identity_eigenvalue"])
 
     rng = sampling.rng_from(seed)
-    dirs = sampling.sphere_points(d, num_dirs, rng)
+    dirs = sampling.sphere_points(d, SHARPNESS_DIRECTIONS, rng)
     S = nk.lincomb(dirs, B.matrices.astype(float))
     if d == 1:
         top = dirs[:, 0]

@@ -10,7 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import combine_frames, convex_weights_hold, random_isometry
+from conftest import (
+    combine_frames,
+    convex_weights_hold,
+    random_isometry,
+    simultaneous_diagonalize,
+)
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv.dilation import (
@@ -172,7 +177,7 @@ def test_ac06_diamond_to_cube_dilations():
         ok = ok and D.residuals["commutator"] <= 1e-9
         ok = ok and D.residuals["max_norm"] <= 1 + 1e-9
         ok = ok and D.residuals["compression"] <= 1e-9
-        _, spec = nk.simultaneous_diagonalize(D.T, seed=0)
+        _, spec = simultaneous_diagonalize(D.T, seed=0)
         worst = max(worst, float(np.max(np.abs(spec.points))) - 1.0)
     ok = ok and worst <= 1e-8
     _verdict(6, ok,
@@ -193,7 +198,7 @@ def test_ac07_cube_to_scaled_diamond():
             signs = np.array(eps) * 2 - 1
             S = sum(float(s) * T for s, T in zip(signs, D.T))
             worst_sign = max(worst_sign, nk.max_eig(S, tol=np.inf) - d)
-        _, spec = nk.simultaneous_diagonalize(D.T, seed=0)
+        _, spec = simultaneous_diagonalize(D.T, seed=0)
         scaled_verts = d * diamond_polytope(d).vertices
         for pt in spec.points:
             if hull_weights(scaled_verts, pt) is None:
@@ -228,7 +233,7 @@ def test_ac08_frame_dilations():
             kappa = D.residuals["kappa"]
             if abs(kappa - kappa_expect) > 1e-12:
                 ok = False
-            _, spec = nk.simultaneous_diagonalize(D.T, seed=0)
+            _, spec = simultaneous_diagonalize(D.T, seed=0)
             for pt in spec.points:
                 lam = hull_weights(K_vertices, pt)
                 if not convex_weights_hold(K_vertices, pt, lam, tol=1e-8):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import pauli_pair, random_isometry, random_povm
+from conftest import pauli_pair, random_gen, random_isometry, random_povm
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv.cli import main
@@ -339,7 +339,7 @@ def test_broken_source_dependency_certified_at_once(k, m, scalar, hermitian,
     # compression of an ampliation keep the dependency, and a push of B_1
     # breaks it.
     rng = np.random.default_rng(seed)
-    draw = sampling.random_herm if hermitian else sampling.random_gen
+    draw = sampling.random_herm if hermitian else random_gen
     kind = HermTuple if hermitian else GenTuple
     A1 = c * np.eye(k) if scalar else draw(k, rng)
     A = kind([A1, draw(k, rng) if scalar else c * A1])

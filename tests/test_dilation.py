@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    JointSpectrum,
     dense_residuals,
+    joint_spectrum_normal,
     pauli_pair,
+    random_gen,
     random_gen_contraction_tuple,
     random_isometry,
+    simultaneous_diagonalize,
     spectra_match,
 )
 from matconv import dilation
@@ -20,6 +24,7 @@ from matconv.dilation import (
     Dilation,
     DilationError,
     LambdaFamily,
+    block_spectra,
     coordinate_projection_dilation,
     cube_to_diamond_dilation,
     decompose_identity,
@@ -92,11 +97,11 @@ class TestFlipDilation:
             S = sum(ui * np.asarray(Xi) for ui, Xi in zip(u, X))
             for mu in np.linalg.eigvalsh((S + S.conj().T) / 2):
                 pts.append(mu * u)
-        want = nk.JointSpectrum(points=np.array(pts))
-        _, got = nk.simultaneous_diagonalize(D.T, tol=1e-8, seed=3)
+        want = JointSpectrum(points=np.array(pts))
+        _, got = simultaneous_diagonalize(D.T, tol=1e-8, seed=3)
         assert spectra_match(want, got, tol=1e-8)
         D = lambda_dilation(X, flip_sign_family(3))
-        _, got = nk.simultaneous_diagonalize(D.T, tol=1e-8, seed=3)
+        _, got = simultaneous_diagonalize(D.T, tol=1e-8, seed=3)
         assert spectra_match(want, got, tol=1e-8)
 
 
@@ -136,7 +141,7 @@ class TestCoordinateProjectionDilation:
         u = np.exp(1.2j)
         X = GenTuple([np.array([[u]])])
         D = coordinate_projection_dilation(X)
-        _, spec = nk.joint_spectrum_normal(D.T)
+        _, spec = joint_spectrum_normal(D.T)
         assert np.max(np.abs(spec.points)) <= 2.0 + 1e-9
         assert D.residuals["compression"] <= 1e-12
 
@@ -201,8 +206,8 @@ class TestLambdaDilation:
         fam = flip_sign_family(2)
         D1 = flip_dilation(X)
         D2 = lambda_dilation(X, fam)
-        _, s1 = nk.simultaneous_diagonalize(D1.T, seed=1)
-        _, s2 = nk.simultaneous_diagonalize(D2.T, seed=1)
+        _, s1 = simultaneous_diagonalize(D1.T, seed=1)
+        _, s2 = simultaneous_diagonalize(D2.T, seed=1)
         assert spectra_match(s1, s2, tol=1e-8)
 
     def test_scalar_simplex_points(self):
@@ -211,9 +216,9 @@ class TestLambdaDilation:
         x = np.array([0.2, -0.1, 0.3])
         X = HermTuple([np.array([[c]]) for c in x])
         D = lambda_dilation(X, fam)
-        _, spec = nk.simultaneous_diagonalize(D.T, seed=0)
+        _, spec = simultaneous_diagonalize(D.T, seed=0)
         want = np.array([v * float(v @ x) for v in SIMPLEX_V])
-        assert spectra_match(nk.JointSpectrum(points=want), spec, tol=1e-10)
+        assert spectra_match(JointSpectrum(points=want), spec, tol=1e-10)
         assert D.residuals["compression"] <= 1e-12
 
 
@@ -224,30 +229,30 @@ class TestJointSpectrumRankOne:
         lams = np.stack([d * np.outer(np.eye(d)[m], np.eye(d)[m])
                          for m in range(d)])
         fam = LambdaFamily(lams, np.full(d, 1 / d))
-        _, spec = nk.simultaneous_diagonalize(lambda_dilation(X, fam).T)
+        _, spec = simultaneous_diagonalize(lambda_dilation(X, fam).T)
         want = []
         for m in range(d):
             for mu in np.linalg.eigvalsh(np.asarray(X[m])):
                 want.append(d * mu * np.eye(d)[m])
         assert spectra_match(
-            spec, nk.JointSpectrum(points=np.array(want)), tol=1e-10)
+            spec, JointSpectrum(points=np.array(want)), tol=1e-10)
 
     def test_scalar_points_are_lambda_images(self):
         lams = np.stack([np.outer(v, v) for v in SIMPLEX_V])
         fam = LambdaFamily(lams, np.full(4, 0.25))
         x = np.array([0.1, 0.2, -0.3])
         X = HermTuple([np.array([[c]]) for c in x])
-        _, spec = nk.simultaneous_diagonalize(lambda_dilation(X, fam).T)
+        _, spec = simultaneous_diagonalize(lambda_dilation(X, fam).T)
         want = np.array([lam @ x for lam in lams])
         assert spectra_match(
-            spec, nk.JointSpectrum(points=want), tol=1e-10)
+            spec, JointSpectrum(points=want), tol=1e-10)
 
 
 class TestDiamondDilation:
     def test_scalar_vertex(self):
         X = HermTuple([np.array([[0.7]]), np.array([[0.2]])])
         D = diamond_dilation(X)
-        _, spec = nk.simultaneous_diagonalize(D.T, seed=0)
+        _, spec = simultaneous_diagonalize(D.T, seed=0)
         assert np.max(np.abs(spec.points)) <= 1 + 1e-9
 
     def test_clifford_half(self):
@@ -273,7 +278,7 @@ class TestDiamondDilation:
             X = HermTuple(sampling.random_sign_sum_bounded_tuple(
                 d, int(rng.integers(1, 4)), rng))
             D = diamond_dilation(X)
-            _, spec = nk.simultaneous_diagonalize(D.T, seed=7)
+            _, spec = simultaneous_diagonalize(D.T, seed=7)
             assert np.max(np.abs(spec.points)) <= 1 + 1e-8
 
     def test_two_routes_agree(self, rng):
@@ -281,7 +286,7 @@ class TestDiamondDilation:
         # witness for the feasibility route, and the solver agrees.
         X = HermTuple(sampling.random_sign_sum_bounded_tuple(2, 2, rng))
         D = diamond_dilation(X)
-        U, spec = nk.simultaneous_diagonalize(D.T, seed=11)
+        U, spec = simultaneous_diagonalize(D.T, seed=11)
         P = cube_polytope(2)
         Ks = [np.zeros((X.n, X.n), dtype=complex) for _ in range(4)]
         for col in range(D.dim):
@@ -312,7 +317,7 @@ class TestCubeToDiamond:
                 signs = np.array(eps) * 2 - 1
                 S = sum(float(s) * T for s, T in zip(signs, D.T))
                 assert nk.max_eig(S, tol=np.inf) <= d + 1e-9
-            _, spec = nk.simultaneous_diagonalize(D.T, seed=13)
+            _, spec = simultaneous_diagonalize(D.T, seed=13)
             l1 = np.abs(spec.points).sum(axis=1)
             assert np.max(l1) <= d + 1e-8
             for pt in spec.points:
@@ -323,7 +328,7 @@ class TestCubeToDiamond:
     def test_scalar_and_clifford(self):
         x = HermTuple([np.array([[0.9]]), np.array([[-1.0]])])
         D = cube_to_diamond_dilation(x)
-        _, spec = nk.simultaneous_diagonalize(D.T, seed=1)
+        _, spec = simultaneous_diagonalize(D.T, seed=1)
         assert np.max(np.abs(spec.points).sum(axis=1)) <= 2 + 1e-12
         B = clifford_tuple(2).as_herm_tuple()
         D = cube_to_diamond_dilation(B)
@@ -355,7 +360,7 @@ class TestFrameDilation:
         D = frame_dilation(X, corners)
         assert D.residuals["sigma"] == pytest.approx(2.0 ** d)
         assert D.residuals["kappa"] == pytest.approx(1.0)
-        _, spec = nk.simultaneous_diagonalize(D.T, seed=2)
+        _, spec = simultaneous_diagonalize(D.T, seed=2)
         K = np.vstack([corners, -corners])
         for pt in spec.points:
             assert hull_weights(K, pt) is not None
@@ -369,7 +374,7 @@ class TestFrameDilation:
         D = frame_dilation(X, pent)
         assert D.residuals["sigma"] == pytest.approx(2.5, abs=1e-12)
         assert D.residuals["kappa"] == pytest.approx(0.5, abs=1e-12)
-        _, spec = nk.simultaneous_diagonalize(D.T, seed=3)
+        _, spec = simultaneous_diagonalize(D.T, seed=3)
         K = np.vstack([pent, -pent])
         for pt in spec.points:
             assert hull_weights(K, pt) is not None
@@ -575,14 +580,18 @@ def _random_dilation(kind, d, n, rng):
         return cube_to_diamond_dilation(X), X
     if kind == "lambda":
         return lambda_dilation(X, _parseval_family(d, rng)), X
-    # frame: the rows of a 2d x d isometry, with weights, and X scaled into
-    # the dual inequalities +- sum_j c_m v_mj X_j <= I.
-    Q, _ = np.linalg.qr(rng.standard_normal((2 * d, d)))
-    c = rng.uniform(0.5, 1.0, size=2 * d)
+    Q, c, X = _random_frame(X, rng)
+    return frame_dilation(X, Q, weights=c), X
+
+
+def _random_frame(X, rng):
+    """The rows of a random 2d x d isometry with weights c, and X scaled
+    into the dual inequalities ``+- sum_j c_m v_mj X_j <= I``."""
+    Q, _ = np.linalg.qr(rng.standard_normal((2 * X.d, X.d)))
+    c = rng.uniform(0.5, 1.0, size=2 * X.d)
     top = max(nk.opnorm(nk.lincomb((cm * v)[None, :], X.matrices)[0])
               for cm, v in zip(c, Q))
-    X = X.scaled(0.9 / max(top, 1e-12))
-    return frame_dilation(X, Q, weights=c), X
+    return Q, c, X.scaled(0.9 / max(top, 1e-12))
 
 
 KINDS = ["flip", "diamond", "lambda", "frame", "cube2diamond", "nonsa_flip",
@@ -607,14 +616,14 @@ def test_blockwise_record_of_any_block_diagonal_tuple(d, n, k, seed):
     # Random complex blocks neither commute nor are normal, so every entry
     # of the record is far from rounding level.
     rng = np.random.default_rng(seed)
-    blocks = [[sampling.random_gen(n, rng) for _ in range(d)]
+    blocks = [[random_gen(n, rng) for _ in range(d)]
               for _ in range(k)]
     T = np.zeros((d, n, k, n, k), dtype=complex)
     p = np.arange(k)
     T[:, :, p, :, p] = np.array(blocks)
     T = list(T.reshape(d, n * k, n * k))
     V = random_isometry(n * k, n, rng)
-    X = GenTuple([sampling.random_gen(n, rng) for _ in range(d)])
+    X = GenTuple([random_gen(n, rng) for _ in range(d)])
     got = dilation_residuals(T, V, X, 0.5)
     want = dense_residuals(T, V, X, 0.5)
     tol = 1e-12 * max(1.0, want["max_norm"]) ** 2
@@ -636,7 +645,7 @@ def test_commutators_of_hermitian_blocks_skip_the_svd(d, n, k, seed):
                                   for _ in range(d)] for _ in range(k)])
     T = list(T.reshape(d, n * k, n * k))
     V = random_isometry(n * k, n, rng)
-    X = GenTuple([sampling.random_gen(n, rng) for _ in range(d)])
+    X = GenTuple([random_gen(n, rng) for _ in range(d)])
     shapes = []
     svd = np.linalg.svd
 
@@ -666,3 +675,121 @@ def test_entry_between_blocks_is_refused(kind, d, n, seed):
     T[i][a * k + p, b * k + q] = 1e-300
     with pytest.raises(DilationError, match="between diagonal blocks"):
         dilation_residuals(T, D.V, X, D.scale)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form joint spectra and the target sets of the theorems
+# ---------------------------------------------------------------------------
+
+NORMAL_KINDS = ("nonsa_flip", "coordinate_projection")
+
+# Gauge of each theorem's target set at one point x: d * cube, the cube and
+# d * diamond.
+GAUGES = {
+    "flip": lambda x, d: np.max(np.abs(x)) / d,
+    "diamond": lambda x, d: np.max(np.abs(x)),
+    "cube2diamond": lambda x, d: np.sum(np.abs(x)) / d,
+}
+
+
+def closed_form_points(Y, fam, scale):
+    """Joint spectrum, with multiplicity, of ``scale`` times the
+    rank-one-family dilation of ``Y``: the points ``scale mu u_p`` for mu an
+    eigenvalue of ``H_p = sum_j w_pj Y_j``."""
+    mu = block_spectra(Y, fam)
+    return scale * (mu[:, :, None] * fam.u[:, None, :]).reshape(-1, fam.d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), d=st.integers(1, 3), n=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_closed_form_spectrum_matches_joint_diagonaliser(kind, d, n, seed):
+    # The normal kinds build from the real and imaginary parts, whose
+    # points recombine as x_2i + i x_2i+1.
+    with mock.patch.object(dilation, "_build", wraps=dilation._build) as b:
+        D, X = _random_dilation(kind, d, n, np.random.default_rng(seed))
+    (Y, fam), = (call.args for call in b.call_args_list)
+    pts = closed_form_points(Y, fam, D.scale)
+    if kind in NORMAL_KINDS:
+        pts = pts[:, 0::2] + 1j * pts[:, 1::2]
+        _, spec = joint_spectrum_normal(D.T)
+    else:
+        _, spec = simultaneous_diagonalize(D.T)
+    assert spectra_match(JointSpectrum(points=pts), spec, tol=1e-10)
+    if kind in GAUGES:
+        top = max(GAUGES[kind](pt, d) for pt in spec.points)
+        assert abs(D.residuals["spectrum_excess"] - (top - 1.0)) <= 1e-10
+    else:
+        assert ("spectrum_excess" in D.residuals) == (kind == "frame")
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_frame_excess_bounds_the_gauge_of_k(d, n, seed):
+    # Each joint eigenvalue of a frame dilation, shrunk by 1 + excess, lies
+    # in K = conv{+-c_m v^(m)}.
+    rng = np.random.default_rng(seed)
+    X = HermTuple(sampling.random_herm_contraction_tuple(d, n, rng))
+    Q, c, X = _random_frame(X, rng)
+    D = frame_dilation(X, Q, weights=c)
+    _, spec = simultaneous_diagonalize(D.T)
+    K = np.vstack([c[:, None] * Q, -c[:, None] * Q])
+    shrink = 1.0 + D.residuals["spectrum_excess"]
+    for pt in spec.points:
+        assert hull_weights(K, pt / shrink) is not None
+
+
+def test_diamond_gauge_on_flip_dilation_outside_the_cube():
+    # The signed sum X_1 + X_2 of the Pauli pair has eigenvalue sqrt(2), so
+    # the flip dilation's spectrum leaves the cube by sqrt(2) - 1.
+    X = pauli_pair()
+    fam = flip_sign_family(2)
+    with pytest.raises(DilationError, match="spectrum excess 4.142e-01"):
+        dilation._finish(*dilation._build(X, fam), X, fam=fam,
+                         gauge=lambda x: np.abs(x).max(axis=1))
+    assert flip_dilation(X).residuals["spectrum_excess"] == pytest.approx(
+        np.sqrt(2.0) / 2.0 - 1.0, abs=1e-12)
+
+
+def test_frame_dilation_needs_kappa():
+    # Pentagon: sigma = 5/2, b_m = 2 and kappa = 1/2.  X meets the dual
+    # inequalities with margin 0.9, so the points 2 mu v^(m) of the
+    # unscaled dilation reach 1.8 v^(m), outside K, and kappa brings them
+    # back to 0.9 v^(m).
+    k = np.arange(5)
+    pent = np.column_stack([np.cos(2 * np.pi * k / 5),
+                            np.sin(2 * np.pi * k / 5)])
+    X = HermTuple(sampling.random_herm_contraction_tuple(
+        2, 3, np.random.default_rng(5)))
+    top = max(nk.opnorm(nk.lincomb(v[None, :], X.matrices)[0]) for v in pent)
+    X = X.scaled(0.9 / top)
+    fam = LambdaFamily(2.0 * pent[:, :, None] * pent[:, None, :],
+                       np.full(5, 0.2))
+    # The gauge |t| / c_m of the point t v^(m) is |t|: c_m = 1, |v^(m)| = 1.
+    with pytest.raises(DilationError, match="spectrum excess 8.000e-01"):
+        dilation._finish(*dilation._build(X, fam), X, fam=fam,
+                         gauge=lambda x: np.linalg.norm(x, axis=1))
+    D = frame_dilation(X, pent)
+    assert D.residuals["kappa"] == pytest.approx(0.5, abs=1e-12)
+    assert D.residuals["spectrum_excess"] == pytest.approx(-0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("build, norm_bound", [
+    (flip_dilation, 2.0), (diamond_dilation, 1.0)])
+def test_stated_norm_bound_is_checked(build, norm_bound):
+    D = build(HermTuple([np.diag([1.0, 0.0]), np.diag([0.0, -1.0])]))
+    assert D.residuals["norm_bound"] == norm_bound
+    broken = Dilation(T=D.T, V=D.V, scale=D.scale,
+                      residuals={**D.residuals,
+                                 "max_norm": norm_bound * (1 + 2e-9)})
+    with pytest.raises(DilationError, match="exceeds the norm bound"):
+        dilation._validate(broken)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_family_factors_reproduce_members(rng, d):
+    for fam in (flip_sign_family(d), dilation._coordinate_family(d),
+                _parseval_family(d, rng)):
+        outer = fam.u[:, :, None] * fam.w[:, None, :]
+        assert np.max(np.abs(outer - fam.lambdas)) <= 1e-14 * d

@@ -14,6 +14,7 @@ from conftest import (
     combine_frames,
     projection_invariance_per_point,
     random_povm,
+    simultaneous_diagonalize,
 )
 from matconv import frames, sampling, sdp
 from matconv import numkernel as nk
@@ -439,7 +440,7 @@ def _frame_family_spectrum_in_hull(f, X, facets) -> bool:
     lams = (d / f.norm ** 2) * f.vectors[:, :, None] * f.vectors[:, None, :]
     D = lambda_dilation(X, LambdaFamily(lams, np.full(f.count, 1 / f.count)))
     assert D.residuals["compression"] <= 1e-9
-    _, spec = nk.simultaneous_diagonalize(D.T, seed=0)
+    _, spec = simultaneous_diagonalize(D.T, seed=0)
     return all(hull_weights(f.vectors, pt / d) is not None
                for pt in spec.points)
 
@@ -485,7 +486,7 @@ class TestPipeline:
             X = HermTuple([g.astype(complex) for g in G[:3]])
             D = lambda_dilation(X, fam)
             assert D.residuals["compression"] <= 1e-10
-            _, spec = nk.simultaneous_diagonalize(D.T, seed=0)
+            _, spec = simultaneous_diagonalize(D.T, seed=0)
             for pt in spec.points:
                 assert hull_weights(3.0 * K_vertices, pt) is not None
 

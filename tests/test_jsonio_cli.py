@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,22 @@ class TestCliVerdicts:
             capsys)
         assert code == 0
         assert rep["result"]["dilation"]["scale"] == pytest.approx(0.5)
+
+    def test_dilate_lambda_with_rounding_betas(self, capsys, tmp_path):
+        # A beta in [-1e-12, 0) is rounding: it is clipped to 0, and the
+        # isometry never takes the square root of a negative number.
+        x = tmp_path / "x.json"
+        x.write_text(json.dumps({"d": 1, "n": 1, "matrices": [[[0.5]]]}))
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps({"lambdas": [[[1.0]], [[1.0]]],
+                                   "betas": [1.0000000000001, -1e-13]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, rep, _ = run_cli(["dilate", "lambda", str(x), str(fam)],
+                                   capsys)
+        assert code == 0
+        residuals = rep["result"]["dilation"]["residuals"]
+        assert np.all(np.isfinite(list(residuals.values())))
 
     def test_dilate_diamond_and_cube2diamond(self, workdir, capsys):
         code, rep, _ = run_cli(

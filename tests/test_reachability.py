@@ -22,8 +22,6 @@ ALLOWED = {
         "normal dilation of general contractions, planned as a CLI kind",
     "dilation.coordinate_projection_dilation":
         "normal dilation of general contractions, planned as a CLI kind",
-    "sampling.random_gen":
-        "random square matrix that the test samplers draw from",
 }
 
 

@@ -11,14 +11,17 @@ import numpy as np
 import pytest
 
 from conftest import (
+    NotCommutingError,
     dilation_residuals_loop,
     first_coincident_pair_loop,
     hat_tuple_loop,
     herm_stack_loop,
     kron_sum_loop,
     norms_loop,
+    random_gen,
     re_im_parts_loop,
     same_bits,
+    simultaneous_diagonalize,
     square_sum_loop,
     tilde_tuple_loop,
 )
@@ -50,15 +53,15 @@ def draw_member(kind: str, n: int, rng) -> np.ndarray:
     if kind == "herm":
         return sampling.random_herm(n, rng)
     if kind == "gen":
-        return sampling.random_gen(n, rng)
+        return random_gen(n, rng)
     if kind == "real":
         return rng.standard_normal((n, n))
     if kind == "zero":
         return np.zeros((n, n))
     if kind == "near_herm":
         return (sampling.random_herm(n, rng)
-                + 1e-13 * sampling.random_gen(n, rng))
-    return 1e-200 * sampling.random_gen(n, rng)
+                + 1e-13 * random_gen(n, rng))
+    return 1e-200 * random_gen(n, rng)
 
 
 members = st.lists(st.sampled_from(KINDS), min_size=1, max_size=5)
@@ -85,9 +88,9 @@ def test_norms_match_per_member_opnorm(kinds, n, seed):
 def test_kron_sum_matches_loop(d, a, b, complex_a, complex_b, seed):
     rng = np.random.default_rng(seed)
     # Zero entries of either sign, so the sum's start shows in the bits.
-    A = (np.stack([sampling.random_gen(a, rng) for _ in range(d)])
+    A = (np.stack([random_gen(a, rng) for _ in range(d)])
          * rng.choice([-1.0, 0.0, 1.0], size=(d, a, a)))
-    B = np.stack([sampling.random_gen(b, rng) for _ in range(d)])
+    B = np.stack([random_gen(b, rng) for _ in range(d)])
     A = A if complex_a else A.real
     B = B if complex_b else B.real
     assert same_bits(nk.kron_sum(A, B), kron_sum_loop(A, B))
@@ -142,7 +145,7 @@ def test_re_im_parts_match_loop(kinds, n, seed):
 def test_herm_tuple_is_one_hermitize_of_the_members(d, n, seed):
     rng = np.random.default_rng(seed)
     mats = [sampling.random_herm(n, rng)
-            + 1e-13 * sampling.random_gen(n, rng) for _ in range(d)]
+            + 1e-13 * random_gen(n, rng) for _ in range(d)]
     assert same_bits(HermTuple(mats).matrices, herm_stack_loop(mats))
     assert same_bits(HermTuple(mats).scaled(0.3).matrices,
                      herm_stack_loop([0.3 * M for M in herm_stack_loop(mats)]))
@@ -276,7 +279,7 @@ def test_dilation_residuals_match_member_loop(d, n, seed, kind):
     rng = np.random.default_rng(seed)
     if kind == "normal":
         X = GenTuple([0.9 * M / nk.opnorm(M) for M in
-                      (sampling.random_gen(n, rng) for _ in range(d))])
+                      (random_gen(n, rng) for _ in range(d))])
         D = nonsa_flip_dilation(X)
     else:
         X = HermTuple(sampling.random_herm_contraction_tuple(d, n, rng))
@@ -299,7 +302,7 @@ def test_first_non_commuting_pair_is_named():
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     mats = [np.eye(2), np.diag([1.0, 2.0]), np.diag([3.0, 4.0]), flip,
             np.diag([1.0, -1.0])]
-    with pytest.raises(nk.NotCommutingError) as info:
-        nk.simultaneous_diagonalize(mats)
+    with pytest.raises(NotCommutingError) as info:
+        simultaneous_diagonalize(mats)
     assert info.value.pair == (1, 3)
     assert info.value.norm == nk.opnorm(mats[1] @ flip - flip @ mats[1])

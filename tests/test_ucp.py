@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import frob, pauli_pair, random_isometry
+from conftest import frob, pauli_pair, random_gen, random_isometry
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv.sdp import Status
@@ -195,8 +195,8 @@ def projector_instance(kind, k, m, rng):
     if kind == "herm":
         A = HermTuple(sampling.random_herm_contraction_tuple(2, k, rng))
         return A, HermTuple([sampling.random_herm(m, rng) for _ in range(2)])
-    A = GenTuple([sampling.random_gen(k, rng) for _ in range(2)])
-    B = GenTuple([sampling.random_gen(m, rng) for _ in range(2)])
+    A = GenTuple([random_gen(k, rng) for _ in range(2)])
+    B = GenTuple([random_gen(m, rng) for _ in range(2)])
     reduce = _REDUCTIONS[MapMode.CCP]
     return reduce(A), reduce(B)
 

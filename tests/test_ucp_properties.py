@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_isometry
+from conftest import random_gen, random_isometry
 from matconv import sampling
 from matconv.sets import GenTuple, HermTuple
 from matconv.ucp import choi_affine_projector, choi_constraint_residual
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 def test_projector_idempotent_and_feasible(k, m, d, hermitian, dependent,
                                            seed):
     rng = np.random.default_rng(seed)
-    draw = sampling.random_herm if hermitian else sampling.random_gen
+    draw = sampling.random_herm if hermitian else random_gen
     mats = [draw(k, rng) for _ in range(d)]
     if dependent:
         mats[-1] = 2.0 * mats[0]

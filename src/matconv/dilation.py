@@ -469,6 +469,10 @@ def frame_dilation(X: HermTuple, vectors, weights=None,
     csum = float(c.sum())
     b = csum / (sigma * c)
     lams = b[:, None, None] * (V[:, :, None] * V[:, None, :])
+    zero = ~lams.any(axis=(1, 2))
+    if zero.any():
+        raise DilationInputError(
+            f"frame vector {int(np.argmax(zero))} is zero")
     fam = LambdaFamily(lams, c / csum)
     T, W = _build(X, fam)
     kappa = sigma * float(np.min(c) ** 3) / csum

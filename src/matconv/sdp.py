@@ -1,24 +1,28 @@
 """Small dense feasibility engines.
 
 Each problem kind describes its affine set once, as a :class:`ConstraintMap`
-(raw constraint family and target), whose one SVD gives the projector, the
-certificate check and the Farkas certificate of an empty affine set.
+(raw constraint family and target).  The caller builds it once per query; its
+one SVD gives the projector, the certificate check and the Farkas certificate
+of an empty affine set, and its raw family re-checks a feasible witness.
 
 Two solvers live here:
 
 * :func:`dykstra_solve` -- Dykstra alternating projections for problems of the
   shape "find PSD blocks of one size inside an affine set".  The blocks are
-  kept as one ``(N, n, n)`` stack from end to end; the affine set is supplied
-  as its orthogonal projector (Frobenius metric), which maps such a stack to
-  a stack, and the PSD side projects the whole stack with one batched
-  eigensolve.  ``Infeasible`` is returned only with a separation certificate
-  that the problem's own verifier accepted: a PSD functional that is
-  constant and negative on the affine set, so that no PSD point can lie in
-  it.  When the PSD cone and the affine set do not meet, the gap between the
-  two iterates tends to the displacement vector between them (Bauschke and
-  Borwein, J. Approx. Theory 79, 1994), which is such a functional; the
-  solver reads a candidate off it every ``CERTIFICATE_EVERY`` iterations.  A
-  gap that stops moving without a certificate gives ``Undecided``.
+  kept as one ``(N, n, n)`` stack from end to end, of the shape the
+  constraint map gives; the affine set is supplied as its orthogonal
+  projector (Frobenius metric), which maps such a stack to a stack, and the
+  PSD side projects the whole stack with one batched eigensolve.
+  ``Infeasible`` is returned only with a separation certificate that the
+  constraint map accepted: a PSD functional that is constant and negative
+  on the affine set, so that no PSD point can lie in it.  When the PSD cone
+  and the affine set do not meet, the gap between the two iterates tends to
+  the displacement vector between them (Bauschke and Borwein, J. Approx.
+  Theory 79, 1994), which is such a functional; the solver reads a
+  candidate off it every ``CERTIFICATE_EVERY`` iterations.  ``Feasible`` is
+  returned only with a witness that the constraint map's raw family and one
+  batched eigensolve re-check.  A gap that stops moving without a
+  certificate gives ``Undecided``.
 
 * :func:`hull_weights` -- the one linear program: is ``x`` a convex
   combination of given points, and with which weights?  A phase-1 dense
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -48,15 +52,6 @@ RAYLEIGH_MARGIN = 1e-12    # relative margin of the affine-side PSD screen
 
 class SdpError(Exception):
     """Base error for this module."""
-
-
-class InconsistentConstraintsError(SdpError):
-    """The affine constraints have no solution; ``result`` is the
-    ``Infeasible`` verdict with the Farkas certificate."""
-
-    def __init__(self, result: "FeasibilityResult"):
-        super().__init__(result.message)
-        self.result = result
 
 
 class LpCycleGuardError(SdpError):
@@ -96,30 +91,6 @@ class FeasibilityResult:
 
 
 @dataclass
-class BlockPsdProblem:
-    """Find PSD blocks inside an affine set.
-
-    The blocks share one size: ``block_dims`` lists it once per block.
-    ``affine_projector`` maps an ``(N, n, n)`` stack of blocks to its closest
-    point (Frobenius metric) in the affine constraint set, again an
-    ``(N, n, n)`` stack, and must be idempotent to 1e-12 on its own output.
-    ``verify_certificate`` turns a candidate separating stack into a
-    :class:`Certificate` without the projector, or returns ``None``; without
-    it the solver never returns ``Infeasible``.  The solver screens its
-    candidates on the assumption that the total trace is constant on the
-    affine set, as it is for both problem kinds here; the verifier alone
-    decides.
-    """
-
-    block_dims: list[int]
-    affine_projector: Callable[[np.ndarray], np.ndarray]
-    max_iter: int = 20000
-    tol_feas: float = 1e-8
-    verify_certificate: Optional[
-        Callable[[np.ndarray], Optional[Certificate]]] = None
-
-
-@dataclass
 class ConstraintMap:
     """An affine set ``L = {K : A(K) = b}`` of block stacks.
 
@@ -131,7 +102,8 @@ class ConstraintMap:
     stack as its adjoint, so that ``eps I`` in ``y_0`` pays for a shift of
     ``A*(y)`` by ``eps I``, and the identity as its target ``b_0``.  One
     thin SVD ``family = U_r S_r V_r`` (rank cutoff ``1e-12 s_max``) gives
-    the projector, the fit of a dual to a functional, and the Farkas dual.
+    the projector, the fit of a dual to a functional, and the Farkas dual;
+    the witness residual reads the raw family alone.
     """
 
     family: np.ndarray
@@ -146,6 +118,12 @@ class ConstraintMap:
         self._V, self._null = Vh[:r], U[:, r:]
         self._fit = U[:, :r] / s[:r]       # A*(fit V_r Z) = Z on range(A*)
         self._G = self._fit.conj().T @ self.target.reshape(R, -1)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """The ``(N, g s, g s)`` shape of the block stacks."""
+        g, s = self.grid, self.target.shape[1]
+        return self.family.shape[1] // (g * g), g * s, g * s
 
     def _slots(self, K: np.ndarray) -> np.ndarray:
         """The ``(N g^2, s^2)`` slot rows of an ``(N, g s, g s)`` stack."""
@@ -165,6 +143,13 @@ class ConstraintMap:
         K = np.asarray(blocks, dtype=complex)
         D = self._V @ self._slots(K) - self._G
         return _sym(K - self._blocks(self._V.conj().T @ D))
+
+    def residual(self, blocks) -> float:
+        """``|A(K) - b|`` (Frobenius) of a block stack or list of blocks,
+        formed from the raw family and target."""
+        K = np.asarray(blocks, dtype=complex)
+        b = self.target.reshape(len(self.target), -1)
+        return float(np.linalg.norm(self.family @ self._slots(K) - b))
 
     def verify(self, Z: np.ndarray) -> Optional[Certificate]:
         """``certify`` of the least-squares ``y`` with ``A*(y) = Z``."""
@@ -221,6 +206,27 @@ class ConstraintMap:
         if not value < -CERTIFICATE_MARGIN * scale:
             return None
         return Certificate(y, W + eps * np.eye(W.shape[1]), value)
+
+
+@dataclass
+class BlockPsdProblem:
+    """Find PSD blocks inside the affine set of ``constraints``.
+
+    The blocks form one ``constraints.shape`` stack.  ``affine_projector``
+    maps such a stack to its closest point (Frobenius metric) in the affine
+    set, again a stack of that shape, and must be idempotent to 1e-12 on its
+    own output; it is ``constraints.project`` or a stand-in for it.  The
+    solver checks separation candidates with ``constraints.verify`` and
+    feasible witnesses with ``constraints.residual``, neither of which calls
+    the projector.  It screens its candidates on the assumption that the
+    total trace is constant on the affine set, as it is for both problem
+    kinds here; the verifier alone decides.
+    """
+
+    constraints: ConstraintMap
+    affine_projector: Callable[[np.ndarray], np.ndarray]
+    max_iter: int = 20000
+    tol_feas: float = 1e-8
 
 
 def _sym(K: np.ndarray) -> np.ndarray:
@@ -281,19 +287,22 @@ def _rayleigh_rules_out(K: np.ndarray, v: np.ndarray, tol: float) -> bool:
 
 
 def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
-    """Dykstra alternating projections between the PSD product cone and an
-    affine set.
+    """Dykstra alternating projections between the PSD product cone and the
+    affine set of ``problem.constraints``.
 
-    The iterate is declared ``Feasible`` as soon as either projection output
+    The iterate is a candidate as soon as either projection output
     satisfies the other constraint to ``tol_feas``: the PSD-side point when
     its Frobenius distance to the affine set is small, or the affine-side
-    point when its blocks are PSD up to ``-tol_feas``.  A feasible witness
-    is the list of the N blocks.  The affine-side test is screened with
-    the PSD step's own eigenvectors: a block whose Rayleigh quotient at the
-    eigenvector of its PSD-step input's smallest eigenvalue lies below
-    ``-tol_feas`` by the screen's margin rules acceptance out, and
-    ``eigvalsh`` runs only when no block does.  An iteration that is not
-    accepted then usually costs one eigensolve, the PSD step's ``eigh``.
+    point when its blocks are PSD up to ``-tol_feas``.  The affine-side test
+    is screened with the PSD step's own eigenvectors: a block whose Rayleigh
+    quotient at the eigenvector of its PSD-step input's smallest eigenvalue
+    lies below ``-tol_feas`` by the screen's margin rules acceptance out,
+    and ``eigvalsh`` runs only when no block does.  An iteration that is not
+    accepted then usually costs one eigensolve, the PSD step's ``eigh``.  A
+    candidate is re-checked without the projector: ``constraints.residual``
+    and the smallest eigenvalue of its blocks (one batched eigensolve) must
+    both be within ``WITNESS_TOL``.  It is then ``Feasible``, its witness
+    the list of the N blocks; otherwise the solve ends ``Undecided``.
 
     Every ``CERTIFICATE_EVERY`` iterations, while the gap exceeds
     ``10 tol_feas``, the PSD-side point ``y`` minus its projection ``y_aff``
@@ -302,17 +311,13 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
     Shifted by ``eps I`` (one batched ``eigvalsh``) it is PSD, and the
     identity stack is orthogonal to the direction space too, so the shift
     adds ``eps sum tr(y_aff)``.  A candidate whose value falls below
-    ``-CERTIFICATE_MARGIN |Z| |y_aff|`` goes to the problem's
-    ``verify_certificate``; ``Infeasible`` is returned only with the
-    certificate that accepts.  A gap that plateaus (flat to ``STALL_REL``
-    over ``STALL_WINDOW`` iterations) or ``max_iter`` without either verdict
-    gives ``Undecided``.  Blocks of unequal size raise :class:`SdpError`.
+    ``-CERTIFICATE_MARGIN |Z| |y_aff|`` goes to ``constraints.verify``;
+    ``Infeasible`` is returned only with the certificate that accepts.  A
+    gap that plateaus (flat to ``STALL_REL`` over ``STALL_WINDOW``
+    iterations) or ``max_iter`` without either verdict gives ``Undecided``.
     """
-    dims = list(problem.block_dims)
-    if len(set(dims)) != 1:
-        raise SdpError(
-            f"blocks must share one size, got sizes {sorted(set(dims))}")
-    shape = (len(dims), dims[0], dims[0])
+    cmap = problem.constraints
+    shape = cmap.shape
 
     def project(K: np.ndarray) -> np.ndarray:
         return np.asarray(problem.affine_projector(K), dtype=complex)
@@ -327,7 +332,6 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
     q = np.zeros(shape, dtype=complex)  # Dykstra correction, affine side
     gaps: list[float] = []
     tol = problem.tol_feas
-    verify = problem.verify_certificate
     for it in range(1, problem.max_iter + 1):
         y_in = x + p
         y, v = psd_project(y_in)
@@ -337,15 +341,13 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
         gap = _frob(y_aff - y)
         gaps.append(gap)
         if gap <= tol:
-            return FeasibilityResult(Status.FEASIBLE, list(y), gap, it)
+            return _rechecked(cmap, y, gap, it)
         if not _rayleigh_rules_out(y_aff, v, tol):
             neg = float(np.linalg.eigvalsh(_sym(y_aff))[:, 0].min())
             if neg >= -tol:
-                return FeasibilityResult(Status.FEASIBLE, list(y_aff),
-                                         max(0.0, -neg), it)
-        if verify is not None and it % CERTIFICATE_EVERY == 0 \
-                and gap > 10 * tol:
-            cert = _separation(y, y_aff, verify)
+                return _rechecked(cmap, y_aff, max(0.0, -neg), it)
+        if it % CERTIFICATE_EVERY == 0 and gap > 10 * tol:
+            cert = _separation(y, y_aff, cmap.verify)
             if cert is not None:
                 return FeasibilityResult(
                     Status.INFEASIBLE, None, gap, it,
@@ -369,6 +371,21 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
     )
 
 
+def _rechecked(cmap: ConstraintMap, K: np.ndarray, residual: float,
+               it: int) -> FeasibilityResult:
+    """``Feasible`` with the blocks of ``K`` as the witness, or ``Undecided``
+    when they miss the constraints (``cmap.residual``) or PSD-ness (one
+    batched eigensolve) by more than ``WITNESS_TOL``."""
+    resid = cmap.residual(K)
+    low = float(np.min(min_eig(K, tol=np.inf)))
+    if resid <= WITNESS_TOL and low >= -WITNESS_TOL:
+        return FeasibilityResult(Status.FEASIBLE, list(K), residual, it)
+    return FeasibilityResult(
+        Status.UNDECIDED, None, residual, it,
+        message=(f"witness failed re-verification (constraint residual "
+                 f"{resid:.3e}, smallest eigenvalue {low:.3e})"))
+
+
 def _separation(y: np.ndarray, y_aff: np.ndarray, verify,
                 ) -> Optional[Certificate]:
     """The certificate that the candidate ``y - y_aff`` yields, or ``None``
@@ -382,25 +399,6 @@ def _separation(y: np.ndarray, y_aff: np.ndarray, verify,
             * np.linalg.norm(y_aff):
         return None
     return verify(Z)
-
-
-def reverified(res: FeasibilityResult,
-               constraint_residual: Callable[[list[np.ndarray]], float],
-               ) -> FeasibilityResult:
-    """``res``, or ``Undecided`` when its feasible witness misses its
-    constraints (``constraint_residual`` of the blocks, computed without the
-    solver) or PSD-ness (one batched eigensolve) by more than
-    ``WITNESS_TOL``."""
-    if res.status is not Status.FEASIBLE:
-        return res
-    resid = constraint_residual(res.witness)
-    low = float(np.min(min_eig(np.stack(res.witness), tol=np.inf)))
-    if resid <= WITNESS_TOL and low >= -WITNESS_TOL:
-        return res
-    return FeasibilityResult(
-        Status.UNDECIDED, None, res.residual, res.iterations,
-        message=(f"witness failed re-verification (constraint residual "
-                 f"{resid:.3e}, smallest eigenvalue {low:.3e})"))
 
 
 # ---------------------------------------------------------------------------
@@ -428,29 +426,10 @@ def povm_constraints(vertices, X) -> ConstraintMap:
                          np.concatenate([np.eye(n, dtype=complex)[None], X]))
 
 
-def affine_projector_povm(vertices, X: Sequence[np.ndarray],
+def affine_projector_povm(cmap: ConstraintMap,
                           ) -> Callable[[np.ndarray], np.ndarray]:
-    """The ``project`` of :func:`povm_constraints`; raises
-    :class:`InconsistentConstraintsError` when no blocks meet the
-    constraints, which needs a row-rank deficient vertex matrix."""
-    cmap = povm_constraints(vertices, X)
-    short = cmap.inconsistency(
-        "affine constraints inconsistent for this tuple")
-    if short is not None:
-        raise InconsistentConstraintsError(short)
+    """The projector of a :func:`povm_constraints` map, ``cmap.project``."""
     return cmap.project
-
-
-def povm_constraint_residual(vertices, X: Sequence[np.ndarray],
-                             blocks: Sequence[np.ndarray]) -> float:
-    """Raw constraint violation of a candidate witness, for re-verification."""
-    V = np.asarray(vertices, dtype=float)
-    K = np.stack([np.asarray(B, dtype=complex) for B in blocks])
-    n = K.shape[1]
-    res = [np.sum(K, axis=0) - np.eye(n)]
-    for i in range(V.shape[1]):
-        res.append(np.tensordot(V[:, i], K, axes=(0, 0)) - np.asarray(X[i]))
-    return float(np.sqrt(sum(np.linalg.norm(R) ** 2 for R in res)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,10 @@ from . import sampling
 from .sdp import (
     BlockPsdProblem,
     FeasibilityResult,
-    InconsistentConstraintsError,
     affine_projector_povm,
     dykstra_solve,
     hull_weights,
-    povm_constraint_residual,
     povm_constraints,
-    reverified,
 )
 
 DEFAULT_MEMBER_TOL = 1e-9
@@ -358,9 +355,11 @@ def wmin_member(X: HermTuple, P: Polytope, max_iter: int = 20000,
     """Smallest matrix convex set over P, decided at the vertex level.
 
     Membership holds iff there is a positive decomposition ``X = sum_v v K_v``
-    with ``K_v >= 0`` and ``sum_v K_v = I`` indexed by the vertices of P; the
-    witness blocks returned on success are exactly that decomposition, and
-    they are re-verified against the constraints and PSD-ness to
+    with ``K_v >= 0`` and ``sum_v K_v = I`` indexed by the vertices of P.
+    One constraint map per query describes these constraints; it gives the
+    projector, the Farkas short cut and the certificate check.  The witness
+    blocks returned on success are exactly that decomposition, re-checked
+    inside the solver against the map's raw family and PSD-ness to
     ``WITNESS_TOL`` before ``Feasible`` is returned.  ``Infeasible`` carries
     an Effros--Winkler separating pencil ``H_0, ..., H_d`` as its
     certificate: ``H_0 + sum_j v_j H_j >= 0`` at every vertex ``v`` and
@@ -374,25 +373,18 @@ def wmin_member(X: HermTuple, P: Polytope, max_iter: int = 20000,
             "wmin membership needs the V-representation; supply vertices")
     if P.dim != X.d:
         raise ValueError("polytope dimension does not match tuple length")
-    try:
-        projector = affine_projector_povm(P.vertices, X.matrices)
-    except InconsistentConstraintsError as exc:
-        return exc.result
-    problem = BlockPsdProblem(
-        block_dims=[X.n] * P.vertices.shape[0],
-        affine_projector=projector,
-        max_iter=max_iter,
-        tol_feas=tol_feas,
-        verify_certificate=povm_constraints(P.vertices, X.matrices).verify,
-    )
-    return reverified(
-        dykstra_solve(problem),
-        lambda K: povm_constraint_residual(P.vertices, X.matrices, K))
+    cmap = povm_constraints(P.vertices, X.matrices)
+    short = cmap.inconsistency(
+        "affine constraints inconsistent for this tuple")
+    if short is not None:
+        return short
+    return dykstra_solve(BlockPsdProblem(cmap, affine_projector_povm(cmap),
+                                         max_iter=max_iter, tol_feas=tol_feas))
 
 
 def ball_member(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL) -> bool:
     """Quadratic matrix ball: sum X_j^2 <= I."""
-    return nk.min_eig(np.eye(X.n) - X.square_sum(), tol=1e-9) >= -tol
+    return nk.min_eig(np.eye(X.n) - X.square_sum(), tol=np.inf) >= -tol
 
 
 def selfdual_member(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL) -> bool:

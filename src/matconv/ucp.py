@@ -23,8 +23,10 @@ and no PSD one does.  The solver finds one on its iterates; when the targets
 break a linear dependency of the sources, so that no linear map takes them
 at all, the Farkas dual (with ``Z = 0`` up to a PSD shift) answers at
 iteration 0.  The CLI reports such a verdict as "no map found (residual
-r)".  A feasible Choi witness is re-verified against the constraints before
-``Feasible`` is returned.
+r)".  One :class:`~matconv.sdp.ConstraintMap` per query describes the
+constraints: it gives the projector, the Farkas short cut and the
+certificate check, and the solver re-checks a feasible Choi witness against
+its raw family before ``Feasible`` is returned.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .sdp import (
     Status,
     dykstra_solve,
     hull_weights,
-    reverified,
 )
 from .sets import (
     GenTuple,
@@ -92,15 +93,6 @@ _REDUCTIONS = {
 # ---------------------------------------------------------------------------
 
 
-def apply_choi(C: np.ndarray, X: np.ndarray, k: int, m: int) -> np.ndarray:
-    """Evaluate the map encoded by Choi matrix C in M_k (x) M_m at X in M_k."""
-    C = np.asarray(C, dtype=complex).reshape(k, m, k, m)
-    X = np.asarray(X, dtype=complex)
-    # phi(X) = partial trace over the first factor of (X^T (x) I) C;
-    # with C[a, i, b, j] = phi(E_ab)[i, j] this is a single contraction.
-    return np.einsum("ab,aibj->ij", X, C)
-
-
 def _choi_family(X: GenTuple) -> np.ndarray:
     """The stack ``I``, ``X_i / sqrt 2``, ``X_i* / sqrt 2``: the weights
     count each prescribed value once in the linear residual."""
@@ -125,14 +117,12 @@ def choi_constraints(A: GenTuple, B: GenTuple) -> ConstraintMap:
                          grid=A.n)
 
 
-def choi_affine_projector(A: GenTuple, B: GenTuple):
-    """``(project, short_circuit)``: the ``project`` of
-    :func:`choi_constraints`, which maps a one-block stack ``[C]`` to its
-    nearest Hermitian point of the affine set, and ``None`` or the
-    ``Infeasible`` result (iteration 0, Farkas certificate) of targets that
-    break a linear dependency of the sources, so that no linear map takes
-    them."""
-    cmap = choi_constraints(A, B)
+def choi_affine_projector(cmap: ConstraintMap):
+    """``(project, short_circuit)`` of a :func:`choi_constraints` map:
+    ``cmap.project``, which maps a one-block stack ``[C]`` to its nearest
+    Hermitian point of the affine set, and ``None`` or the ``Infeasible``
+    result (iteration 0, Farkas certificate) of targets that break a linear
+    dependency of the sources, so that no linear map takes them."""
     return cmap.project, cmap.inconsistency(
         "no linear map takes the prescribed values")
 
@@ -140,27 +130,16 @@ def choi_affine_projector(A: GenTuple, B: GenTuple):
 def _map_exists(A: GenTuple, B: GenTuple, mode: MapMode, max_iter: int,
                 tol_feas: float) -> FeasibilityResult:
     """The Choi feasibility test for a ``mode`` map ``A_i -> B_i``, run on
-    the tuples the mode reduces to."""
+    the tuples the mode reduces to, with one constraint map."""
     if A.d != B.d:
         raise ValueError("source and target tuples must share d")
     A, B = _REDUCTIONS[mode](A), _REDUCTIONS[mode](B)
-    project, short = choi_affine_projector(A, B)
+    cmap = choi_constraints(A, B)
+    project, short = choi_affine_projector(cmap)
     if short is not None:
         return short
-    problem = BlockPsdProblem(
-        [A.n * B.n], project, max_iter=max_iter, tol_feas=tol_feas,
-        verify_certificate=choi_constraints(A, B).verify)
-    return reverified(dykstra_solve(problem),
-                      lambda K: choi_constraint_residual(K[0], A, B))
-
-
-def choi_constraint_residual(C: np.ndarray, A: GenTuple, B: GenTuple) -> float:
-    """Raw violation of a candidate Choi witness, for re-verification."""
-    k, m = A.n, B.n
-    res = [apply_choi(C, np.eye(k), k, m) - np.eye(m)]
-    for Ai, Bi in zip(A, B):
-        res.append(apply_choi(C, np.asarray(Ai), k, m) - np.asarray(Bi))
-    return float(np.sqrt(sum(np.linalg.norm(R) ** 2 for R in res)))
+    return dykstra_solve(BlockPsdProblem(cmap, project, max_iter=max_iter,
+                                         tol_feas=tol_feas))
 
 
 def ucp_exists(A: GenTuple, B: GenTuple, max_iter: int = 20000,

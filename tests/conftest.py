@@ -61,6 +61,37 @@ def frob(A) -> float:
     return float(np.linalg.norm(np.asarray(A)))
 
 
+def apply_choi(C: np.ndarray, X: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Evaluate the map encoded by Choi matrix C in M_k (x) M_m at X in M_k."""
+    C = np.asarray(C, dtype=complex).reshape(k, m, k, m)
+    X = np.asarray(X, dtype=complex)
+    # phi(X) = partial trace over the first factor of (X^T (x) I) C;
+    # with C[a, i, b, j] = phi(E_ab)[i, j] this is a single contraction.
+    return np.einsum("ab,aibj->ij", X, C)
+
+
+def choi_constraint_residual(C: np.ndarray, A, B) -> float:
+    """Raw violation of a candidate Choi witness: the norm of
+    ``(phi_C(I) - I, phi_C(A_1) - B_1, ...)``."""
+    k, m = A.n, B.n
+    res = [apply_choi(C, np.eye(k), k, m) - np.eye(m)]
+    for Ai, Bi in zip(A, B):
+        res.append(apply_choi(C, np.asarray(Ai), k, m) - np.asarray(Bi))
+    return float(np.sqrt(sum(np.linalg.norm(R) ** 2 for R in res)))
+
+
+def povm_constraint_residual(vertices, X, blocks) -> float:
+    """Raw violation of a candidate vertex decomposition: the norm of
+    ``(sum_v K_v - I, sum_v v_1 K_v - X_1, ...)``."""
+    V = np.asarray(vertices, dtype=float)
+    K = np.stack([np.asarray(B, dtype=complex) for B in blocks])
+    n = K.shape[1]
+    res = [np.sum(K, axis=0) - np.eye(n)]
+    for i in range(V.shape[1]):
+        res.append(np.tensordot(V[:, i], K, axes=(0, 0)) - np.asarray(X[i]))
+    return float(np.sqrt(sum(np.linalg.norm(R) ** 2 for R in res)))
+
+
 def random_gen(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random complex n x n matrix with standard normal real and imaginary
     parts."""

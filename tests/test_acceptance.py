@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    choi_constraint_residual,
     combine_frames,
     convex_weights_hold,
+    povm_constraint_residual,
     random_isometry,
     simultaneous_diagonalize,
 )
@@ -31,8 +33,7 @@ from matconv.frames import (
     simplex3_frame,
     symmetry_group,
 )
-from matconv.sdp import WITNESS_TOL, Status, hull_weights, \
-    povm_constraint_residual
+from matconv.sdp import WITNESS_TOL, Status, hull_weights
 from matconv.sets import (
     HermTuple,
     ball_member,
@@ -41,8 +42,7 @@ from matconv.sets import (
     selfdual_member,
     wmin_member,
 )
-from matconv.ucp import MapMode, ccp_exists, choi_constraint_residual, \
-    normal_ucp_exists, ucp_exists
+from matconv.ucp import MapMode, ccp_exists, normal_ucp_exists, ucp_exists
 from matconv.witnesses import clifford_tuple, nonscalable_check, \
     sharpness_check, sqrt_d_check
 

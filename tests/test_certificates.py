@@ -6,18 +6,23 @@ import json
 import numpy as np
 import pytest
 
-from conftest import pauli_pair, random_gen, random_isometry, random_povm
+from conftest import (
+    pauli_pair,
+    povm_constraint_residual,
+    random_gen,
+    random_isometry,
+    random_povm,
+)
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv.cli import main
 from matconv.sdp import (
+    WITNESS_TOL,
     BlockPsdProblem,
-    FeasibilityResult,
+    ConstraintMap,
     Status,
-    affine_projector_povm,
     dykstra_solve,
     povm_constraints,
-    reverified,
 )
 from matconv.sets import (
     GenTuple,
@@ -81,20 +86,20 @@ def signed_sum_top(mats) -> float:
     return float(np.max(nk.max_eig(S, tol=np.inf)))
 
 
-def infeasible_problem(verify=None):
-    """Two 1x1 blocks summing to -1: no PSD point meets it."""
-    def project(blocks):
-        K = np.asarray(blocks, dtype=complex)
-        return K - (K.sum(axis=0) + 1.0) / 2.0
-    return BlockPsdProblem([1, 1], project, verify_certificate=verify)
+def off_cone_map():
+    """Two 1x1 blocks with K_1 + K_2 = 1 and K_1 - K_2 = 3: the one point
+    (2, -1) of the affine set is not PSD."""
+    return ConstraintMap(np.array([[1.0, 1.0], [1.0, -1.0]]),
+                         np.array([[[1.0]], [[3.0]]], dtype=complex))
 
 
 class TestSolver:
-    def test_no_verifier_never_infeasible(self):
-        res = dykstra_solve(infeasible_problem())
-        assert res.status is Status.UNDECIDED
-        assert res.message == "residual plateaued, no certificate"
-        assert res.certificate is None
+    def test_map_verifier_certifies_a_point_off_the_cone(self):
+        cmap = off_cone_map()
+        res = dykstra_solve(BlockPsdProblem(cmap, cmap.project))
+        assert res.status is Status.INFEASIBLE
+        assert res.certificate.value < 0
+        assert cmap.certify(res.certificate.dual) is not None
 
     def test_rejecting_verifier_never_infeasible(self):
         calls = []
@@ -103,8 +108,11 @@ class TestSolver:
             calls.append(Z)
             return None
 
-        res = dykstra_solve(infeasible_problem(reject))
+        cmap = off_cone_map()
+        cmap.verify = reject
+        res = dykstra_solve(BlockPsdProblem(cmap, cmap.project))
         assert res.status is Status.UNDECIDED
+        assert res.message == "residual plateaued, no certificate"
         assert res.certificate is None
         assert calls    # candidates were offered, and refused
 
@@ -124,7 +132,7 @@ class TestSolver:
         assert res.status is Status.INFEASIBLE
         Z = res.certificate.functional[0]
         assert nk.min_eig(Z, tol=1e-12) >= -1e-12
-        project, _ = choi_affine_projector(A, B)
+        project = choi_constraints(A, B).project
         for _ in range(3):
             C = project([sampling.random_herm(8, rng)])[0]
             assert np.vdot(Z, C).real == pytest.approx(res.certificate.value,
@@ -134,23 +142,28 @@ class TestSolver:
 
 class TestWitnessReverification:
     def test_bad_witness_becomes_undecided(self):
+        # An idempotent stand-in projector onto a PSD point off the affine
+        # set: the solver accepts the point at once, and its re-check
+        # against the raw constraints turns it down.
         X, P = pauli_pair().scaled(0.5), cube_polytope(2)
-        good = wmin_member(X, P)
-        assert good.status is Status.FEASIBLE
-        blocks = [K.copy() for K in good.witness]
-        blocks[0] = blocks[0] + 1e-6 * np.eye(2)
-        bad = FeasibilityResult(Status.FEASIBLE, blocks, 0.0, 1)
-        out = reverified(bad, lambda K: float(np.linalg.norm(
-            np.sum(K, axis=0) - np.eye(2))))
-        assert out.status is Status.UNDECIDED
-        assert out.witness is None
-        assert "re-verification" in out.message
+        cmap = povm_constraints(P.vertices, list(X))
+        off = cmap.project(np.zeros(cmap.shape)) + 1e-6 * np.eye(2)
+
+        res = dykstra_solve(BlockPsdProblem(cmap, lambda K: off))
+        assert res.status is Status.UNDECIDED
+        assert res.witness is None and res.iterations == 1
+        resid = povm_constraint_residual(P.vertices, list(X), off)
+        assert resid > WITNESS_TOL
+        assert res.message.startswith("witness failed re-verification "
+                                      f"(constraint residual {resid:.3e}")
 
     def test_good_witness_kept(self):
         X, P = pauli_pair().scaled(0.5), cube_polytope(2)
         res = wmin_member(X, P)
         assert res.status is Status.FEASIBLE
-        assert reverified(res, lambda K: 0.0) is res
+        K = np.stack(res.witness)
+        assert povm_constraints(P.vertices, list(X)).residual(K) <= WITNESS_TOL
+        assert nk.min_eig(K, tol=np.inf).min() >= -WITNESS_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +333,7 @@ def test_tuples_off_a_degenerate_hull_certified_at_once(d, n, N, line, push,
 def test_tuples_on_a_degenerate_hull_never_short_cut(d, n, N, line, seed):
     rng = np.random.default_rng(seed)
     V, X, _ = degenerate_instance(d, n, N, line, rng)
-    affine_projector_povm(V, X)        # raises on a short cut
+    assert povm_constraints(V, X).inconsistency("unused") is None
     res = wmin_member(HermTuple(X), Polytope(d, vertices=V), max_iter=100)
     assert res.status is not Status.INFEASIBLE
 
@@ -346,7 +359,8 @@ def test_broken_source_dependency_certified_at_once(k, m, scalar, hermitian,
     W = random_isometry(k * m, m, rng)
     B = [W.conj().T @ np.kron(M, np.eye(m)) @ W for M in A]
     reduce = _REDUCTIONS[mode]
-    _, short = choi_affine_projector(reduce(A), reduce(kind(B)))
+    _, short = choi_affine_projector(choi_constraints(reduce(A),
+                                                     reduce(kind(B))))
     assert short is None
     M = draw(m, rng)
     B[0] = B[0] + push / np.linalg.norm(M) * M

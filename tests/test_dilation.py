@@ -10,6 +10,7 @@ from conftest import (
     dense_residuals,
     joint_spectrum_normal,
     pauli_pair,
+    povm_constraint_residual,
     random_gen,
     random_gen_contraction_tuple,
     random_isometry,
@@ -37,7 +38,7 @@ from matconv.dilation import (
     lambda_dilation,
     nonsa_flip_dilation,
 )
-from matconv.sdp import Status, hull_weights, povm_constraint_residual
+from matconv.sdp import Status, hull_weights
 from matconv.sets import GenTuple, HermTuple, cube_polytope, diamond_polytope, wmin_member
 from matconv.witnesses import clifford_tuple
 

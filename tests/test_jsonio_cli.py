@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import pauli_pair
-from matconv import jsonio
+from matconv import jsonio, sampling
 from matconv.cli import main
 from matconv.dilation import flip_dilation
 from matconv.frames import pentagon_frame
@@ -313,6 +313,18 @@ class TestCliVerdicts:
         got = sorted(map(tuple, rep["result"]["dual"]["vertices"]))
         want = sorted(map(tuple, diamond_polytope(2).vertices.tolist()))
         assert np.allclose(got, want)
+
+    def test_member_ball_large_entries_negative(self, capsys, tmp_path):
+        # I - sum X_j^2 is Hermitian only to rounding of its 1e10-sized
+        # entries, far above the default hermiticity tolerance; the verdict
+        # is still a definite no.
+        rng = np.random.default_rng(7)
+        X = HermTuple([1e5 * sampling.random_herm(6, rng) for _ in range(3)])
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(jsonio.encode_tuple(X)))
+        code, rep, _ = run_cli(["member", "ball", str(p)], capsys)
+        assert code == 1
+        assert rep["result"] == {"member": False}
 
     def test_member_pencil(self, workdir, capsys, tmp_path):
         # The anticommuting pair's own pencil rejects the unscaled pair.
@@ -758,6 +770,17 @@ def test_seen_malformed_input_exits_4(argv, doc, tmp_path):
     assert code == 4
     assert f"matconv: {bad}: " in err
     assert out == ""
+
+
+def test_zero_frame_vector_named(tmp_path):
+    # A zero vector leaves a frame tight; the error names the frame vector,
+    # not the rank-one family built from it.
+    x, f = tmp_path / "x.json", tmp_path / "f.json"
+    x.write_text(json.dumps({"matrices": [[[0.1]], [[0.2]]]}))
+    f.write_text(json.dumps({"dim": 2, "vectors": [[1, 0], [0, 1], [0, 0]]}))
+    code, out, err = run_quiet(["dilate", "frame", str(x), str(f)])
+    assert code == 4 and out == ""
+    assert err.strip() == f"matconv: {f}: frame vector 2 is zero"
 
 
 @pytest.mark.parametrize("argv,docs", [

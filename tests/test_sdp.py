@@ -2,17 +2,25 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import convex_weights_hold, frob_blocks_loop, pauli_pair
+from conftest import (
+    convex_weights_hold,
+    frob_blocks_loop,
+    pauli_pair,
+    povm_constraint_residual,
+    random_isometry,
+)
 from matconv import sampling, sdp
 from matconv.sdp import (
     BlockPsdProblem,
+    ConstraintMap,
     Status,
     affine_projector_povm,
     dykstra_solve,
     hull_weights,
-    povm_constraint_residual,
+    povm_constraints,
 )
 from matconv.sets import HermTuple, cube_polytope, diamond_polytope, wmin_member
+from matconv.ucp import cc_exists, ccp_exists, relax_cube, ucp_exists
 
 SIMPLEX_VERTICES = np.array([
     [1.0, 1.0, 1.0],
@@ -30,7 +38,8 @@ class TestDykstra:
             gap = (np.eye(2) - blocks[0] - blocks[1]) / 2.0
             return [blocks[0] + gap, blocks[1] + gap]
 
-        res = dykstra_solve(BlockPsdProblem([2, 2], project))
+        cmap = ConstraintMap(np.ones((1, 2)), np.eye(2)[None])
+        res = dykstra_solve(BlockPsdProblem(cmap, project))
         assert res.status is Status.FEASIBLE
         assert np.allclose(res.witness[0], np.eye(2) / 2, atol=1e-8)
         assert res.residual <= 1e-8
@@ -52,10 +61,6 @@ class TestDykstra:
         # ball (l1 ball inside Euclidean ball, then the containment chain).
         M = sum(np.kron(np.asarray(Mj), np.conj(np.asarray(Mj))) for Mj in X)
         assert np.abs(np.linalg.eigvalsh(M)).max() == pytest.approx(2.0)
-
-    def test_unequal_block_sizes_rejected(self):
-        with pytest.raises(sdp.SdpError, match="one size"):
-            dykstra_solve(BlockPsdProblem([2, 3], lambda blocks: blocks))
 
     def test_psd_project_matches_per_block_clipping(self, rng):
         A = (rng.standard_normal((6, 3, 3))
@@ -127,10 +132,14 @@ class TestDykstra:
         assert r1.residual == r2.residual
 
 
+def povm_projector(vertices, X):
+    return affine_projector_povm(povm_constraints(vertices, X))
+
+
 class TestAffineProjectorPovm:
     def test_two_point_scalar_symmetry(self):
-        project = affine_projector_povm(np.array([[-1.0], [1.0]]),
-                                        [np.zeros((1, 1))])
+        project = povm_projector(np.array([[-1.0], [1.0]]),
+                                 [np.zeros((1, 1))])
         blocks = project([np.zeros((1, 1)), np.zeros((1, 1))])
         assert np.allclose(blocks[0], [[0.5]])
         assert np.allclose(blocks[1], [[0.5]])
@@ -138,7 +147,7 @@ class TestAffineProjectorPovm:
     def test_scalar_tuple_at_vertex(self):
         P = cube_polytope(2)
         X = [np.array([[1.0]]), np.array([[1.0]])]
-        project = affine_projector_povm(P.vertices, X)
+        project = povm_projector(P.vertices, X)
         # The indicator of the (1, 1) vertex is feasible.
         idx = int(np.argmin(np.linalg.norm(P.vertices - 1.0, axis=1)))
         blocks = [np.zeros((1, 1))] * 4
@@ -150,7 +159,7 @@ class TestAffineProjectorPovm:
     def test_zero_tuple_uniform(self):
         P = diamond_polytope(2)
         X = [np.zeros((2, 2)), np.zeros((2, 2))]
-        project = affine_projector_povm(P.vertices, X)
+        project = povm_projector(P.vertices, X)
         out = project([np.zeros((2, 2))] * 4)
         for B in out:
             assert np.allclose(B, np.eye(2) / 4, atol=1e-12)
@@ -158,7 +167,7 @@ class TestAffineProjectorPovm:
     def test_idempotent_and_distance_minimizing(self, rng):
         P = cube_polytope(2)
         X = [np.diag([0.3, -0.2]).astype(complex)] * 2
-        project = affine_projector_povm(P.vertices, X)
+        project = povm_projector(P.vertices, X)
         start = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                  for _ in range(4)]
         start = [(B + B.conj().T) / 2 for B in start]
@@ -180,9 +189,51 @@ class TestAffineProjectorPovm:
     def test_inconsistent_short_circuit(self):
         # One vertex repeated: rank-deficient rows, X off the vertex line.
         verts = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(sdp.InconsistentConstraintsError):
-            affine_projector_povm(verts, [np.array([[0.5]]),
-                                          np.array([[0.2]])])
+        cmap = povm_constraints(verts, [np.array([[0.5]]),
+                                        np.array([[0.2]])])
+        short = cmap.inconsistency("off the hull")
+        assert short.status is Status.INFEASIBLE and short.iterations == 0
+        assert short.message == "off the hull"
+
+
+class TestOneConstraintMap:
+    """Each feasibility query describes its affine set once: one
+    ``ConstraintMap`` gives the projector, the Farkas short cut, the
+    certificate check and the witness re-check."""
+
+    @staticmethod
+    def queries(rng):
+        A = HermTuple(sampling.random_herm_contraction_tuple(2, 2, rng))
+        W = random_isometry(8, 2, rng)
+        B = HermTuple([W.conj().T @ np.kron(M, np.eye(4)) @ W for M in A])
+        far = HermTuple([3.0 * np.asarray(M) for M in pauli_pair()])
+        return [
+            ("ucp feasible", lambda: ucp_exists(A, B)),
+            ("ucp infeasible", lambda: ucp_exists(A, far)),
+            ("ucp short cut", lambda: ucp_exists(
+                HermTuple([np.zeros((2, 2))]), HermTuple([np.eye(2)]))),
+            ("ccp", lambda: ccp_exists(A, B)),
+            ("cc", lambda: cc_exists(A, far)),
+            ("wmin feasible", lambda: wmin_member(
+                pauli_pair().scaled(0.5), cube_polytope(2))),
+            ("wmin infeasible", lambda: wmin_member(
+                pauli_pair(), diamond_polytope(2))),
+            ("relax_cube", lambda: relax_cube(pauli_pair())),
+        ]
+
+    def test_one_build_per_query(self, rng, monkeypatch):
+        builds = []
+        init = ConstraintMap.__post_init__
+
+        def counted(cmap):
+            builds.append(cmap)
+            init(cmap)
+
+        monkeypatch.setattr(ConstraintMap, "__post_init__", counted)
+        for name, query in self.queries(rng):
+            builds.clear()
+            query()
+            assert len(builds) == 1, name
 
 
 class TestLpFeasible:

@@ -1,14 +1,24 @@
 """Property tests of the Dykstra solver's batched kernels: the Frobenius gap
 against the per-block oracle, bit for bit, and the soundness of the
-Rayleigh screen of the affine-side PSD test.  Property tests of the hull LP:
-bit for bit against the per-scalar simplex loop, verdicts against HiGHS,
-and its convex weights checked in plain numpy."""
+Rayleigh screen of the affine-side PSD test; the witness residual of a
+constraint map against the hand-written constraint oracles.  Property tests
+of the hull LP: bit for bit against the per-scalar simplex loop, verdicts
+against HiGHS, and its convex weights checked in plain numpy."""
 
 import numpy as np
 import pytest
 
-from conftest import convex_weights_hold, frob_blocks_loop, hull_weights_loop
-from matconv import sdp
+from conftest import (
+    choi_constraint_residual,
+    convex_weights_hold,
+    frob_blocks_loop,
+    hull_weights_loop,
+    povm_constraint_residual,
+    random_gen,
+)
+from matconv import sampling, sdp
+from matconv.sets import GenTuple, HermTuple
+from matconv.ucp import _REDUCTIONS, MapMode, choi_constraints
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -76,6 +86,37 @@ def test_rayleigh_screen_fires_only_below_tol(N, n, tol, place, top, vec,
         v /= np.linalg.norm(v, axis=1, keepdims=True)
     if sdp._rayleigh_rules_out(K, v, tol):
         assert float(np.linalg.eigvalsh(K)[:, 0].min()) < -tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.integers(1, 6), d=st.integers(1, 3), n=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_povm_residual_matches_oracle(N, d, n, seed):
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((N, d))
+    X = [sampling.random_herm(n, rng) for _ in range(d)]
+    K = np.stack([sampling.random_herm(n, rng) for _ in range(N)])
+    got = sdp.povm_constraints(V, X).residual(K)
+    assert got == pytest.approx(povm_constraint_residual(V, X, K), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 3), m=st.integers(1, 3), d=st.integers(1, 3),
+       mode=st.sampled_from(list(MapMode)), hermitian=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_choi_residual_matches_oracle(k, m, d, mode, hermitian, seed):
+    # The map's family weights A_i and A_i* by 1/sqrt 2 each; on Hermitian
+    # Choi matrices phi(A_i*) = phi(A_i)*, so the two rows count each
+    # prescribed value once, as the oracle does.
+    rng = np.random.default_rng(seed)
+    draw = sampling.random_herm if hermitian else random_gen
+    kind = HermTuple if hermitian else GenTuple
+    reduce = _REDUCTIONS[mode]
+    A = reduce(kind([draw(k, rng) for _ in range(d)]))
+    B = reduce(kind([draw(m, rng) for _ in range(d)]))
+    C = sampling.random_herm(A.n * B.n, rng)
+    got = choi_constraints(A, B).residual([C])
+    assert got == pytest.approx(choi_constraint_residual(C, A, B), rel=1e-12)
 
 
 def _hull_instance(rng, n, dim, points, target):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import pauli_pair, random_isometry, random_povm
+from conftest import (
+    pauli_pair,
+    povm_constraint_residual,
+    random_isometry,
+    random_povm,
+)
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv import sets
@@ -167,7 +172,6 @@ class TestWmin:
         res = wmin_member(X, P)
         assert res.status is Status.FEASIBLE
         # The explicit compression witness K_v = V* E_v V also certifies it.
-        from matconv.sdp import povm_constraint_residual
         Ks = []
         for v in range(4):
             E = np.diag((picks == v).astype(complex))

@@ -3,7 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import frob, pauli_pair, random_gen, random_isometry
+from conftest import (
+    apply_choi,
+    choi_constraint_residual,
+    frob,
+    pauli_pair,
+    random_gen,
+    random_isometry,
+)
 from matconv import numkernel as nk
 from matconv import sampling
 from matconv.sdp import Status
@@ -12,11 +19,10 @@ from matconv.ucp import (
     _REDUCTIONS,
     MapMode,
     RelaxVerdict,
-    apply_choi,
     cc_exists,
     ccp_exists,
     choi_affine_projector,
-    choi_constraint_residual,
+    choi_constraints,
     normal_ucp_exists,
     relax_cube,
     spectrahedron_inclusion,
@@ -207,7 +213,7 @@ class TestChoiProjector:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_matches_dense_reference(self, kind, k, m, rng):
         A, B = projector_instance(kind, k, m, rng)
-        project, short = choi_affine_projector(A, B)
+        project, short = choi_affine_projector(choi_constraints(A, B))
         assert short is None
         ref = reference_projector(A, B)
         q = A.n * B.n
@@ -227,7 +233,7 @@ class TestChoiProjector:
         C = sampling.random_herm(64, rng)
         tracemalloc.start()
         try:
-            project, short = choi_affine_projector(A, B)
+            project, short = choi_affine_projector(choi_constraints(A, B))
             P = project([C])[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -247,7 +253,7 @@ class TestRankDeficientSources:
     def test_consistent_targets_feasible(self, rng):
         for A in self.dependent_pairs(rng):
             B = ampliated_compression(A, 2, rng)
-            _, short = choi_affine_projector(A, B)
+            _, short = choi_affine_projector(choi_constraints(A, B))
             assert short is None
             res = ucp_exists(A, B)
             assert res.status is Status.FEASIBLE

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_gen, random_isometry
+from conftest import choi_constraint_residual, random_gen, random_isometry
 from matconv import sampling
 from matconv.sets import GenTuple, HermTuple
-from matconv.ucp import choi_affine_projector, choi_constraint_residual
+from matconv.ucp import choi_affine_projector, choi_constraints
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -29,7 +29,7 @@ def test_projector_idempotent_and_feasible(k, m, d, hermitian, dependent,
     r = k * m
     W = random_isometry(k * r, m, rng)
     B = GenTuple([W.conj().T @ np.kron(M, np.eye(r)) @ W for M in mats])
-    project, short = choi_affine_projector(A, B)
+    project, short = choi_affine_projector(choi_constraints(A, B))
     assert short is None
     P = project([sampling.random_herm(k * m, rng)])[0]
     drift = np.linalg.norm(project([P])[0] - P)

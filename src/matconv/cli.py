@@ -222,12 +222,19 @@ def _cmd_map(args) -> tuple[int, dict]:
     if res.status is Status.INFEASIBLE:
         report["message"] = (f"no {args.kind.upper()} map found "
                              f"(residual {res.residual:.3e})")
-    if args.witness and res.witness is not None:
+    if args.witness:
+        _add_choi_evidence(report, res)
+    return _status_exit(res.status), report
+
+
+def _add_choi_evidence(report: dict, res) -> None:
+    """The Choi witness (``"choi"``) or the separating functional
+    (``"certificate"``) of a Choi feasibility result, for ``--witness``."""
+    if res.witness is not None:
         report["choi"] = res.witness[0]
-    if args.witness and res.certificate is not None:
+    if res.certificate is not None:
         report["certificate"] = {"functional": res.certificate.functional[0],
                                  "value": res.certificate.value}
-    return _status_exit(res.status), report
 
 
 def _cmd_include(args) -> tuple[int, dict]:
@@ -237,14 +244,17 @@ def _cmd_include(args) -> tuple[int, dict]:
         res = ucpmod.spectrahedron_inclusion(
             A, B, max_iter=args.max_iter, tol_feas=args.tol,
             seed=args.seed)
-        return _status_exit(res.status), _feas_report(res)
+        report = _feas_report(res)
+        if args.witness:
+            _add_choi_evidence(report, res)
+        return _status_exit(res.status), report
     B = _tuple_arg(args.source)
     out = ucpmod.relax_cube(B, max_iter=args.max_iter,
                             tol_feas=args.tol)
     report = {
         "verdict": out.verdict.value,
         "cube_in_level1": out.cube_in_level1,
-        "wmin": _feas_report(out.wmin_result),
+        "wmin": _feas_report(out.wmin_result, args.witness),
     }
     if out.violated_sign is not None:
         report["violated_sign"] = [int(s) for s in out.violated_sign]
@@ -344,12 +354,30 @@ def _cmd_dual(args) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite float that is not negative."""
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"needs a finite value >= 0, not {text!r}")
+    return value
+
+
+def _iteration_cap(text: str) -> int:
+    """A ``--max-iter`` value: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1, not {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
                    help="membership/feasibility tolerance (default 1e-9)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized subroutines (default 0)")
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=20000,
+    p.add_argument("--max-iter", dest="max_iter", type=_iteration_cap,
+                   default=20000,
                    help="iteration cap for feasibility solves (default 20000)")
     p.add_argument("--out", type=str, default=None,
                    help="write the JSON report here instead of stdout")
@@ -405,6 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", nargs="?", default=None,
                    help="target tuple JSON (spectra)")
     p.add_argument("--general", action="store_true")
+    p.add_argument("--witness", action="store_true",
+                   help="include the Choi witness or separating functional "
+                        "(spectra), or the witness blocks or pencil of the "
+                        "wmin test (relax-cube), in the report")
     _add_common(p)
     p.set_defaults(handler=_cmd_include)
 

@@ -21,8 +21,12 @@ Two solvers live here:
   Theory 79, 1994), which is such a functional; the solver reads a
   candidate off it every ``CERTIFICATE_EVERY`` iterations.  ``Feasible`` is
   returned only with a witness that the constraint map's raw family and one
-  batched eigensolve re-check.  A gap that stops moving without a
-  certificate gives ``Undecided``.
+  batched eigensolve re-check.  On a one-block stack (the Choi test) the
+  solver also tries a low-rank Gauss--Newton polish of its iterate at
+  iterations 10, 40, 160, ..., which finds the rank-one and rank-two Choi
+  matrices of boundary instances that the projections approach only
+  sublinearly.  A gap that stops moving without a certificate gives
+  ``Undecided``.
 
 * :func:`hull_weights` -- the one linear program: is ``x`` a convex
   combination of given points, and with which weights?  A phase-1 dense
@@ -48,6 +52,12 @@ STALL_REL = 1e-4           # relative gap spread that counts as flat
 CERTIFICATE_MARGIN = 1e-9  # relative margin a separating value must clear
 WITNESS_TOL = 1e-7         # re-verified constraint residual and PSD slack
 RAYLEIGH_MARGIN = 1e-12    # relative margin of the affine-side PSD screen
+POLISH_FIRST = 10          # iteration of the first low-rank polish
+POLISH_GROWTH = 4          # factor between polish iterations
+POLISH_RANKS = (1, 2)      # factor ranks a polish tries, in order
+POLISH_STEPS = 15          # Gauss-Newton steps per rank
+POLISH_SLOW = 0.99         # a step keeping |F| above this share is slow
+POLISH_RIDGE = 1e-12       # ridge of the normal equations, times their trace
 
 
 class SdpError(Exception):
@@ -304,6 +314,15 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
     both be within ``WITNESS_TOL``.  It is then ``Feasible``, its witness
     the list of the N blocks; otherwise the solve ends ``Undecided``.
 
+    On a one-block stack, at iteration ``POLISH_FIRST`` and every
+    ``POLISH_GROWTH``-fold iteration after it (10, 40, 160, ...), a
+    certificate check that finds no certificate is followed by
+    :func:`_polish` of the PSD-side point.  A polished ``K = V V^*`` with
+    ``rank V <= 2`` and ``cmap.residual(K) <= tol_feas`` is re-checked like
+    any candidate, and its ``Feasible`` result names the rank and the step
+    count.  Multi-block stacks (the POVM blocks of ``wmin_member``) are
+    never polished.
+
     Every ``CERTIFICATE_EVERY`` iterations, while the gap exceeds
     ``10 tol_feas``, the PSD-side point ``y`` minus its projection ``y_aff``
     is a separation candidate ``Z``: it is orthogonal to the direction
@@ -332,6 +351,7 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
     q = np.zeros(shape, dtype=complex)  # Dykstra correction, affine side
     gaps: list[float] = []
     tol = problem.tol_feas
+    polish_at = POLISH_FIRST if shape[0] == 1 else 0  # 0: never
     for it in range(1, problem.max_iter + 1):
         y_in = x + p
         y, v = psd_project(y_in)
@@ -346,6 +366,9 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
             neg = float(np.linalg.eigvalsh(_sym(y_aff))[:, 0].min())
             if neg >= -tol:
                 return _rechecked(cmap, y_aff, max(0.0, -neg), it)
+        polish = it == polish_at
+        if polish:
+            polish_at *= POLISH_GROWTH
         if it % CERTIFICATE_EVERY == 0 and gap > 10 * tol:
             cert = _separation(y, y_aff, cmap.verify)
             if cert is not None:
@@ -353,6 +376,10 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
                     Status.INFEASIBLE, None, gap, it,
                     message="separated by a verified certificate",
                     certificate=cert)
+            polished = _polish(cmap, y, tol) if polish else None
+            if polished is not None:
+                K, resid, message = polished
+                return _rechecked(cmap, K, resid, it, message)
 
         z_in = y + q
         x = project(z_in)
@@ -372,14 +399,16 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
 
 
 def _rechecked(cmap: ConstraintMap, K: np.ndarray, residual: float,
-               it: int) -> FeasibilityResult:
-    """``Feasible`` with the blocks of ``K`` as the witness, or ``Undecided``
-    when they miss the constraints (``cmap.residual``) or PSD-ness (one
-    batched eigensolve) by more than ``WITNESS_TOL``."""
+               it: int, message: str = "") -> FeasibilityResult:
+    """``Feasible`` with the blocks of ``K`` as the witness (and
+    ``message``), or ``Undecided`` when they miss the constraints
+    (``cmap.residual``) or PSD-ness (one batched eigensolve) by more than
+    ``WITNESS_TOL``."""
     resid = cmap.residual(K)
     low = float(np.min(min_eig(K, tol=np.inf)))
     if resid <= WITNESS_TOL and low >= -WITNESS_TOL:
-        return FeasibilityResult(Status.FEASIBLE, list(K), residual, it)
+        return FeasibilityResult(Status.FEASIBLE, list(K), residual, it,
+                                 message=message)
     return FeasibilityResult(
         Status.UNDECIDED, None, residual, it,
         message=(f"witness failed re-verification (constraint residual "
@@ -399,6 +428,105 @@ def _separation(y: np.ndarray, y_aff: np.ndarray, verify,
             * np.linalg.norm(y_aff):
         return None
     return verify(Z)
+
+
+def _polish(cmap: ConstraintMap, y: np.ndarray, tol: float,
+            ) -> Optional[tuple[np.ndarray, float, str]]:
+    """A PSD point ``K = V V^*`` of rank at most 2 in the affine set of a
+    one-block ``cmap``, polished from the PSD-side iterate ``y``, or
+    ``None`` (Burer and Monteiro, Math. Program. 95, 2003).
+
+    The block is a ``g x g`` grid of ``s x s`` slots, so a factor ``V`` is a
+    ``(g, s, r)`` stack and ``F(V) = A(V V^*) - b`` has the rows
+    ``sum_ab f_r[a, b] V_a V_b^*`` minus ``b_r``.  For each rank ``r`` in
+    ``POLISH_RANKS`` the start is ``Q_r sqrt(w_r)`` from the top ``r``
+    eigenpairs of ``y``, scaled so that ``tr V V^* = tr y``.  At most
+    ``POLISH_STEPS`` Gauss--Newton steps (:func:`_gauss_newton_step`)
+    follow, each halved until ``|F|`` falls.  A rank is given up after two
+    steps in a row that each keep ``|F|`` above ``POLISH_SLOW`` times its
+    value before, or a step that cannot lower it.
+
+    Returns ``(K, cmap.residual(K), message)`` once that residual is at most
+    ``tol``.  ``K`` is PSD by construction; the caller re-checks it as any
+    witness.
+    """
+    g, s = cmap.grid, cmap.target.shape[1]
+    f = cmap.family.reshape(-1, g, g)
+
+    def at(V):
+        """``F(V)`` and ``G[r, a, j, p] = sum_b f_r[a, b] conj(V[b, j,
+        p])``, from which it is formed."""
+        G = np.einsum("rab,bjp->rajp", f, V.conj())
+        return G, np.einsum("aip,rajp->rij", V, G) - cmap.target
+
+    w, Q = np.linalg.eigh(_sym(y)[0])
+    for r in POLISH_RANKS:
+        top = np.clip(w[-r:], 0.0, None)
+        if not top.sum() > 0.0:
+            return None
+        V = Q[:, -r:] * np.sqrt(top * (w.sum() / top.sum()))
+        V = V.reshape(g, s, r)
+        G, F = at(V)
+        norm = float(np.linalg.norm(F))
+        steps = slow = 0
+        while norm > tol and steps < POLISH_STEPS and slow < 2:
+            dV = _gauss_newton_step(f, V, G, F)
+            t = 1.0
+            while True:
+                G_t, F_t = at(V + t * dV)
+                new = float(np.linalg.norm(F_t))
+                if new < norm or t < 1e-6:
+                    break
+                t /= 2.0
+            if not new < norm:
+                break
+            V, G, F, steps = V + t * dV, G_t, F_t, steps + 1
+            slow = slow + 1 if new > POLISH_SLOW * norm else 0
+            norm = new
+        if norm <= tol:
+            V = V.reshape(g * s, r)
+            K = _sym((V @ V.conj().T)[None])
+            resid = cmap.residual(K)
+            if resid <= tol:
+                return K, resid, (f"polished to rank {r} in {steps} "
+                                  "Gauss-Newton steps")
+    return None
+
+
+def _gauss_newton_step(f: np.ndarray, V: np.ndarray, G: np.ndarray,
+                       F: np.ndarray) -> np.ndarray:
+    """The step ``E`` that solves the linearized equation ``F + M1 E + M2
+    conj(E) = 0`` at the factor ``V`` in least squares, by the normal
+    equations of its real Jacobian ``J``, ridged by ``POLISH_RIDGE tr(J^T
+    J)`` (the ridge takes up the gauge ``V -> V U``).
+
+    ``(M1 E)_r = sum_a E_a G_ra^T`` and ``(M2 conj E)_r = sum_b H_rb
+    E_b^*``, with ``G`` as :func:`_polish` forms it and ``H[r, i, b, p] =
+    sum_a f_r[a, b] V[a, i, p]``.  In the unknowns ``(E, conj E)`` the
+    normal matrix has the blocks ``N11 = M1^H M1 + M2^T conj(M2)``, the
+    identity in the slot index times a ``(g r)^2`` matrix, and ``N12 = S +
+    S^T`` with ``S = M1^H M2``; the right-hand side is ``c = M1^H F + M2^T
+    conj(F)``.  ``J^T J`` and ``J^T F`` are their real forms, built from
+    ``G`` and ``H`` without forming ``J``."""
+    g, s, r = V.shape
+    n = V.size
+    H = np.einsum("rab,aip->ribp", f, V)
+    Gc = G.conj()
+    gram = (np.tensordot(Gc, G, axes=([0, 2], [0, 2]))
+            + np.tensordot(H, H.conj(), axes=([0, 1], [0, 1])))
+    N11 = (gram[:, None, :, :, None, :]
+           * np.eye(s)[None, :, None, None, :, None]).reshape(n, n)
+    S = np.tensordot(Gc, H, axes=(0, 0)).transpose(0, 3, 2, 4, 1, 5)
+    N12 = S.reshape(n, n) + S.reshape(n, n).T
+    c = (np.einsum("rajp,ryj->ayp", Gc, F)
+         + np.einsum("rxap,rxy->ayp", H, F.conj())).ravel()
+    plus, minus = N11 + N12, N11 - N12
+    JtJ = np.empty((2 * n, 2 * n))
+    JtJ[:n, :n], JtJ[:n, n:] = plus.real, -minus.imag
+    JtJ[n:, :n], JtJ[n:, n:] = plus.imag, minus.real
+    JtJ[np.diag_indices(2 * n)] += POLISH_RIDGE * np.trace(JtJ)
+    x = np.linalg.solve(JtJ, -np.concatenate([c.real, c.imag]))
+    return (x[:n] + 1j * x[n:]).reshape(g, s, r)
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,13 @@ class TestCliVerdicts:
             ["include", "relax-cube", workdir["pauli.json"]], capsys)
         assert code == 0
         assert rep["result"]["verdict"] == "CubeExcluded"
+        assert "certificate" not in rep["result"]["wmin"]
+        _, witnessed, _ = run_cli(
+            ["include", "relax-cube", workdir["pauli.json"], "--witness"],
+            capsys)
+        cert = witnessed["result"]["wmin"].pop("certificate")
+        assert cert["value"] < 0 and len(cert["pencil"]) == 3
+        assert witnessed == rep
 
     def test_include_spectra_undecided(self, workdir, capsys, tmp_path):
         obj = jsonio.encode_tuple(HermTuple([np.eye(2), np.eye(2)]))
@@ -514,6 +521,8 @@ FIXPOINT_ARGV = [
     "map normal {atoms_cube} {atoms_diamond} --witness",
     "include spectra {half_pauli} {pauli} --max-iter 200",
     "include relax-cube {pauli}",
+    "include spectra {half_pauli} {pauli} --max-iter 200 --witness",
+    "include relax-cube {pauli} --witness",
     "frame check pm_basis --d 3",
     "frame sym pentagon",
     "frame reflexive s5_orbit",
@@ -833,6 +842,47 @@ def test_witness_without_evidence_exits_4(argv):
     assert code == 4
     assert "at least 1" in err
     assert out == ""
+
+
+# X = (diag(1, -1), sigma_x) / 2 has X_1^2 + X_2^2 = I / 2: a member of the
+# ball, the cube, the self-dual ball and Wmax(diamond) (every signed sum
+# has norm 1 / sqrt 2).
+HALF_ANTICOMMUTING = {"matrices": [[[0.5, 0.0], [0.0, -0.5]],
+                                   [[0.0, 0.5], [0.5, 0.0]]]}
+
+
+@pytest.mark.parametrize("argv", [
+    "member ball {x} --tol nan", "member cube {x} --tol nan",
+    "member dball {x} --tol nan", "member diamond {x} --tol nan",
+    "member ball {x} --tol inf", "member cube {x} --tol=-inf",
+    "member ball {x} --tol=-1e-9", "map ucp {x} {x} --max-iter=-5",
+    "map ucp {x} {x} --max-iter 0", "member wmin {x} {x} --max-iter 0"])
+def test_invalid_tol_or_max_iter_exits_4(argv, tmp_path, capsys):
+    # A NaN tolerance turned members into non-members (exit 1), and a
+    # negative cap printed "iterations": -5 with an infinite residual.
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps(HALF_ANTICOMMUTING))
+    with pytest.raises(SystemExit) as exc:
+        main(argv.format(x=x).split())
+    captured = capsys.readouterr()
+    assert exc.value.code == 4 and captured.out == ""
+    flag = "--tol" if "--tol" in argv else "--max-iter"
+    assert f"argument {flag}: needs" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["ball", "cube", "dball", "diamond"])
+def test_zero_tol_accepted(kind, tmp_path):
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps(HALF_ANTICOMMUTING))
+    code, out, _ = run_quiet(["member", kind, str(x), "--tol", "0"])
+    assert code == 0 and json.loads(out)["params"]["tol"] == 0.0
+
+
+def test_one_iteration_accepted(tmp_path):
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps(HALF_ANTICOMMUTING))
+    _, out, _ = run_quiet(["map", "ucp", str(x), str(x), "--max-iter", "1"])
+    assert json.loads(out)["result"]["iterations"] == 1
 
 
 @pytest.mark.parametrize("builder", ["pm_basis", "cube_corners"])

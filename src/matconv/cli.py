@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from typing import Optional
@@ -51,7 +52,19 @@ EXIT_USAGE = 4
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 by default, which collides with the
-    'undecided' verdict; route usage errors to the dedicated code."""
+    'undecided' verdict; route usage errors to the dedicated code.
+
+    argparse reads only ``-<digits>`` and ``-<digits>.<digits>`` as negative
+    numbers and takes ``-1e-9`` for an option, so ``--tol -1e-9`` failed
+    with "expected one argument" instead of the range message.  The parser
+    and its subparsers (which argparse builds with the parser's class) also
+    read exponent forms as values.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -9,9 +9,11 @@ linear-pencil positivity domains, the matrix cube, the quadratic matrix ball
 
 A tuple is one read-only ``(d, n, n)`` complex stack, ``GenTuple.matrices``,
 and every oracle here works on the whole stack with the batched kernels of
-``numkernel``: signed sums and facet rows through ``lincomb`` and
-``min_eig``, pencils and the tensor ball through ``kron_sum``, the matrix
-cube through one ``opnorm``.
+``numkernel``: signed sums through ``sign_sums`` and facet rows through
+``lincomb``, pencils and the tensor ball through ``kron_sum``, the matrix
+cube through one ``opnorm``.  The sign and facet sweeps share
+``first_failing_row``: a chunk of rows that one batched Cholesky proves
+inside skips its eigensolve, and ``min_eig`` judges every other chunk.
 
 All membership booleans take an explicit tolerance; pass ``tol=0`` for
 strictness at the price of numerical false negatives near the boundary.
@@ -310,24 +312,74 @@ def cube_pencil(d: int) -> Pencil:
 # ---------------------------------------------------------------------------
 
 
+def _gate_gamma(n: int) -> float:
+    """gamma_n of the Cholesky gate, in units of eps.
+
+    The gate factors ``T = S + (tol - delta) I`` with ``delta = gamma_n eps
+    (|a| + sum_j |c_j| ||X_j|| + |tol|)``, where the bracket bounds both
+    ``||S||_2`` and ``||T||_2``.  ``delta`` covers two rounding errors:
+
+    - Cholesky that runs to completion on ``T`` gives ``R*R = T + dT``
+      with ``|dT| <= gamma_{n+1} |R*| |R|`` (Higham, Accuracy and
+      Stability of Numerical Algorithms, 2nd ed., Thm 10.3), so
+      ``||dT||_2 <= gamma_{n+1} tr(R*R)``, to first order ``n (n + 1) eps
+      ||T||_2``; complex arithmetic at most doubles it.
+    - ``eigvalsh`` returns the eigenvalues of ``S + E`` with ``||E||_2 <=
+      p(n) eps ||S||_2`` (LAPACK Users' Guide, 3rd ed., sec. 4.7); the
+      Householder reduction to tridiagonal form makes ``p(n)`` of order
+      ``n^2 ||S||_F / ||S||_2 <= n^2.5`` (Wilkinson).
+
+    ``4 (n + 1)^3`` exceeds ``2 n (n + 1) + 2 n^2.5 + 1`` at every n, the
+    last term for the rounding of the shift itself.
+    """
+    return 4.0 * (n + 1) ** 3
+
+
 def first_failing_row(X: GenTuple, count: int, chunk, tol: float,
-                      ) -> Optional[int]:
+                      sums=None) -> Optional[int]:
     """Index of the first of ``count`` rows whose inequality
     ``sum_j c_j X_j <= a I`` fails by more than ``tol``, or None.
 
     ``chunk(lo, hi)`` returns the coefficient rows ``c`` (shape
     ``(hi - lo, d)``) and offsets ``a`` (a scalar or ``hi - lo`` values) of
-    rows ``lo .. hi-1``.  Rows are built and checked ``SWEEP_CHUNK`` at a
-    time, with one batched eigensolve per chunk, and the sweep stops at the
-    first chunk that holds a failing row.  This is the one early-exit sweep
-    shared by the facet, sign and direction checks here and in ``dilation``.
+    rows ``lo .. hi-1``; ``sums(lo, hi)``, if given, returns their sums
+    ``sum_j c_j X_j`` equal to ``lincomb`` of those rows (the sign sweep
+    passes ``nk.sign_sums``).  Rows are built and checked ``SWEEP_CHUNK`` at
+    a time, and the sweep stops at the first chunk that holds a failing row.
+    This is the one early-exit sweep shared by the facet, sign and
+    direction checks here and in ``dilation``.
+
+    A Hermitian chunk ``S = a I - sum_j c_j X_j`` first goes through the
+    Cholesky gate (Rump, BIT Numer. Math. 46, 2006): if one batched
+    Cholesky of ``T = S + (tol - delta) I`` succeeds, with ``delta`` from
+    :func:`_gate_gamma`, then ``lambda_min(S) >= -tol + delta - ||dT||``,
+    and the computed smallest eigenvalue of each row is at least ``-tol``,
+    so no row can fail and the eigensolve is skipped.  Otherwise one batched
+    ``min_eig`` judges the chunk as it always has, so the verdict and the
+    failing index are those of the eigensolve alone.
     """
-    I = np.eye(X.n)
+    n = X.n
+    I = np.eye(n)
+    gate = X.hermitian and np.isfinite(tol)
+    if gate:
+        norms = X.norms()
+        margin = _gate_gamma(n) * np.finfo(float).eps
     for lo in range(0, count, SWEEP_CHUNK):
         hi = min(lo + SWEEP_CHUNK, count)
         coeffs, offsets = chunk(lo, hi)
-        S = (np.reshape(offsets, (-1, 1, 1)) * I
-             - nk.lincomb(coeffs, X.matrices))
+        L = nk.lincomb(coeffs, X.matrices) if sums is None else sums(lo, hi)
+        S = np.reshape(offsets, (-1, 1, 1)) * I - L
+        if gate:
+            scale = (np.abs(np.ravel(offsets)) + np.abs(coeffs) @ norms
+                     + abs(tol))
+            T = S.copy()
+            T.reshape(len(T), n * n)[:, ::n + 1] += (
+                tol - margin * scale)[:, None]
+            try:
+                np.linalg.cholesky(T)
+                continue
+            except np.linalg.LinAlgError:
+                pass
         bad = np.flatnonzero(nk.min_eig(S, tol=np.inf) < -tol)
         if bad.size:
             return lo + int(bad[0])
@@ -411,7 +463,8 @@ def first_violated_sign(X: HermTuple, tol: float = DEFAULT_MEMBER_TOL,
         raise SetsError(
             f"refusing 2^{X.d} sign combinations (cap {SIGN_ENUMERATION_CAP})")
     bad = first_failing_row(
-        X, 2 ** X.d, lambda lo, hi: (nk.sign_rows(X.d, lo, hi), 1.0), tol)
+        X, 2 ** X.d, lambda lo, hi: (nk.sign_rows(X.d, lo, hi), 1.0), tol,
+        sums=lambda lo, hi: nk.sign_sums(X.matrices, lo, hi))
     return None if bad is None else nk.sign_rows(X.d, bad, bad + 1)[0]
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from matconv import dilation, frames
 from matconv import numkernel as nk
-from matconv import sdp
+from matconv import sdp, sets
 from matconv.frames import Frame, check_tight
 from matconv.numkernel import (
     EigenSolveError,
@@ -193,6 +193,22 @@ def same_bits(a, b) -> bool:
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return (a.dtype == b.dtype and a.shape == b.shape
             and a.tobytes() == b.tobytes())
+
+
+def first_failing_row_eig(X, count: int, chunk, tol: float):
+    """``sets.first_failing_row`` without its Cholesky gate: the rows
+    ``sum_j c_j X_j <= a I`` built with ``lincomb`` and one batched
+    ``min_eig`` per ``SWEEP_CHUNK`` rows, the sweep that the gated one must
+    agree with row for row."""
+    I = np.eye(X.n)
+    for lo in range(0, count, sets.SWEEP_CHUNK):
+        hi = min(lo + sets.SWEEP_CHUNK, count)
+        coeffs, offsets = chunk(lo, hi)
+        S = np.reshape(offsets, (-1, 1, 1)) * I - lincomb(coeffs, X.matrices)
+        bad = np.flatnonzero(nk.min_eig(S, tol=np.inf) < -tol)
+        if bad.size:
+            return lo + int(bad[0])
+    return None
 
 
 def tensor_sum_extremes_dense(mats) -> tuple[float, float]:

@@ -867,10 +867,13 @@ HALF_ANTICOMMUTING = {"matrices": [[[0.5, 0.0], [0.0, -0.5]],
     "member dball {x} --tol nan", "member diamond {x} --tol nan",
     "member ball {x} --tol inf", "member cube {x} --tol=-inf",
     "member ball {x} --tol=-1e-9", "map ucp {x} {x} --max-iter=-5",
-    "map ucp {x} {x} --max-iter 0", "member wmin {x} {x} --max-iter 0"])
+    "map ucp {x} {x} --max-iter 0", "member wmin {x} {x} --max-iter 0",
+    "member ball {x} --tol -1e-9", "member diamond {x} --tol=-1e-9",
+    "dilate diamond {x} --tol -2.5E+3"])
 def test_invalid_tol_or_max_iter_exits_4(argv, tmp_path, capsys):
     # A NaN tolerance turned members into non-members (exit 1), and a
     # negative cap printed "iterations": -5 with an infinite residual.
+    # "--tol -1e-9" took the value for an option ("expected one argument").
     x = tmp_path / "x.json"
     x.write_text(json.dumps(HALF_ANTICOMMUTING))
     with pytest.raises(SystemExit) as exc:

@@ -331,20 +331,19 @@ def _cmd_witness(args) -> tuple[int, dict]:
               and r["boundary_member"] and not r["shrunk_member"])
         return _bool_exit(ok), r
     if args.kind == "nonscalable":
-        grid = np.linspace(args.cmin, args.cmax, args.count)
-        r = wit.nonscalable_check(grid)
+        r = wit.nonscalable_check(
+            wit.nonscalable_grid(args.cmin, args.cmax, args.count))
         ok = (r["min_excess_over_one"] > 1e-9
               and r["max_formula_gap"] <= 1e-9)
         if not args.rows:
             r = {k: v for k, v in r.items() if k != "rows"}
         return _bool_exit(ok), r
     if args.kind == "chain":
-        r = wit.ball_chain_witnesses(args.d, seed=args.seed)
+        r = wit.ball_chain_witnesses(args.d)
         ok = (r["pair_outside_min_set"]
               and r["switch_square_identity_exact"]
               and not r["switch_in_ball"]
-              and r["switch_in_ball_dual_on_samples"]
-              and r["switch_pencil_matches_ball_oracle"])
+              and r["switch_arrow_form_exact"])
         return _bool_exit(ok), r
     r = wit.tau_rho_harness(args.set, samples=args.samples, d=args.d,
                             seed=args.seed, max_iter=args.max_iter)

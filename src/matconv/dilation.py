@@ -23,26 +23,21 @@ of d contractions, so ``||T_i|| <= d``.  The classical swap form
 vector) is the same dilation seen through the Hadamard transform on
 ``(C^2)^(d-1)``: column u of that transform is the joint eigenvector of the
 swaps with eigenvalues ``u_2, ..., u_d``.  Tuples whose signed sums stay
-below I get the same family with norm bound 1.  General (nonself-adjoint)
-contractions route through their real/imaginary parts on a doubled variable
-count and recombine ``T_i = S_2i + i S_2i+1``, giving commuting normal
-dilations with ``||T_i|| <= 2 sqrt(2) d`` (sign vectors) or ``<= 2d``
-(scaled coordinate projections).
+below I get the same family with norm bound 1.
 
 Size and verification.  The family has 2^(d-1) members, and a report
 prints every entry of the d dense matrices of size n k, so every rank-one
 dilation is capped at ``DILATION_ENTRY_CAP`` entries ``d (n k)^2``, checked
 from (d, n, k) before the family or any array is built.  Every dilation is
-exactly block-diagonal in the builder's layout (as are ``S_2i + i S_2i+1``
-and scalar multiples), so the residual record is computed block by block:
-a masked max shows that every entry between blocks is exactly 0.0 (any
-other value raises ``DilationError``), then the commutators, normality
-defects and norms of the k diagonal n x n blocks each come from one
-batched ``opnorm``.  A stated ``norm_bound`` is checked against the largest
-norm.  Where a theorem names the set that holds the joint spectrum (d times
-the cube for flip, the cube for diamond, d times the l1 ball for
-cube-to-diamond, ``conv{+-c_m v^(m)}`` for a frame), the record also
-carries ``spectrum_excess``, the largest gauge of a joint eigenvalue in
+exactly block-diagonal in the builder's layout, so the residual record is
+computed block by block: a masked max shows that every entry between blocks
+is exactly 0.0 (any other value raises ``DilationError``), then the
+commutators, normality defects and norms of the k diagonal n x n blocks
+each come from one batched ``opnorm``.  A stated ``norm_bound`` is checked
+against the largest norm.  Where a theorem names the set that holds the
+joint spectrum (d times the cube for flip, the cube for diamond, d times the
+l1 ball for cube-to-diamond, ``conv{+-c_m v^(m)}`` for a frame), the record
+also carries ``spectrum_excess``, the largest gauge of a joint eigenvalue in
 that set less 1, and a positive one is refused.  It needs the family's
 factors ``lam^(p) = u_p w_p^T`` as well: the spectrum is the points
 ``mu u_p``, mu an eigenvalue of ``H_p = sum_j w_pj X_j``, from one batched
@@ -64,7 +59,6 @@ from .sets import (
     cube_member,
     first_failing_row,
     first_violated_sign,
-    re_im_split,
 )
 
 # Most matrix entries, d (n k)^2 for d matrices of size n k, that a
@@ -394,32 +388,6 @@ def cube_to_diamond_dilation(X: HermTuple, tol: float = 1e-9) -> Dilation:
     return _finish(*_build(X, fam), X, fam=fam,
                    gauge=lambda x: np.abs(x).sum(axis=1) / X.d,
                    sign_sum_bound=float(X.d))
-
-
-def _normal_dilation(X: GenTuple, fam: LambdaFamily, tol: float,
-                     norm_bound: float) -> Dilation:
-    """Dilate the 2d real/imaginary parts of general contractions with
-    ``fam`` and recombine ``T_i = S_2i + i S_2i+1``: commuting, since all S
-    commute, and normal, since ``T_i* = S_2i - i S_2i+1``."""
-    _require_contractions(X, tol)
-    S, V = _build(re_im_split(X), fam)
-    T = 1j * S[1::2]
-    T += S[0::2]
-    return _finish(T, V, X, norm_bound=norm_bound)
-
-
-def nonsa_flip_dilation(X: GenTuple, tol: float = 1e-9) -> Dilation:
-    """Commuting normal dilation of a general contraction tuple with
-    ``||T_i|| <= 2 sqrt(2) d``: the flip construction on the 2d real parts."""
-    return _normal_dilation(X, flip_sign_family(2 * X.d, X.n), tol,
-                            float(2 * np.sqrt(2) * X.d))
-
-
-def coordinate_projection_dilation(X: GenTuple, tol: float = 1e-9) -> Dilation:
-    """Commuting normal dilation of general contractions with
-    ``||T_i|| <= 2d``: scaled coordinate projections on the 2d real parts."""
-    return _normal_dilation(X, _coordinate_family(2 * X.d), tol,
-                            float(2 * X.d))
 
 
 def frame_dilation(X: HermTuple, vectors, weights=None,

@@ -35,16 +35,6 @@ def random_herm_contraction_tuple(d: int, n: int, rng: np.random.Generator,
     return out
 
 
-def random_ball_member(d: int, n: int, rng: np.random.Generator,
-                       radius: float = 1.0) -> np.ndarray:
-    """Random Hermitian tuple, as a ``(d, n, n)`` stack, with sum of squares
-    <= radius^2 * I."""
-    H = np.stack([random_herm(n, rng) for _ in range(d)])
-    top = float(np.linalg.eigvalsh((H @ H).sum(axis=0))[-1])
-    t = radius * rng.uniform(0.2, 1.0) / np.sqrt(max(top, 1e-12))
-    return t * H
-
-
 def random_sign_sum_bounded_tuple(d: int, n: int, rng: np.random.Generator,
                                   bound: float = 1.0) -> np.ndarray:
     """Random Hermitian tuple, as a ``(d, n, n)`` stack, with every sign

@@ -20,10 +20,19 @@ the norm are both exactly d (:func:`tensor_certificate`).  For a unit
 direction v, ``lambda_max(sum v_i B_i) = ||v||`` in closed form, backed by
 the printed square residual and the traceless members.
 
-Both tensor reports still refuse d > 8.  The sharpness report squares
-every sampled direction, and at d = 12 the (32, 2048, 2048) direction stack
-alone takes 1 GiB, so a larger d waits for a square-residual check of
-bounded memory.
+The family is held in that form only: :func:`clifford_tuple` builds
+``(perm, sign)`` directly, in O(d 2^(d-1)) memory, and the dense stack is
+scattered from it on demand (:attr:`CliffordTuple.matrices`), for the
+matrices that ``witness clifford`` prints at d <= 5 and for the
+``HermTuple`` of a member family.
+
+The clifford and sqrtd reports run up to ``CLIFFORD_D_CAP``.  Only the
+sharpness report still refuses d > 8: it squares 32 sampled directions,
+each a dense 2^(d-1) x 2^(d-1) matrix scattered from the form, and at
+d = 12 that direction stack alone takes 1 GiB.
+
+The switch tuple of the ball chain is checked in its arrow form, exactly
+(:func:`ball_chain_witnesses`); no chain key rests on a sample.
 
 Every report in this module is recomputed from the raw constructions at call
 time; nothing is cached.
@@ -31,7 +40,7 @@ time; nothing is cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +62,18 @@ from .sets import (
 CLIFFORD_D_CAP = 12
 # Sampled unit directions v of the sharpness report's S_v <= I check.
 SHARPNESS_DIRECTIONS = 32
+# The sharpness report holds the (32, 2^(d-1), 2^(d-1)) direction stack and
+# its squares: 4 MiB each at d = 8, 1 GiB each at d = 12.
+SHARPNESS_D_CAP = 8
+# The chain report builds the dense switch stack, d (d+1)^2 complex entries,
+# and its square sum, O(d^4) work.  `matconv witness chain` took 0.31 s at
+# d = 128 with a peak RSS of 146 MB, against 1.4 s and 418 MB at d = 192
+# and 3.4 s and 948 MB at d = 256 (2-core Xeon, one BLAS thread).
+CHAIN_D_CAP = 128
+# Grid points of the nonscalable report: one row record each.  10^5 points
+# took 0.51 s (70 MB peak RSS), or 1.6 s and 136 MB printing the 11 MB of
+# `--rows`; 10^6 took 5.0 s and 385 MB (2-core Xeon, one BLAS thread).
+NONSCALABLE_GRID_CAP = 10 ** 5
 
 
 class WitnessError(Exception):
@@ -63,49 +84,48 @@ class WitnessError(Exception):
 # Anticommuting integer family
 # ---------------------------------------------------------------------------
 
-_E1 = np.array([[0, 1], [1, 0]], dtype=np.int64)
-_E2 = np.array([[1, 0], [0, -1]], dtype=np.int64)
-
-
-def _signed_permutation_form(mats: np.ndarray):
-    """``(perm, sign)`` with ``mats[i, a, perm[i, a]] = sign[i, a]`` when
-    every row of every member holds exactly one nonzero entry and that
-    entry is +-1; ``(None, None)`` otherwise."""
-    nonzero = mats != 0
-    perm = nonzero.argmax(axis=2)
-    sign = np.take_along_axis(mats, perm[:, :, None], axis=2)[:, :, 0]
-    if (nonzero.sum(axis=2) != 1).any() or (np.abs(sign) != 1).any():
-        return None, None
-    return perm, sign
-
-
 @dataclass
 class CliffordTuple:
-    """d anticommuting integer symmetric matrices of size 2^(d-1).
+    """d anticommuting integer symmetric matrices of size 2^(d-1), held as
+    the ``(d, size)`` signed-permutation form ``B_i[a, perm[i, a]] =
+    sign[i, a]``.
 
-    ``perm`` and ``sign`` are the ``(d, size)`` signed-permutation form of
-    ``matrices`` (``B_i[a, perm[i, a]] = sign[i, a]``), read off on
-    construction; both are ``None`` when some row of some member is not a
-    single +-1 entry.  ``anticommutation_exact`` is the outcome of the
-    exact check that ``clifford_tuple`` runs at build time, at every d.
+    ``anticommutation_exact`` is the outcome of the exact check that
+    ``clifford_tuple`` runs at build time, at every d.
     """
 
     d: int
-    matrices: np.ndarray   # (d, size, size) int64, exact
+    perm: np.ndarray       # (d, size) intp
+    sign: np.ndarray       # (d, size) int64, each +-1
     anticommutation_exact: bool = True
-    perm: np.ndarray | None = field(init=False, repr=False)
-    sign: np.ndarray | None = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.matrices = np.asarray(self.matrices, dtype=np.int64)
-        self.perm, self.sign = _signed_permutation_form(self.matrices)
 
     @property
     def size(self) -> int:
-        return self.matrices.shape[1]
+        return self.perm.shape[1]
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The dense ``(d, size, size)`` int64 stack, scattered from
+        ``(perm, sign)`` on every call."""
+        out = np.zeros((self.d, self.size, self.size), dtype=np.int64)
+        i, a = np.indices(self.perm.shape)
+        out[i, a, self.perm] = self.sign
+        return out
 
     def as_herm_tuple(self) -> HermTuple:
         return HermTuple(self.matrices)
+
+    def lincomb(self, coeffs) -> np.ndarray:
+        """``out[f] = sum_i coeffs[f, i] B_i`` for a finite float ``(F, d)``
+        ``coeffs``, by a signed scatter: B_i holds ``sign[i, a]`` at ``(a,
+        perm[i, a])``.  The terms go onto a zero start in index order, as in
+        ``nk.lincomb``, so the stack is bit-identical to
+        ``nk.lincomb(coeffs, self.matrices.astype(float))``."""
+        rows = np.arange(self.size)
+        out = np.zeros((len(coeffs), self.size, self.size))
+        for c, p, s in zip(np.asarray(coeffs).T, self.perm, self.sign):
+            out[:, rows, p] += c[:, None] * s
+        return out
 
     def verify_anticommutation(self) -> bool:
         """Exact check of B_i B_j + B_j B_i = 2 delta_ij I on the
@@ -115,11 +135,8 @@ class CliffordTuple:
         ``sign_i * (sign_j o perm_i)``.  So B_i^2 = I means ``perm_i o
         perm_i = id`` with all signs 1, and for i != j the two products
         anticommute exactly when their permutations are equal and their
-        signs opposite.  A family with a member that is not a signed
-        permutation returns False.
+        signs opposite.
         """
-        if self.perm is None:
-            return False
         p, s = self.perm, self.sign
         # [i, j, a]: permutation and sign of B_i B_j at row a.
         prod_perm = p[:, p].swapaxes(0, 1)
@@ -136,19 +153,24 @@ def clifford_tuple(d: int) -> CliffordTuple:
     """Recursive construction: start from [1]; append a variable by tensoring
     the old family against the swap and adjoining the sign matrix.
 
-    Anticommutation is verified exactly on the signed-permutation form at
-    every d, so ``anticommutation_exact`` is always a checked result.
+    Both steps are signed permutations in closed form, so only ``(perm,
+    sign)`` is built.  Row ``(c, a)`` of the doubled space is ``c s + a``
+    for the old size s: the swap tensor ``E1 (x) B_i`` sends it to ``(1 - c,
+    perm_i[a])`` with sign ``sign_i[a]``, and ``E2 (x) I`` is the identity
+    permutation with signs +1 on the first half and -1 on the second.
+    Anticommutation is verified exactly at every d, so
+    ``anticommutation_exact`` is always a checked result.
     """
     if not 1 <= d <= CLIFFORD_D_CAP:
         raise WitnessError(f"d must be between 1 and {CLIFFORD_D_CAP}")
-    mats = np.ones((1, 1, 1), dtype=np.int64)
+    perm = np.zeros((1, 1), dtype=np.intp)
+    sign = np.ones((1, 1), dtype=np.int64)
     for _ in range(d - 1):
-        size = mats.shape[1]
-        # kron of a (1, 2, 2) stack with a (k, s, s) one: _E1 (x) each member.
-        mats = np.concatenate([
-            np.kron(_E1[None], mats),
-            np.kron(_E2, np.eye(size, dtype=np.int64))[None]])
-    out = CliffordTuple(d=d, matrices=mats)
+        s = perm.shape[1]
+        perm = np.vstack([np.hstack([perm + s, perm]), np.arange(2 * s)])
+        sign = np.vstack([np.hstack([sign, sign]),
+                          np.repeat(np.array([1, -1], dtype=np.int64), s)])
+    out = CliffordTuple(d=d, perm=perm, sign=sign)
     out.anticommutation_exact = out.verify_anticommutation()
     if not out.anticommutation_exact:
         raise WitnessError("anticommutation check failed")  # pragma: no cover
@@ -170,10 +192,10 @@ def tensor_certificate(B: CliffordTuple) -> dict:
       ``B_i B_i^T = I`` and ``||B_i|| = 1``.  Hence
       ``||sum_i B_i (x) B_i|| <= sum_i ||B_i||^2 = d``
       (``tensor_norm_bound``).
-    * ``identity_eigenvalue``: ``sum_i B_i B_i^T`` is diagonal, every term
-      being I, and its diagonal ``sum_i sign_i^2`` is d on every row.  The
-      tensor sum maps vec(I) to ``vec(sum_i B_i I B_i^T) = d vec(I)``, so
-      vec(I) is an eigenvector with eigenvalue d and the norm is at least d.
+    * ``identity_eigenvalue``: ``sum_i B_i B_i^T`` is the sum of d
+      identities, so the tensor sum maps vec(I) to
+      ``vec(sum_i B_i I B_i^T) = d vec(I)``: vec(I) is an eigenvector with
+      eigenvalue d and the norm is at least d.
     * ``members_symmetric``: ``perm_i`` is an involution with
       ``sign_i o perm_i = sign_i``, that is ``B_i = B_i^T``.  The tensor sum
       is then symmetric, and its top eigenvalue lies between the Rayleigh
@@ -185,15 +207,12 @@ def tensor_certificate(B: CliffordTuple) -> dict:
     or not symmetric.
     """
     p, s, rows = B.perm, B.sign, np.arange(B.size)
-    if p is None or not (np.sort(p, axis=1) == rows).all():
+    if not ((np.sort(p, axis=1) == rows).all() and (np.abs(s) == 1).all()):
         raise WitnessError("a member is not a signed permutation matrix")
     if not ((np.take_along_axis(p, p, axis=1) == rows).all()
             and (np.take_along_axis(s, p, axis=1) == s).all()):
         raise WitnessError("a member is not symmetric")
     d = len(s)
-    if ((s * s).sum(axis=0) != d).any():  # the diagonal of sum B_i B_i^T
-        raise WitnessError(  # pragma: no cover
-            "sum B_i B_i^T is not d times the identity")
     return {
         "identity_eigenvalue": d,
         "members_signed_permutations": True,
@@ -226,20 +245,22 @@ def sharpness_check(d: int, seed: int = 0) -> dict:
     (c) ``min eig (I - (1/C) sum B (x) B) = 1 - d/C`` flips sign at C = d.
 
     The direction stack and its squares hold ``SHARPNESS_DIRECTIONS *
-    4^(d-1)`` entries each, which is what keeps d at most 8 here.
+    4^(d-1)`` entries each, which is what keeps d at most
+    ``SHARPNESS_D_CAP`` here.
     """
-    if d > 8:
-        raise WitnessError("tensor certificates capped at d=8")
+    if d > SHARPNESS_D_CAP:
+        raise WitnessError(f"the sharpness report is capped at "
+                           f"d={SHARPNESS_D_CAP}")
     B = clifford_tuple(d)
     cert = tensor_certificate(B)
     lam_max = float(cert["identity_eigenvalue"])
 
     rng = sampling.rng_from(seed)
     dirs = sampling.sphere_points(d, SHARPNESS_DIRECTIONS, rng)
-    S = nk.lincomb(dirs, B.matrices.astype(float))
+    S = B.lincomb(dirs)
     if d == 1:
         top = dirs[:, 0]
-    elif np.trace(B.matrices, axis1=1, axis2=2).any():
+    elif np.where(B.perm == np.arange(B.size), B.sign, 0).sum(axis=1).any():
         raise WitnessError("a member is not traceless")  # pragma: no cover
     else:
         top = np.linalg.norm(dirs, axis=1)
@@ -272,14 +293,13 @@ def sqrt_d_check(d: int, tol: float = 1e-9) -> dict:
     certificate of :func:`tensor_certificate`, whose fields the report
     carries; B/sqrt(d) sits on the boundary of the tensor ball while any
     shorter scaling already escapes it.  Scaling B by t scales the tensor
-    sum by t^2, so both memberships are read off the one norm.
+    sum by t^2, so both memberships are read off the one norm.  The
+    conjugation gap is read off the integer signs, so nothing dense is built
+    and d runs to ``CLIFFORD_D_CAP``.
     """
-    if d > 8:
-        raise WitnessError("tensor certificates capped at d=8")
     B = clifford_tuple(d)
     cert = tensor_certificate(B)
-    mats = B.matrices.astype(float)
-    conj_gap = float(np.max(np.abs(np.conj(mats) - mats)))
+    conj_gap = float(np.max(np.abs(np.conj(B.sign) - B.sign)))
     norm = float(cert["tensor_norm_bound"])
     return {
         "d": d,
@@ -295,14 +315,28 @@ def sqrt_d_check(d: int, tol: float = 1e-9) -> dict:
 NONSCALABLE_T = np.array([[1.0, 2.0], [0.0, 1.0]])
 
 
+def _require_grid_size(count: int) -> None:
+    if count < 1:
+        raise WitnessError(f"the grid must hold at least 1 point, got {count}")
+    if count > NONSCALABLE_GRID_CAP:
+        raise WitnessError(f"the grid is capped at {NONSCALABLE_GRID_CAP} "
+                           f"points, got {count}")
+
+
+def nonscalable_grid(cmin: float, cmax: float, count: int) -> np.ndarray:
+    """``count`` evenly spaced scalings from cmin to cmax, refused past
+    ``NONSCALABLE_GRID_CAP`` points before the grid is built."""
+    _require_grid_size(count)
+    return np.linspace(cmin, cmax, count)
+
+
 def nonscalable_check(c_grid: Sequence[float]) -> dict:
     """No positive scaling of [[1,2],[0,1]] brings it within distance one of
     the identity: ``||c T - I||`` exceeds 1 on the whole grid, computed both
     as a singular value and as the largest root of
     ``t^2 - 2 c t - (1-c)^2 = 0``."""
     grid = np.asarray(c_grid, dtype=float)
-    if not grid.size:
-        raise WitnessError("the grid must hold at least 1 point, got 0")
+    _require_grid_size(grid.size)
     if np.any(grid <= 0):
         raise WitnessError("grid values must be positive")
     svs = nk.opnorms(grid[:, None, None] * NONSCALABLE_T - np.eye(2))
@@ -326,31 +360,38 @@ def nonscalable_check(c_grid: Sequence[float]) -> dict:
 
 
 def switch_tuple(d: int) -> HermTuple:
-    """The d matrices on C^(d+1) swapping e_1 with e_(i+1) and killing the
-    rest; their pencil's positivity domain is exactly the quadratic ball,
-    while their own squares sum to ``I + (d-1) e_1 e_1^T``."""
+    """The d matrices ``e_0 e_i^T + e_i e_0^T`` on C^(d+1), swapping e_0
+    with e_i and killing the rest; their pencil's positivity domain is
+    exactly the quadratic ball, while their own squares sum to
+    ``I + (d-1) e_0 e_0^T``."""
     S = np.zeros((d, d + 1, d + 1))
     i = np.arange(d)
     S[i, 0, i + 1] = S[i, i + 1, 0] = 1.0
     return HermTuple(S)
 
 
-def ball_chain_witnesses(d: int, samples: int = 25, seed: int = 0,
-                         tol: float = 1e-9) -> dict:
+def ball_chain_witnesses(d: int, tol: float = 1e-9) -> dict:
     """Witnesses that the ball chain inclusions are proper.
 
     (a) A fixed 2x2 pair inside the quadratic ball fails the positivity
         domain of the d=2 anticommuting pencil, so it is outside the smallest
         matrix convex set over the ball.
-    (b) The switch tuple is outside the quadratic ball (its squares sum to
-        ``I + (d-1) e_1 e_1^T``) yet inside the ball's polar dual, checked on
-        sampled ball members; and its pencil's domain agrees with the ball
-        oracle on samples.
+    (b) The switch tuple B is outside the quadratic ball (its squares sum to
+        ``I + (d-1) e_0 e_0^T``, checked exactly) yet inside the ball's polar
+        dual.  ``switch_arrow_form_exact`` checks that every B_j is exactly
+        ``e_0 e_j^T + e_j e_0^T``.  Then ``I - sum_j B_j (x) Y_j`` is an
+        arrow matrix, with I on the diagonal and ``-Y_j`` in block row and
+        column 0 only, and by the Schur complement of its identity corner
+        it is PSD iff ``sum_j Y_j^2 <= I``.  So the pencil's positivity
+        domain is exactly the ball, and B lies in the ball's polar dual.
+
+    The dense switch stack and its square sum cost O(d^4) time, hence
+    ``CHAIN_D_CAP``.
     """
     if d < 2:
         raise WitnessError("chain witnesses need d >= 2")
-    rng = sampling.rng_from(seed)
-
+    if d > CHAIN_D_CAP:
+        raise WitnessError(f"the chain report is capped at d={CHAIN_D_CAP}")
     X = HermTuple([
         np.array([[0.5, 0.0], [0.0, 0.0]]),
         np.array([[0.0, 0.75], [0.75, 0.0]]),
@@ -360,37 +401,20 @@ def ball_chain_witnesses(d: int, samples: int = 25, seed: int = 0,
     in_pencil = pencil_member(Pencil(E), X, tol=tol)
 
     B = switch_tuple(d)
+    e = np.eye(d + 1)
+    outer = np.einsum("a,jb->jab", e[0], e[1:])     # e_0 e_j^T
+    arrow = outer + outer.swapaxes(1, 2)
     Bsq = B.square_sum()
     expect = np.eye(d + 1)
     expect[0, 0] = float(d)
-    square_exact = bool(np.array_equal(Bsq.real, expect) and
-                        np.max(np.abs(Bsq.imag)) == 0.0)
-    b_in_ball = ball_member(B, tol=tol)
-
-    dual_ok = True
-    pencil_agrees = True
-    LB = Pencil(B)
-    for _ in range(samples):
-        n = int(rng.integers(1, 4))
-        Y = HermTuple(sampling.random_ball_member(d, n, rng))
-        S = nk.kron_sum(Y.matrices, B.matrices)
-        if nk.min_eig(np.eye(S.shape[0]) - S, tol=np.inf) < -tol:
-            dual_ok = False
-        if pencil_member(LB, Y, tol=1e-7) != ball_member(Y, tol=1e-7):
-            pencil_agrees = False
-        Z = HermTuple(sampling.random_herm_contraction_tuple(d, n, rng))
-        if pencil_member(LB, Z, tol=1e-7) != ball_member(Z, tol=1e-7):
-            pencil_agrees = False
-
     return {
         "d": d,
         "pair_in_ball": bool(in_ball),
         "pair_in_anticommuting_pencil_domain": bool(in_pencil),
         "pair_outside_min_set": bool(in_ball and not in_pencil),
-        "switch_square_identity_exact": square_exact,
-        "switch_in_ball": bool(b_in_ball),
-        "switch_in_ball_dual_on_samples": bool(dual_ok),
-        "switch_pencil_matches_ball_oracle": bool(pencil_agrees),
+        "switch_square_identity_exact": bool(np.array_equal(Bsq, expect)),
+        "switch_in_ball": bool(ball_member(B, tol=tol)),
+        "switch_arrow_form_exact": bool(np.array_equal(B.matrices, arrow)),
     }
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from matconv import dilation, frames
 from matconv import numkernel as nk
-from matconv import sdp, sets
+from matconv import sampling, sdp, sets
 from matconv.frames import Frame, check_tight
 from matconv.numkernel import (
     EigenSolveError,
@@ -20,6 +20,7 @@ from matconv.numkernel import (
     re_im_parts,
 )
 from matconv.sets import HermTuple
+from matconv.witnesses import CliffordTuple
 
 try:
     from hypothesis import settings
@@ -104,6 +105,16 @@ def random_isometry(big: int, small: int, rng) -> np.ndarray:
     return (Q * (np.diag(R) / np.abs(np.diag(R))))[:, :small]
 
 
+def random_ball_member(d: int, n: int, rng: np.random.Generator,
+                       radius: float = 1.0) -> np.ndarray:
+    """Random Hermitian tuple, as a ``(d, n, n)`` stack, with sum of squares
+    <= radius^2 * I."""
+    H = np.stack([sampling.random_herm(n, rng) for _ in range(d)])
+    top = float(np.linalg.eigvalsh((H @ H).sum(axis=0))[-1])
+    t = radius * rng.uniform(0.2, 1.0) / np.sqrt(max(top, 1e-12))
+    return t * H
+
+
 def random_povm(n: int, atoms: int, rng) -> list[np.ndarray]:
     """Random POVM: PSD effects summing exactly (numerically) to the
     identity."""
@@ -115,16 +126,6 @@ def random_povm(n: int, atoms: int, rng) -> list[np.ndarray]:
     w, Q = np.linalg.eigh((S + S.conj().T) / 2.0)
     S_isqrt = (Q / np.sqrt(w)) @ Q.conj().T
     return [S_isqrt @ g @ S_isqrt for g in G]
-
-
-def random_gen_contraction_tuple(d: int, n: int, rng) -> list[np.ndarray]:
-    """d general matrices, each of operator norm at most 1."""
-    out = []
-    for _ in range(d):
-        A = random_gen(n, rng)
-        nrm = float(np.linalg.svd(A, compute_uv=False)[0])
-        out.append(A * (rng.uniform(0.2, 1.0) / max(nrm, 1e-12)))
-    return out
 
 
 def spectra_match(a: JointSpectrum, b: JointSpectrum, tol: float) -> bool:
@@ -219,6 +220,37 @@ def tensor_sum_extremes_dense(mats) -> tuple[float, float]:
     M = np.asarray(mats, dtype=float)
     w = np.linalg.eigvalsh(nk.kron_sum(M, M))
     return float(w[-1]), float(max(abs(w[0]), abs(w[-1])))
+
+
+def clifford_from_dense(mats) -> CliffordTuple:
+    """The ``CliffordTuple`` of a dense ``(d, size, size)`` integer stack,
+    read off as ``mats[i, a, perm[i, a]] = sign[i, a]``: the reader that
+    ``CliffordTuple`` ran on construction when it still held the dense
+    stack.  A stack with a row that is not a single +-1 entry has no such
+    form and is refused."""
+    mats = np.asarray(mats, dtype=np.int64)
+    nonzero = mats != 0
+    perm = nonzero.argmax(axis=2)
+    sign = np.take_along_axis(mats, perm[:, :, None], axis=2)[:, :, 0]
+    if (nonzero.sum(axis=2) != 1).any() or (np.abs(sign) != 1).any():
+        raise ValueError("a row is not a single +-1 entry")
+    return CliffordTuple(len(mats), perm, sign)
+
+
+def clifford_dense_kron(d: int) -> np.ndarray:
+    """The dense ``(d, 2^(d-1), 2^(d-1))`` int64 Clifford stack by the
+    Kronecker recursion ``(E1 (x) B_i, E2 (x) I)`` from ``[1]``: the build
+    that the signed-permutation recursion of ``witnesses.clifford_tuple``
+    replaced, kept as its oracle."""
+    E1 = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    E2 = np.array([[1, 0], [0, -1]], dtype=np.int64)
+    mats = np.ones((1, 1, 1), dtype=np.int64)
+    for _ in range(d - 1):
+        size = mats.shape[1]
+        mats = np.concatenate([
+            np.kron(E1[None], mats),
+            np.kron(E2, np.eye(size, dtype=np.int64))[None]])
+    return mats
 
 
 def tensor_matvec_dense(mats, conj_right: bool, v) -> np.ndarray:

@@ -15,6 +15,7 @@ from conftest import (
     combine_frames,
     convex_weights_hold,
     povm_constraint_residual,
+    random_ball_member,
     random_isometry,
     simultaneous_diagonalize,
 )
@@ -117,7 +118,7 @@ def test_ac04_ball_inside_tensor_ball():
     for _ in range(200):
         d = int(rng.integers(1, 5))
         n = int(rng.integers(1, 6))
-        X = HermTuple(sampling.random_ball_member(d, n, rng))
+        X = HermTuple(random_ball_member(d, n, rng))
         if not selfdual_member(X, tol=1e-10):
             bad += 1
     _verdict(4, bad == 0,

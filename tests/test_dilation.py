@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     JointSpectrum,
     dense_residuals,
-    joint_spectrum_normal,
     pauli_pair,
     povm_constraint_residual,
     random_gen,
-    random_gen_contraction_tuple,
     random_isometry,
     simultaneous_diagonalize,
     spectra_match,
@@ -26,7 +24,6 @@ from matconv.dilation import (
     DilationError,
     LambdaFamily,
     block_spectra,
-    coordinate_projection_dilation,
     cube_to_diamond_dilation,
     decompose_identity,
     diamond_dilation,
@@ -36,7 +33,6 @@ from matconv.dilation import (
     frame_dilation,
     lambda_blocks,
     lambda_dilation,
-    nonsa_flip_dilation,
 )
 from matconv.sdp import Status, hull_weights
 from matconv.sets import GenTuple, HermTuple, cube_polytope, diamond_polytope, wmin_member
@@ -104,53 +100,6 @@ class TestFlipDilation:
         D = lambda_dilation(X, flip_sign_family(3))
         _, got = simultaneous_diagonalize(D.T, tol=1e-8, seed=3)
         assert spectra_match(want, got, tol=1e-8)
-
-
-class TestNonsaFlip:
-    def test_scalar_unimodular(self):
-        u = np.exp(0.3j)
-        X = GenTuple([np.array([[u]])])
-        D = nonsa_flip_dilation(X)
-        assert D.residuals["compression"] <= 1e-12
-        assert D.residuals["normality"] <= 1e-12
-
-    def test_nilpotent_contraction(self):
-        X = GenTuple([np.array([[0.0, 1.0], [0.0, 0.0]])])
-        D = nonsa_flip_dilation(X)
-        assert D.residuals["max_norm"] <= 2 * np.sqrt(2) + 1e-9
-        assert D.residuals["compression"] <= 1e-12
-        assert D.residuals["normality"] <= 1e-9
-        assert D.residuals["commutator"] <= 1e-9
-
-    def test_random_pairs(self, rng):
-        X = GenTuple(random_gen_contraction_tuple(2, 2, rng))
-        D = nonsa_flip_dilation(X)
-        assert D.residuals["max_norm"] <= 4 * np.sqrt(2) + 1e-9
-        assert D.residuals["normality"] <= 1e-9
-        assert_tight_dilation(D)
-
-
-class TestCoordinateProjectionDilation:
-    def test_d1_norm_bound(self, rng):
-        X = GenTuple(random_gen_contraction_tuple(1, 3, rng))
-        D = coordinate_projection_dilation(X)
-        assert D.residuals["max_norm"] <= 2.0 + 1e-9
-        assert D.residuals["normality"] <= 1e-9
-        assert_tight_dilation(D)
-
-    def test_scalar_on_circle_spectrum_in_scaled_disc(self):
-        u = np.exp(1.2j)
-        X = GenTuple([np.array([[u]])])
-        D = coordinate_projection_dilation(X)
-        _, spec = joint_spectrum_normal(D.T)
-        assert np.max(np.abs(spec.points)) <= 2.0 + 1e-9
-        assert D.residuals["compression"] <= 1e-12
-
-    def test_random_pair(self, rng):
-        X = GenTuple(random_gen_contraction_tuple(2, 2, rng))
-        D = coordinate_projection_dilation(X)
-        assert D.residuals["max_norm"] <= 4.0 + 1e-9
-        assert_tight_dilation(D)
 
 
 class TestLambdaFamilies:
@@ -508,16 +457,13 @@ class TestRankOneBuilder:
 
     def test_cap_refused_before_any_sign_pattern(self):
         # d = 10 with n = 3 (23.6M entries) and d = 40 with n = 1 are past
-        # the entry cap; so are the normal dilation at d = 5, n = 3, which
-        # builds 10 matrices of size 3 * 2^9, and a family of 2049 members
-        # at d = n = 1.
+        # the entry cap; so is a family of 2049 members at d = n = 1.
         H3 = HermTuple([np.zeros((3, 3))] * 10)
         H1 = HermTuple([np.zeros((1, 1))] * 40)
-        G = GenTuple([np.zeros((3, 3))] * 5)
         one = HermTuple([np.zeros((1, 1))])
         wide = LambdaFamily(np.ones((2049, 1, 1)), np.full(2049, 1 / 2049))
         for build, X in ((flip_dilation, H3), (flip_dilation, H1),
-                         (diamond_dilation, H3), (nonsa_flip_dilation, G),
+                         (diamond_dilation, H3),
                          (lambda X: lambda_dilation(X, wide), one)):
             tracemalloc.start()
             try:
@@ -536,8 +482,7 @@ class TestRankOneBuilder:
 
 
 @pytest.mark.parametrize("name", [
-    "flip", "diamond", "lambda", "cube_to_diamond", "frame", "nonsa_flip",
-    "coordinate_projection"])
+    "flip", "diamond", "lambda", "cube_to_diamond", "frame"])
 def test_each_dilation_verified_once(rng, monkeypatch, name):
     calls = []
     residuals = dilation.dilation_residuals
@@ -548,15 +493,12 @@ def test_each_dilation_verified_once(rng, monkeypatch, name):
 
     monkeypatch.setattr(dilation, "dilation_residuals", counting)
     H = HermTuple(sampling.random_sign_sum_bounded_tuple(2, 2, rng))
-    G = GenTuple(random_gen_contraction_tuple(2, 2, rng))
     build = {
         "flip": lambda: flip_dilation(H),
         "diamond": lambda: diamond_dilation(H),
         "lambda": lambda: lambda_dilation(H, flip_sign_family(2)),
         "cube_to_diamond": lambda: cube_to_diamond_dilation(H),
         "frame": lambda: frame_dilation(H, np.eye(2)),
-        "nonsa_flip": lambda: nonsa_flip_dilation(G),
-        "coordinate_projection": lambda: coordinate_projection_dilation(G),
     }[name]
     D = build()
     assert len(calls) == 1
@@ -566,11 +508,6 @@ def test_each_dilation_verified_once(rng, monkeypatch, name):
 def _random_dilation(kind, d, n, rng):
     """A dilation of each kind, of a random tuple that meets its hypothesis,
     with that tuple."""
-    if kind in ("nonsa_flip", "coordinate_projection"):
-        X = GenTuple(random_gen_contraction_tuple(d, n, rng))
-        build = (nonsa_flip_dilation if kind == "nonsa_flip"
-                 else coordinate_projection_dilation)
-        return build(X), X
     if kind == "diamond":
         X = HermTuple(sampling.random_sign_sum_bounded_tuple(d, n, rng))
         return diamond_dilation(X), X
@@ -595,8 +532,7 @@ def _random_frame(X, rng):
     return Q, c, X.scaled(0.9 / max(top, 1e-12))
 
 
-KINDS = ["flip", "diamond", "lambda", "frame", "cube2diamond", "nonsa_flip",
-         "coordinate_projection"]
+KINDS = ["flip", "diamond", "lambda", "frame", "cube2diamond"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -682,8 +618,6 @@ def test_entry_between_blocks_is_refused(kind, d, n, seed):
 # Closed-form joint spectra and the target sets of the theorems
 # ---------------------------------------------------------------------------
 
-NORMAL_KINDS = ("nonsa_flip", "coordinate_projection")
-
 # Gauge of each theorem's target set at one point x: d * cube, the cube and
 # d * diamond.
 GAUGES = {
@@ -705,17 +639,11 @@ def closed_form_points(Y, fam, scale):
 @given(kind=st.sampled_from(KINDS), d=st.integers(1, 3), n=st.integers(1, 3),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_closed_form_spectrum_matches_joint_diagonaliser(kind, d, n, seed):
-    # The normal kinds build from the real and imaginary parts, whose
-    # points recombine as x_2i + i x_2i+1.
     with mock.patch.object(dilation, "_build", wraps=dilation._build) as b:
         D, X = _random_dilation(kind, d, n, np.random.default_rng(seed))
     (Y, fam), = (call.args for call in b.call_args_list)
     pts = closed_form_points(Y, fam, D.scale)
-    if kind in NORMAL_KINDS:
-        pts = pts[:, 0::2] + 1j * pts[:, 1::2]
-        _, spec = joint_spectrum_normal(D.T)
-    else:
-        _, spec = simultaneous_diagonalize(D.T)
+    _, spec = simultaneous_diagonalize(D.T)
     assert spectra_match(JointSpectrum(points=pts), spec, tol=1e-10)
     if kind in GAUGES:
         top = max(GAUGES[kind](pt, d) for pt in spec.points)

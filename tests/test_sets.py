@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     pauli_pair,
     povm_constraint_residual,
+    random_ball_member,
     random_isometry,
     random_povm,
 )
@@ -210,7 +211,7 @@ class TestBallOracles:
 
     def test_ball_inside_selfdual(self, rng):
         for _ in range(10):
-            X = HermTuple(sampling.random_ball_member(2, 3, rng))
+            X = HermTuple(random_ball_member(2, 3, rng))
             assert selfdual_member(X, tol=1e-10)
 
     def test_clifford_selfdual_boundary(self):

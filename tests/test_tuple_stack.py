@@ -35,7 +35,6 @@ from matconv.dilation import (
     flip_dilation,
     flip_sign_family,
     lambda_dilation,
-    nonsa_flip_dilation,
 )
 from matconv.sets import GenTuple, HermTuple
 from matconv.ucp import _hat_tuple, _tilde_tuple
@@ -274,17 +273,12 @@ def test_nonscalable_report_prints_per_row_norms():
 
 @settings(max_examples=30, deadline=None)
 @given(d=st.integers(1, 4), n=st.integers(1, 3), seed=seeds,
-       kind=st.sampled_from(["flip", "lambda", "normal"]))
+       kind=st.sampled_from(["flip", "lambda"]))
 def test_dilation_residuals_match_member_loop(d, n, seed, kind):
     rng = np.random.default_rng(seed)
-    if kind == "normal":
-        X = GenTuple([0.9 * M / nk.opnorm(M) for M in
-                      (random_gen(n, rng) for _ in range(d))])
-        D = nonsa_flip_dilation(X)
-    else:
-        X = HermTuple(sampling.random_herm_contraction_tuple(d, n, rng))
-        D = (flip_dilation(X) if kind == "flip"
-             else lambda_dilation(X, flip_sign_family(d)))
+    X = HermTuple(sampling.random_herm_contraction_tuple(d, n, rng))
+    D = (flip_dilation(X) if kind == "flip"
+         else lambda_dilation(X, flip_sign_family(d)))
     want = dilation_residuals_loop(list(D.T), D.V, X, D.scale)
     got = dilation_residuals(D.T, D.V, X, D.scale)
     assert got == want
@@ -292,10 +286,10 @@ def test_dilation_residuals_match_member_loop(d, n, seed, kind):
 
 
 def test_first_non_contraction_is_named():
-    X = GenTuple([0.5 * np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)])
+    X = HermTuple([0.5 * np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)])
     with pytest.raises(DilationError, match="entry 1 is not a contraction: "
                                             "norm 2.000000"):
-        nonsa_flip_dilation(X)
+        flip_dilation(X)
 
 
 def test_first_non_commuting_pair_is_named():

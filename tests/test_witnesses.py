@@ -2,17 +2,29 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tensor_matvec_dense, tensor_sum_extremes_dense
+from conftest import (
+    clifford_dense_kron,
+    clifford_from_dense,
+    random_ball_member,
+    tensor_matvec_dense,
+    tensor_sum_extremes_dense,
+)
 from matconv import numkernel as nk
 from matconv import sampling
-from matconv.sets import selfdual_member
+from matconv import witnesses
+from matconv.sets import HermTuple, Pencil, ball_member, pencil_member, \
+    selfdual_member
 from matconv.cli import main
 from matconv.witnesses import (
+    CHAIN_D_CAP,
+    CLIFFORD_D_CAP,
+    NONSCALABLE_GRID_CAP,
     CliffordTuple,
     WitnessError,
     ball_chain_witnesses,
@@ -53,27 +65,22 @@ class TestCliffordTuple:
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_one_flipped_sign_fails(self, d):
-        mats = [M.copy() for M in clifford_tuple(d).matrices]
-        i, j = np.argwhere(mats[-1] != 0)[0]
-        mats[-1][i, j] = -mats[-1][i, j]
-        assert not CliffordTuple(d, tuple(mats)).verify_anticommutation()
-
-    def test_two_nonzeros_in_a_row_fails(self):
-        mats = clifford_tuple(3).matrices.copy()
-        mats[1, 0, :2] = 1
-        B = CliffordTuple(3, mats)
-        assert B.perm is None and B.sign is None
-        assert B.verify_anticommutation() is False
+        B = clifford_tuple(d)
+        sign = B.sign.copy()
+        sign[-1, 0] = -sign[-1, 0]
+        assert not CliffordTuple(d, B.perm, sign).verify_anticommutation()
 
     def test_commuting_pair_fails(self):
         # Signed permutations that square to I but commute.
-        twice = clifford_tuple(3).matrices[[0, 0]]
-        assert not CliffordTuple(2, twice).verify_anticommutation()
+        B = clifford_tuple(3)
+        twice = CliffordTuple(2, B.perm[[0, 0]], B.sign[[0, 0]])
+        assert not twice.verify_anticommutation()
 
     def test_member_not_an_involution_fails(self):
         # A signed permutation with all signs 1 whose square is a 3-cycle.
         cycle = np.eye(3, dtype=np.int64)[[1, 2, 0]]
-        assert CliffordTuple(1, cycle[None]).verify_anticommutation() is False
+        B = clifford_from_dense(cycle[None])
+        assert B.verify_anticommutation() is False
 
     def test_products_on_different_permutations_fail(self):
         # Both members square to I and the product signs cancel row by row,
@@ -83,7 +90,8 @@ class TestCliffordTuple:
         mats[0, rows, [0, 1, 3, 2]] = [1, 1, -1, -1]
         mats[1, rows, [2, 3, 0, 1]] = 1
         assert (mats[0] @ mats[1] + mats[1] @ mats[0]).any()
-        assert CliffordTuple(2, mats).verify_anticommutation() is False
+        B = clifford_from_dense(mats)
+        assert B.verify_anticommutation() is False
 
     def test_signed_permutation_form(self):
         B = clifford_tuple(4)
@@ -92,6 +100,27 @@ class TestCliffordTuple:
             want = np.zeros_like(M)
             want[rows, p] = s
             assert np.array_equal(M, want)
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_recursion_matches_the_kronecker_build(self, d):
+        B = clifford_tuple(d)
+        dense = clifford_dense_kron(d)
+        assert B.matrices.dtype == dense.dtype == np.int64
+        assert np.array_equal(B.matrices, dense)
+        read = clifford_from_dense(dense)
+        assert np.array_equal(read.perm, B.perm)
+        assert np.array_equal(read.sign, B.sign)
+
+    def test_d12_builds_no_dense_stack(self):
+        # The dense int64 stack alone would be 12 * 2048^2 * 8 B = 403 MB.
+        tracemalloc.start()
+        try:
+            B = clifford_tuple(CLIFFORD_D_CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert B.anticommutation_exact is True
+        assert peak < 16 * 2 ** 20
 
     def test_range_guard(self):
         with pytest.raises(WitnessError):
@@ -112,6 +141,28 @@ class TestSharpness:
         assert r["anticommutation_exact"]
         assert r["unit_direction_max_eig"] <= 1 + 1e-9
         assert r["unit_direction_square_residual"] <= 1e-12
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_scatter_matches_dense_lincomb(self, d, seed):
+        # The signed scatter equals nk.lincomb on the dense stack, sign bits
+        # included, and so does the printed square residual of S_v.
+        B = clifford_tuple(d)
+        dirs = sampling.sphere_points(d, 32, sampling.rng_from(seed))
+        S = nk.lincomb(dirs, B.matrices.astype(float))
+        got = B.lincomb(dirs)
+        assert np.array_equal(got, S)
+        assert np.array_equal(np.signbit(got), np.signbit(S))
+        mixed = np.random.default_rng(seed).standard_normal((7, d))
+        mixed[:, 0] = [0.0, -0.0, 1e-300, -1e300, 5e-324, 1.0, -1.0]
+        want = nk.lincomb(mixed, B.matrices.astype(float))
+        got = B.lincomb(mixed)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        want = max(0.0, float(np.max(np.abs(S @ S - np.eye(B.size)))))
+        r = sharpness_check(d, seed=seed)
+        assert r["unit_direction_square_residual"] == want
 
     def test_sign_flip_at_d(self):
         d = 3
@@ -176,6 +227,13 @@ class TestSqrtD:
         r = sqrt_d_check(1)
         assert r["tensor_norm"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("d", range(9, CLIFFORD_D_CAP + 1))
+    def test_runs_to_the_clifford_cap(self, d):
+        r = sqrt_d_check(d)
+        assert r["tensor_norm"] == d == r["identity_eigenvalue"]
+        assert (r["conjugation_gap"], r["tensor_norm_over_d"]) == (0.0, 1.0)
+        assert r["boundary_member"] and not r["shrunk_member"]
+
     def test_matches_selfdual_oracle(self):
         B = clifford_tuple(3).as_herm_tuple()
         assert selfdual_member(B.scaled(1 / np.sqrt(3)), tol=1e-9)
@@ -202,6 +260,11 @@ class TestNonscalable:
         with pytest.raises(WitnessError):
             nonscalable_check([0.0, 1.0])
 
+    def test_grid_cap(self):
+        # A grid built by the caller is refused as well.
+        with pytest.raises(WitnessError, match="capped at"):
+            nonscalable_check(np.ones(NONSCALABLE_GRID_CAP + 1))
+
 
 class TestBallChain:
     @pytest.mark.parametrize("d", [2, 3])
@@ -212,8 +275,26 @@ class TestBallChain:
         assert r["pair_outside_min_set"]
         assert r["switch_square_identity_exact"]
         assert not r["switch_in_ball"]
-        assert r["switch_in_ball_dual_on_samples"]
-        assert r["switch_pencil_matches_ball_oracle"]
+        assert r["switch_arrow_form_exact"]
+
+    @pytest.mark.parametrize("value", [0.5, 1j])
+    def test_one_changed_entry_breaks_the_arrow_key(self, monkeypatch,
+                                                    value):
+        # Every entry of every member, changed (with its mirror entry, so
+        # the tuple stays Hermitian), turns the exact key false.
+        d = 3
+        S = np.asarray(switch_tuple(d).matrices)
+        for a, b in zip(*np.triu_indices(d + 1)):
+            for i in range(d):
+                if a == b and value == 1j:
+                    continue
+                T = S.copy()
+                T[i, a, b] += value
+                T[i, b, a] = np.conj(T[i, a, b])
+                monkeypatch.setattr(witnesses, "switch_tuple",
+                                    lambda _, T=T: HermTuple(T))
+                r = ball_chain_witnesses(d)
+                assert r["switch_arrow_form_exact"] is False, (i, a, b)
 
     def test_switch_tuple_squares(self):
         for d in (2, 3, 5):
@@ -222,6 +303,57 @@ class TestBallChain:
             want = np.eye(d + 1)
             want[0, 0] = d
             assert np.array_equal(S, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 5), n=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["ball", "contraction"]))
+    def test_pencil_domain_is_the_ball(self, d, n, seed, kind):
+        # The sampled agreement that the exact arrow key replaced, kept as
+        # its oracle: ball members and Hermitian contraction tuples.
+        rng = np.random.default_rng(seed)
+        Y = HermTuple(random_ball_member(d, n, rng) if kind == "ball"
+                      else sampling.random_herm_contraction_tuple(d, n, rng))
+        L = Pencil(switch_tuple(d))
+        assert pencil_member(L, Y, tol=1e-7) == ball_member(Y, tol=1e-7)
+
+    def test_report_reads_no_seed(self, capsys):
+        outs = []
+        for seed in ("0", "1"):
+            assert main(["witness", "chain", "--d", "4", "--seed", seed]) == 0
+            outs.append(capsys.readouterr().out)
+        assert '"seed": 1,' in outs[1]
+        assert outs[1].replace('"seed": 1,', '"seed": 0,') == outs[0]
+
+    def test_samples_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the chain report drew a sample")
+
+        for name in ("rng_from", "random_herm",
+                     "random_herm_contraction_tuple", "sphere_points"):
+            monkeypatch.setattr(sampling, name, refuse)
+        assert ball_chain_witnesses(3)["switch_arrow_form_exact"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    f"witness chain --d {CHAIN_D_CAP + 1}", "witness chain --d 1000000",
+    f"witness nonscalable --count {NONSCALABLE_GRID_CAP + 1}",
+    "witness nonscalable --count 10000000000000",
+    "witness sqrtd --d 13", "witness sharpness --d 9"])
+def test_caps_exit_4_before_building(argv, capsys):
+    assert main(argv.split()) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "capped at" in out.err or "between 1 and" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    f"witness clifford --d {CLIFFORD_D_CAP}",
+    f"witness sqrtd --d {CLIFFORD_D_CAP}",
+    f"witness chain --d {CHAIN_D_CAP}"])
+def test_largest_inputs_exit_0(argv, capsys):
+    assert main(argv.split()) == 0
+    assert '"exit_code": 0' in capsys.readouterr().out
 
 
 class TestTauRhoHarness:
@@ -331,17 +463,21 @@ class TestTensorCertificate:
         assert abs(r["unit_direction_max_eig"] - top) <= 1e-12
 
     def test_rejects_non_signed_permutation(self):
-        mats = clifford_tuple(2).matrices.copy()
-        mats[0, 0, 0] = 1
-        with pytest.raises(WitnessError, match="signed permutation"):
-            tensor_certificate(CliffordTuple(2, mats))
+        # A sign that is not +-1.  At d = 4, signs (2, 0, 0, 0) on one row
+        # still give sum_i sign_i^2 = d there.
+        B = clifford_tuple(4)
+        for column in ([2, 0, 0, 0], [0, 1, 1, 1], [-2, 1, 1, 1]):
+            sign = B.sign.copy()
+            sign[:, 0] = column
+            with pytest.raises(WitnessError, match="signed permutation"):
+                tensor_certificate(CliffordTuple(4, B.perm, sign))
 
     def test_rejects_rows_sharing_a_column(self):
         # One +-1 entry per row, and sum B_i B_i^T = 2 I all the same, but
         # ||B_i|| = sqrt(2): the identity alone bounds nothing.
         mats = np.array([[[1, 0], [1, 0]], [[1, 0], [-1, 0]]])
-        B = CliffordTuple(2, mats)
-        assert B.perm is not None
+        B = clifford_from_dense(mats)
+        assert B.perm.tolist() == [[0, 0], [0, 0]]
         assert np.array_equal((mats @ mats.swapaxes(1, 2)).sum(axis=0),
                               2 * np.eye(2))
         with pytest.raises(WitnessError, match="signed permutation"):
@@ -350,10 +486,10 @@ class TestTensorCertificate:
     def test_rejects_non_symmetric(self):
         cycle = np.eye(3, dtype=np.int64)[[1, 2, 0]]
         with pytest.raises(WitnessError, match="symmetric"):
-            tensor_certificate(CliffordTuple(1, cycle[None]))
+            tensor_certificate(clifford_from_dense(cycle[None]))
         flipped = np.diag([1, -1])[None] @ np.array([[[0, 1], [1, 0]]])
         with pytest.raises(WitnessError, match="symmetric"):
-            tensor_certificate(CliffordTuple(1, flipped))
+            tensor_certificate(clifford_from_dense(flipped))
 
     def test_sqrt_d_norm_at_d6(self):
         assert abs(sqrt_d_check(6)["tensor_norm_over_d"] - 1.0) <= 1e-12

@@ -332,11 +332,10 @@ def _cmd_witness(args) -> tuple[int, dict]:
         return _bool_exit(ok), r
     if args.kind == "nonscalable":
         r = wit.nonscalable_check(
-            wit.nonscalable_grid(args.cmin, args.cmax, args.count))
+            wit.nonscalable_grid(args.cmin, args.cmax, args.count),
+            rows=args.rows)
         ok = (r["min_excess_over_one"] > 1e-9
               and r["max_formula_gap"] <= 1e-9)
-        if not args.rows:
-            r = {k: v for k, v in r.items() if k != "rows"}
         return _bool_exit(ok), r
     if args.kind == "chain":
         r = wit.ball_chain_witnesses(args.d)

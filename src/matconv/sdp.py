@@ -253,13 +253,15 @@ def _frob(K: np.ndarray) -> float:
     ``sqrt(sum(np.linalg.norm(B) ** 2 for B in K))`` on a C-contiguous copy
     of ``K``: each block's squared norm is ``re.re + im.im`` from two
     strided ``dot`` calls (the vector case of ``matmul``), as ``norm``
-    forms it, its root is squared again, and the squares are added left to
-    right (``cumsum``)."""
+    forms it, its root is squared again by the C library's ``pow``, as a
+    float64 scalar's ``** 2`` does (``np.float_power``; ``s * s`` and
+    ``np.power(s, 2)`` round the exact square, and ``pow`` can land one ulp
+    away from it), and the squares are added left to right (``cumsum``)."""
     X = np.ascontiguousarray(K).reshape(len(K), -1)
     sq = ((X.real[:, None, :] @ X.real[:, :, None]).ravel()
           + (X.imag[:, None, :] @ X.imag[:, :, None]).ravel())
     s = np.sqrt(sq)
-    return float(np.sqrt(np.cumsum(s * s)[-1]))
+    return float(np.sqrt(np.cumsum(np.float_power(s, 2.0))[-1]))
 
 
 def psd_project(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -446,6 +448,13 @@ def _polish(cmap: ConstraintMap, y: np.ndarray, tol: float,
     steps in a row that each keep ``|F|`` above ``POLISH_SLOW`` times its
     value before, or a step that cannot lower it.
 
+    When ``cmap`` has a padding corner ``(a, i)`` (:func:`_padding_corner`),
+    each start has ``1`` added at ``V[a, i, 0]``.  Only ``V[a, i]`` can
+    supply the unit that ``b_0 = I`` asks for at slot ``(i, i)``, and the
+    derivative of ``(V V^*)[a i, a i]`` vanishes where ``V[a, i] = 0``, as
+    it does in the eigenvector start of a zero-padded problem; the anchored
+    start is the Kraus entry of the padded map ``diag(W, 1)``.
+
     Returns ``(K, cmap.residual(K), message)`` once that residual is at most
     ``tol``.  ``K`` is PSD by construction; the caller re-checks it as any
     witness.
@@ -459,6 +468,8 @@ def _polish(cmap: ConstraintMap, y: np.ndarray, tol: float,
         G = np.einsum("rab,bjp->rajp", f, V.conj())
         return G, np.einsum("aip,rajp->rij", V, G) - cmap.target
 
+    corner = _padding_corner(cmap)
+    start = "" if corner is None else " from the padding-corner start"
     w, Q = np.linalg.eigh(_sym(y)[0])
     for r in POLISH_RANKS:
         top = np.clip(w[-r:], 0.0, None)
@@ -466,6 +477,8 @@ def _polish(cmap: ConstraintMap, y: np.ndarray, tol: float,
             return None
         V = Q[:, -r:] * np.sqrt(top * (w.sum() / top.sum()))
         V = V.reshape(g, s, r)
+        if corner is not None:
+            V[corner + (0,)] += 1.0
         G, F = at(V)
         norm = float(np.linalg.norm(F))
         steps = slow = 0
@@ -489,8 +502,25 @@ def _polish(cmap: ConstraintMap, y: np.ndarray, tol: float,
             resid = cmap.residual(K)
             if resid <= tol:
                 return K, resid, (f"polished to rank {r} in {steps} "
-                                  "Gauss-Newton steps")
+                                  f"Gauss-Newton steps{start}")
     return None
+
+
+def _padding_corner(cmap: ConstraintMap) -> Optional[tuple[int, int]]:
+    """The grid index ``a`` and slot index ``i`` of a zero-padded one-block
+    ``cmap``, or ``None``: row and column ``a`` of every source ``f_r``,
+    ``r >= 1``, vanish, and so do row and column ``i`` of every target
+    ``b_r``, ``r >= 1``.  The CCP reduction ``diag(A, 0) -> diag(B, 0)``
+    has the last of each; a UCP or CC problem on tuples without a common
+    zero row and column has none.  The last such index is taken."""
+    g = cmap.grid
+    f = cmap.family[1:].reshape(-1, g, g) != 0
+    b = cmap.target[1:] != 0
+    a = np.flatnonzero(~(f.any(axis=(0, 1)) | f.any(axis=(0, 2))))
+    i = np.flatnonzero(~(b.any(axis=(0, 1)) | b.any(axis=(0, 2))))
+    if a.size == 0 or i.size == 0:
+        return None
+    return int(a[-1]), int(i[-1])
 
 
 def _gauss_newton_step(f: np.ndarray, V: np.ndarray, G: np.ndarray,

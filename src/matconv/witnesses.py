@@ -66,13 +66,16 @@ SHARPNESS_DIRECTIONS = 32
 # its squares: 4 MiB each at d = 8, 1 GiB each at d = 12.
 SHARPNESS_D_CAP = 8
 # The chain report builds the dense switch stack, d (d+1)^2 complex entries,
-# and its square sum, O(d^4) work.  `matconv witness chain` took 0.31 s at
-# d = 128 with a peak RSS of 146 MB, against 1.4 s and 418 MB at d = 192
-# and 3.4 s and 948 MB at d = 256 (2-core Xeon, one BLAS thread).
+# for its arrow key; the square sum is read off the exact arrow form.
+# `matconv witness chain` took 0.13 s at d = 128 with a peak RSS of 147 MB,
+# nearly all of it the HermTuple construction of the stack (2-core Xeon,
+# one BLAS thread); with the dense square sum it took 0.31 s, and 1.4 s and
+# 418 MB at d = 192, 3.4 s and 948 MB at d = 256.
 CHAIN_D_CAP = 128
-# Grid points of the nonscalable report: one row record each.  10^5 points
-# took 0.51 s (70 MB peak RSS), or 1.6 s and 136 MB printing the 11 MB of
-# `--rows`; 10^6 took 5.0 s and 385 MB (2-core Xeon, one BLAS thread).
+# Grid points of the nonscalable report.  10^5 points took 0.22 s (49 MB
+# peak RSS), or 1.4 s and 137 MB building and printing the 11 MB of
+# `--rows`; 10^6 took 5.0 s and 385 MB with the rows built (2-core Xeon, one
+# BLAS thread).
 NONSCALABLE_GRID_CAP = 10 ** 5
 
 
@@ -330,33 +333,35 @@ def nonscalable_grid(cmin: float, cmax: float, count: int) -> np.ndarray:
     return np.linspace(cmin, cmax, count)
 
 
-def nonscalable_check(c_grid: Sequence[float]) -> dict:
+def nonscalable_check(c_grid: Sequence[float], rows: bool = True) -> dict:
     """No positive scaling of [[1,2],[0,1]] brings it within distance one of
     the identity: ``||c T - I||`` exceeds 1 on the whole grid, computed both
     as a singular value and as the largest root of
-    ``t^2 - 2 c t - (1-c)^2 = 0``."""
+    ``t^2 - 2 c t - (1-c)^2 = 0``.  The per-point ``rows`` are built only
+    when asked for."""
     grid = np.asarray(c_grid, dtype=float)
     _require_grid_size(grid.size)
     if np.any(grid <= 0):
         raise WitnessError("grid values must be positive")
     svs = nk.opnorms(grid[:, None, None] * NONSCALABLE_T - np.eye(2))
-    rows = []
-    worst_margin = np.inf
-    worst_gap = 0.0
-    for c, sv in zip(grid.tolist(), svs.tolist()):
-        # Scalar Python floats: ``** 2`` is libm's pow here, which differs
-        # from numpy's array square in the last bit now and then, and the
-        # report prints these digits.
-        root = c + np.sqrt(c * c + (1.0 - c) ** 2)
-        rows.append({"c": c, "svd_norm": float(sv), "root_norm": float(root)})
-        worst_margin = min(worst_margin, sv - 1.0)
-        worst_gap = max(worst_gap, abs(sv - root))
-    return {
-        "grid_size": len(rows),
-        "min_excess_over_one": float(worst_margin),
-        "max_formula_gap": float(worst_gap),
-        "rows": rows,
+    # ``(1 - c) ** 2`` as a Python float's ``** 2``, the C library's pow,
+    # which differs from numpy's array square in the last bit now and then;
+    # the report prints these digits.
+    with np.errstate(over="ignore"):
+        roots = grid + np.sqrt(grid * grid + np.float_power(1.0 - grid, 2.0))
+    if not np.all(np.isfinite(roots)):
+        raise WitnessError("grid values too large: c^2 + (1 - c)^2 "
+                           "overflows")
+    r = {
+        "grid_size": int(grid.size),
+        "min_excess_over_one": float(np.min(svs - 1.0)),
+        "max_formula_gap": float(np.max(np.abs(svs - roots))),
     }
+    if rows:
+        r["rows"] = [{"c": c, "svd_norm": sv, "root_norm": root}
+                     for c, sv, root in zip(grid.tolist(), svs.tolist(),
+                                            roots.tolist())]
+    return r
 
 
 def switch_tuple(d: int) -> HermTuple:
@@ -385,8 +390,9 @@ def ball_chain_witnesses(d: int, tol: float = 1e-9) -> dict:
         it is PSD iff ``sum_j Y_j^2 <= I``.  So the pencil's positivity
         domain is exactly the ball, and B lies in the ball's polar dual.
 
-    The dense switch stack and its square sum cost O(d^4) time, hence
-    ``CHAIN_D_CAP``.
+    The square sum and the ball test are read off the exact arrow form;
+    only the arrow key reads the dense switch stack, ``d (d+1)^2`` entries,
+    hence ``CHAIN_D_CAP``.
     """
     if d < 2:
         raise WitnessError("chain witnesses need d >= 2")
@@ -400,21 +406,30 @@ def ball_chain_witnesses(d: int, tol: float = 1e-9) -> dict:
     E = clifford_tuple(2).as_herm_tuple()
     in_pencil = pencil_member(Pencil(E), X, tol=tol)
 
+    # B_j is e_0 e_j^T + e_j e_0^T exactly when its 2d arrow entries are 1
+    # and nothing else of the stack is nonzero.  Then sum_j B_j^2 is
+    # diag(d, 1, ..., 1), and I minus it has the least eigenvalue 1 - d;
+    # only a tuple off the arrow form needs its dense square sum.
     B = switch_tuple(d)
-    e = np.eye(d + 1)
-    outer = np.einsum("a,jb->jab", e[0], e[1:])     # e_0 e_j^T
-    arrow = outer + outer.swapaxes(1, 2)
-    Bsq = B.square_sum()
-    expect = np.eye(d + 1)
-    expect[0, 0] = float(d)
+    M = B.matrices
+    j = np.arange(d)
+    arrow = bool(np.count_nonzero(M) == 2 * d and np.all(M[j, 0, j + 1] == 1)
+                 and np.all(M[j, j + 1, 0] == 1))
+    if arrow:
+        square_exact, in_switch_ball = True, 1 - d >= -tol
+    else:
+        expect = np.eye(d + 1)
+        expect[0, 0] = float(d)
+        square_exact = np.array_equal(B.square_sum(), expect)
+        in_switch_ball = ball_member(B, tol=tol)
     return {
         "d": d,
         "pair_in_ball": bool(in_ball),
         "pair_in_anticommuting_pencil_domain": bool(in_pencil),
         "pair_outside_min_set": bool(in_ball and not in_pencil),
-        "switch_square_identity_exact": bool(np.array_equal(Bsq, expect)),
-        "switch_in_ball": bool(ball_member(B, tol=tol)),
-        "switch_arrow_form_exact": bool(np.array_equal(B.matrices, arrow)),
+        "switch_square_identity_exact": bool(square_exact),
+        "switch_in_ball": bool(in_switch_ball),
+        "switch_arrow_form_exact": arrow,
     }
 
 

@@ -21,7 +21,7 @@ from matconv.sets import GenTuple, HermTuple
 from matconv.ucp import _REDUCTIONS, MapMode, choi_constraints
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 @settings(max_examples=150, deadline=None)
@@ -30,6 +30,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
        kind=st.sampled_from(["complex", "real", "real_as_complex",
                              "real_view"]),
        zero_every=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+# A block norm whose ``** 2`` (the C library's ``pow``) is one ulp off its
+# correctly rounded square.
+@example(N=393, n=1, exponent=59, kind="real", zero_every=2, seed=962)
 def test_frob_matches_per_block_oracle(N, n, exponent, kind, zero_every,
                                        seed):
     # Block magnitudes spread over six decades around 10^exponent, so the

@@ -260,10 +260,69 @@ class TestNonscalable:
         with pytest.raises(WitnessError):
             nonscalable_check([0.0, 1.0])
 
+    def test_rejects_overflowing_square(self):
+        # (1 - c)^2 past the largest double is an input error, not an
+        # infinite formula gap.
+        with pytest.raises(WitnessError, match="overflows"):
+            nonscalable_check([1.0, 1e160])
+
     def test_grid_cap(self):
         # A grid built by the caller is refused as well.
         with pytest.raises(WitnessError, match="capped at"):
             nonscalable_check(np.ones(NONSCALABLE_GRID_CAP + 1))
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.01, 3.0, 300), np.linspace(0.01, 3.0, 10 ** 5),
+        np.array([1.0]), np.geomspace(1e-6, 1e6, 777)])
+    def test_batched_report_matches_row_loop(self, grid):
+        # The batched fields, with rows and without, equal the per-row loop
+        # bit for bit.  On the 10^5-point grid six roots change in the last
+        # bit when ``(1 - c) ** 2`` is squared by numpy instead of pow.
+        want = nonscalable_rows_loop(grid)
+        assert nonscalable_check(grid) == want
+        del want["rows"]
+        assert nonscalable_check(grid, rows=False) == want
+
+    @pytest.mark.parametrize("extra", [[], ["--count", "100000"]])
+    def test_report_without_rows_keeps_its_bytes(self, monkeypatch, capsys,
+                                                 extra):
+        # ``witness nonscalable`` without --rows prints the bytes of the
+        # row loop's report with its rows dropped afterwards, and builds no
+        # row.
+        argv = ["witness", "nonscalable", *extra]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+
+        def loop_report(grid, rows=True):
+            r = nonscalable_rows_loop(grid)
+            return r if rows else {k: v for k, v in r.items() if k != "rows"}
+
+        monkeypatch.setattr(witnesses, "nonscalable_check", loop_report)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+        assert '"rows"' not in out
+
+
+def nonscalable_rows_loop(grid) -> dict:
+    """The nonscalable report as one loop over the grid points, with a
+    scalar ``root`` per point and running extremes."""
+    grid = np.asarray(grid, dtype=float)
+    svs = nk.opnorms(grid[:, None, None] * witnesses.NONSCALABLE_T
+                     - np.eye(2))
+    rows = []
+    worst_margin = np.inf
+    worst_gap = 0.0
+    for c, sv in zip(grid.tolist(), svs.tolist()):
+        root = c + np.sqrt(c * c + (1.0 - c) ** 2)
+        rows.append({"c": c, "svd_norm": float(sv), "root_norm": float(root)})
+        worst_margin = min(worst_margin, sv - 1.0)
+        worst_gap = max(worst_gap, abs(sv - root))
+    return {
+        "grid_size": len(rows),
+        "min_excess_over_one": float(worst_margin),
+        "max_formula_gap": float(worst_gap),
+        "rows": rows,
+    }
 
 
 class TestBallChain:
@@ -281,9 +340,12 @@ class TestBallChain:
     def test_one_changed_entry_breaks_the_arrow_key(self, monkeypatch,
                                                     value):
         # Every entry of every member, changed (with its mirror entry, so
-        # the tuple stays Hermitian), turns the exact key false.
+        # the tuple stays Hermitian), turns the exact key false, and the
+        # square and ball keys follow the changed tuple.
         d = 3
         S = np.asarray(switch_tuple(d).matrices)
+        want = np.eye(d + 1)
+        want[0, 0] = d
         for a, b in zip(*np.triu_indices(d + 1)):
             for i in range(d):
                 if a == b and value == 1j:
@@ -295,6 +357,23 @@ class TestBallChain:
                                     lambda _, T=T: HermTuple(T))
                 r = ball_chain_witnesses(d)
                 assert r["switch_arrow_form_exact"] is False, (i, a, b)
+                B = HermTuple(T)
+                assert r["switch_square_identity_exact"] is np.array_equal(
+                    B.square_sum(), want), (i, a, b)
+                assert r["switch_in_ball"] is ball_member(B, tol=1e-9)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1.5])
+    @pytest.mark.parametrize("d", [2, 3, 5, 17, CHAIN_D_CAP])
+    def test_square_keys_equal_the_dense_ones(self, d, tol):
+        # Read off the arrow form, the square and ball keys equal the dense
+        # square sum and ``ball_member`` of the switch tuple.
+        B = switch_tuple(d)
+        want = np.eye(d + 1)
+        want[0, 0] = d
+        r = ball_chain_witnesses(d, tol=tol)
+        assert r["switch_square_identity_exact"] is np.array_equal(
+            B.square_sum(), want) is True
+        assert r["switch_in_ball"] is ball_member(B, tol=tol)
 
     def test_switch_tuple_squares(self):
         for d in (2, 3, 5):

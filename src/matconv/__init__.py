@@ -40,5 +40,4 @@ from .sets import (  # noqa: F401
     selfdual_member,
     wmax_member,
     wmin_member,
-    zero_interior_range,
 )

@@ -66,9 +66,12 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
+    partial = False  # built for one subcommand (see ``build_parser``)
+
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        parser = build_parser() if self.partial else self
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -254,11 +257,11 @@ def _cmd_include(args) -> tuple[int, dict]:
     if args.kind == "spectra":
         A = _tuple_arg(args.source, hermitian=not args.general)
         B = _tuple_arg(args.target, hermitian=not args.general)
-        res = ucpmod.spectrahedron_inclusion(
-            A, B, max_iter=args.max_iter, tol_feas=args.tol,
-            seed=args.seed)
+        mode, res = ucpmod.spectrahedron_inclusion(
+            A, B, max_iter=args.max_iter, tol_feas=args.tol)
         report = _feas_report(res)
         if args.witness:
+            report["map"] = mode.value
             _add_choi_evidence(report, res)
         return _status_exit(res.status), report
     B = _tuple_arg(args.source)
@@ -394,13 +397,7 @@ def _add_common(p: argparse.ArgumentParser):
                    help="write the JSON report here instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="matconv",
-                     description="matrix convex sets toolbox")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("member", help="membership oracles")
+def _member_args(p: argparse.ArgumentParser):
     p.add_argument("kind", choices=["wmax", "wmin", "ball", "dball", "cube",
                                     "diamond", "pencil"])
     p.add_argument("input", help="tuple JSON (pencil: coefficient tuple)")
@@ -411,10 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true",
                    help="include the witness blocks, or the separating "
                         "pencil of an Infeasible verdict, in the report")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_member)
 
-    p = sub.add_parser("dilate", help="dilation constructions")
+
+def _dilate_args(p: argparse.ArgumentParser):
     p.add_argument("kind", choices=["flip", "lambda", "frame", "diamond",
                                     "cube2diamond"])
     p.add_argument("input", help="Hermitian tuple JSON")
@@ -422,10 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rank-one family JSON (lambda) or frame JSON (frame)")
     p.add_argument("--weights", type=str, default=None,
                    help="comma-separated frame weights")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_dilate)
 
-    p = sub.add_parser("map", help="map-existence tests")
+
+def _map_args(p: argparse.ArgumentParser):
     p.add_argument("kind", choices=["ucp", "ccp", "cc", "normal"])
     p.add_argument("source")
     p.add_argument("target")
@@ -435,10 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true",
                    help="include the Choi witness, or the separating "
                         "functional of an Infeasible verdict, in the report")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_map)
 
-    p = sub.add_parser("include", help="pencil-domain inclusion tests")
+
+def _include_args(p: argparse.ArgumentParser):
     p.add_argument("kind", choices=["spectra", "relax-cube"])
     p.add_argument("source", help="tuple JSON")
     p.add_argument("target", nargs="?", default=None,
@@ -448,10 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the Choi witness or separating functional "
                         "(spectra), or the witness blocks or pencil of the "
                         "wmin test (relax-cube), in the report")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_include)
 
-    p = sub.add_parser("frame", help="tight-frame analysis")
+
+def _frame_args(p: argparse.ArgumentParser):
     p.add_argument("kind", choices=["check", "sym", "reflexive", "invariance"])
     p.add_argument("frame", help="frame JSON path or builder name "
                                  f"({', '.join(sorted(FRAME_BUILDERS))})")
@@ -459,10 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dimension for dimensioned builders")
     p.add_argument("--cap", type=int, default=24,
                    help="symmetry search cap (default 24)")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_frame)
 
-    p = sub.add_parser("witness", help="extremal examples and certificates")
+
+def _witness_args(p: argparse.ArgumentParser):
     p.add_argument("kind", choices=["clifford", "sharpness", "sqrtd",
                                     "nonscalable", "chain", "taurho"])
     p.add_argument("--d", type=int, default=2)
@@ -474,21 +466,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=300)
     p.add_argument("--rows", action="store_true",
                    help="include the per-grid-point rows (nonscalable)")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_witness)
 
-    p = sub.add_parser("dual", help="scalar polar duality")
+
+def _dual_args(p: argparse.ArgumentParser):
     p.add_argument("kind", choices=["polytope"])
     p.add_argument("polytope", help="polytope JSON")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_dual)
 
+
+# name: (help, the subcommand's own arguments, handler), in usage order.
+_COMMANDS = {
+    "member": ("membership oracles", _member_args, _cmd_member),
+    "dilate": ("dilation constructions", _dilate_args, _cmd_dilate),
+    "map": ("map-existence tests", _map_args, _cmd_map),
+    "include": ("pencil-domain inclusion tests", _include_args,
+                _cmd_include),
+    "frame": ("tight-frame analysis", _frame_args, _cmd_frame),
+    "witness": ("extremal examples and certificates", _witness_args,
+                _cmd_witness),
+    "dual": ("scalar polar duality", _dual_args, _cmd_dual),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``matconv`` parser; with ``command``, one that knows only that
+    subcommand.  Its help and errors read as the full parser's: a
+    subcommand's own text does not name the others, and a top-level error
+    prints the full usage (:meth:`_Parser.error`)."""
+    parser = _Parser(prog="matconv",
+                     description="matrix convex sets toolbox")
+    parser.partial = command is not None
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, handler) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            _add_common(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the named subcommand's parser is built: building all of them
+    # costs more than most queries.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     t0 = time.perf_counter()
     try:
         code, body = args.handler(args)

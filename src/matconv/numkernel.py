@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
+DEVIATION_CHUNK = 1 << 16  # entries per slab of the hermiticity check
 
 # opnorm prunes by squared Frobenius norms only from this size up to overflow:
 # outside that range the squares lose their relative precision.
@@ -51,11 +52,27 @@ def as_cmatrix(entries) -> np.ndarray:
     return M
 
 
-def herm_deviation(M: np.ndarray) -> float:
-    """Max-entry deviation of M (a matrix or a stack) from its adjoint."""
+def _adjoint(M: np.ndarray) -> np.ndarray:
+    """The adjoint of M (a matrix or a stack) as a new C-ordered array."""
+    Mh = np.empty(M.shape, dtype=M.dtype)
+    np.conjugate(M.swapaxes(-1, -2), out=Mh)
+    return Mh
+
+
+def _deviation(M: np.ndarray, Mh: np.ndarray) -> float:
+    """``max |M - Mh|``, taken over slabs of the leading axis of about
+    ``DEVIATION_CHUNK`` entries, so that no temporary is as large as a
+    large stack; a maximum is exact in any order."""
     if not M.size:
         return 0.0
-    return float(np.max(np.abs(M - M.conj().swapaxes(-1, -2))))
+    step = max(1, DEVIATION_CHUNK // M[0].size)
+    return max(float(np.max(np.abs(M[lo:lo + step] - Mh[lo:lo + step])))
+               for lo in range(0, len(M), step))
+
+
+def herm_deviation(M: np.ndarray) -> float:
+    """Max-entry deviation of M (a matrix or a stack) from its adjoint."""
+    return _deviation(M, _adjoint(M))
 
 
 def hermitize(M, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -63,19 +80,24 @@ def hermitize(M, tol: float = HERMITICITY_TOL) -> np.ndarray:
 
     ``M`` is a matrix or a stack of matrices, such as a ``(d, n, n)``
     tuple; a stack is checked and symmetrized matrix by matrix.  With
-    ``tol=np.inf`` only squareness and finiteness are checked.
+    ``tol=np.inf`` only squareness and finiteness are checked.  One adjoint
+    serves the check and, summed and halved in place, the result: a
+    ``(M + M*) / 2`` that holds no further copy of a large stack.
     """
     M = as_cmatrix(M)
     if M.shape[-1] != M.shape[-2]:
         raise NotHermitianError(f"matrix is not square: shape {M.shape}")
+    Mh = _adjoint(M)
     # An infinite (or NaN) tolerance admits every deviation: skip the pass.
     if tol < np.inf:
-        dev = herm_deviation(M)
+        dev = _deviation(M, Mh)
         if dev > tol:
             raise NotHermitianError(
                 f"matrix deviates from Hermitian by {dev:.3e} "
                 f"(tolerance {tol:.1e})")
-    return (M + M.conj().swapaxes(-1, -2)) / 2.0
+    Mh += M
+    Mh /= 2.0
+    return Mh
 
 
 @dataclass(frozen=True)
@@ -273,17 +295,3 @@ def opnorms(A) -> np.ndarray:
         dev = np.abs(A - A.conj().swapaxes(1, 2)).max(axis=axes)
         herm = (dev == 0.0) | (dev <= HERMITICITY_TOL * np.abs(A).max(axis=axes))
     return _member_norms(A, herm)
-
-
-def re_im_parts(mats) -> np.ndarray:
-    """Hermitian real and imaginary parts of a ``(d, n, n)`` stack,
-    interleaved: ``(Re M_1, Im M_1, ..., Re M_d, Im M_d)`` with
-    ``M = Re M + i Im M``."""
-    M = np.asarray(mats, dtype=complex)
-    if M.ndim != 3:
-        raise ValueError(f"expected a stack of matrices, got ndim {M.ndim}")
-    Mh = M.conj().swapaxes(1, 2)
-    parts = np.empty((2 * len(M),) + M.shape[1:], dtype=complex)
-    parts[0::2] = (M + Mh) / 2.0
-    parts[1::2] = (M - Mh) / 2.0j
-    return parts

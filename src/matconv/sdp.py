@@ -55,7 +55,7 @@ RAYLEIGH_MARGIN = 1e-12    # relative margin of the affine-side PSD screen
 POLISH_FIRST = 10          # iteration of the first low-rank polish
 POLISH_GROWTH = 4          # factor between polish iterations
 POLISH_RANKS = (1, 2)      # factor ranks a polish tries, in order
-POLISH_STEPS = 15          # Gauss-Newton steps per rank
+POLISH_STEPS = 35          # Gauss-Newton steps per rank
 POLISH_SLOW = 0.99         # a step keeping |F| above this share is slow
 POLISH_RIDGE = 1e-12       # ridge of the normal equations, times their trace
 
@@ -314,7 +314,10 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
     candidate is re-checked without the projector: ``constraints.residual``
     and the smallest eigenvalue of its blocks (one batched eigensolve) must
     both be within ``WITNESS_TOL``.  It is then ``Feasible``, its witness
-    the list of the N blocks; otherwise the solve ends ``Undecided``.
+    the list of the N blocks; otherwise the solve ends ``Undecided``.  A
+    PSD-side point that misses the raw constraints (a large family scales
+    the gap up) gives way to its affine-side projection, PSD to within the
+    gap.
 
     On a one-block stack, at iteration ``POLISH_FIRST`` and every
     ``POLISH_GROWTH``-fold iteration after it (10, 40, 160, ...), a
@@ -363,7 +366,10 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
         gap = _frob(y_aff - y)
         gaps.append(gap)
         if gap <= tol:
-            return _rechecked(cmap, y, gap, it)
+            res = _rechecked(cmap, y, gap, it)
+            if res.status is Status.FEASIBLE:
+                return res
+            return _rechecked(cmap, y_aff, gap, it)
         if not _rayleigh_rules_out(y_aff, v, tol):
             neg = float(np.linalg.eigvalsh(_sym(y_aff))[:, 0].min())
             if neg >= -tol:

@@ -122,11 +122,6 @@ class HermTuple(GenTuple):
         self.matrices.flags.writeable = False
 
 
-def re_im_split(X: GenTuple) -> HermTuple:
-    """Interleave real and imaginary parts: (Re X_1, Im X_1, ..., Im X_d)."""
-    return HermTuple(nk.re_im_parts(X.matrices))
-
-
 # ---------------------------------------------------------------------------
 # Polytopes
 # ---------------------------------------------------------------------------

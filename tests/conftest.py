@@ -17,7 +17,6 @@ from matconv.numkernel import (
     lincomb,
     opnorm,
     opnorms,
-    re_im_parts,
 )
 from matconv.sets import HermTuple
 from matconv.witnesses import CliffordTuple
@@ -303,6 +302,20 @@ def tilde_tuple_loop(X) -> list[np.ndarray]:
         H[:n, :n] = M
         mats.append(H)
     return mats
+
+
+def re_im_parts(mats) -> np.ndarray:
+    """Hermitian real and imaginary parts of a ``(d, n, n)`` stack,
+    interleaved: ``(Re M_1, Im M_1, ..., Re M_d, Im M_d)`` with
+    ``M = Re M + i Im M``."""
+    M = np.asarray(mats, dtype=complex)
+    if M.ndim != 3:
+        raise ValueError(f"expected a stack of matrices, got ndim {M.ndim}")
+    Mh = M.conj().swapaxes(1, 2)
+    parts = np.empty((2 * len(M),) + M.shape[1:], dtype=complex)
+    parts[0::2] = (M + Mh) / 2.0
+    parts[1::2] = (M - Mh) / 2.0j
+    return parts
 
 
 def re_im_parts_loop(mats) -> list[np.ndarray]:

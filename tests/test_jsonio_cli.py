@@ -268,13 +268,19 @@ class TestCliVerdicts:
         assert witnessed == rep
 
     def test_include_spectra_undecided(self, workdir, capsys, tmp_path):
+        # 0 is on the boundary of W_1(I, I): the domain is a half-plane, not
+        # in the Pauli disc.  An interiority probe once made this exit 2;
+        # the padded CCP test certifies the "no", and --witness names it.
         obj = jsonio.encode_tuple(HermTuple([np.eye(2), np.eye(2)]))
         p = tmp_path / "ones.json"
         p.write_text(json.dumps(obj))
-        code, rep, _ = run_cli(
-            ["include", "spectra", str(p), workdir["pauli.json"]], capsys)
-        assert code == 2
-        assert rep["result"]["status"] == "Undecided"
+        argv = ["include", "spectra", str(p), workdir["pauli.json"]]
+        code, rep, _ = run_cli(argv, capsys)
+        assert code == 1
+        assert rep["result"]["status"] == "Infeasible"
+        _, witnessed, _ = run_cli(argv + ["--witness"], capsys)
+        assert witnessed["result"].pop("map") == "CCP"
+        assert "certificate" in witnessed["result"]
 
     def test_dilate_flip(self, workdir, capsys):
         code, rep, _ = run_cli(["dilate", "flip", workdir["pauli.json"]],

@@ -6,6 +6,7 @@ for bit."""
 import io
 import json
 from contextlib import redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from conftest import (
     kron_sum_loop,
     norms_loop,
     random_gen,
+    re_im_parts,
     re_im_parts_loop,
     same_bits,
     simultaneous_diagonalize,
@@ -136,7 +138,7 @@ def test_hat_and_tilde_match_loops(kinds, n, seed):
 def test_re_im_parts_match_loop(kinds, n, seed):
     rng = np.random.default_rng(seed)
     mats = [draw_member(k, n, rng) for k in kinds]
-    assert same_bits(nk.re_im_parts(mats), np.stack(re_im_parts_loop(mats)))
+    assert same_bits(re_im_parts(mats), np.stack(re_im_parts_loop(mats)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,6 +150,44 @@ def test_herm_tuple_is_one_hermitize_of_the_members(d, n, seed):
     assert same_bits(HermTuple(mats).matrices, herm_stack_loop(mats))
     assert same_bits(HermTuple(mats).scaled(0.3).matrices,
                      herm_stack_loop([0.3 * M for M in herm_stack_loop(mats)]))
+
+
+# The plain expressions that nk.hermitize and nk.herm_deviation, which share
+# one adjoint and take the deviation in slabs, match bit for bit.
+def _hermitize_formula(M):
+    M = np.asarray(M, dtype=complex)
+    return (M + M.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _deviation_formula(M):
+    M = np.asarray(M)
+    return float(np.max(np.abs(M - M.conj().swapaxes(-1, -2))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lead=st.lists(st.integers(1, 5), max_size=2), n=st.integers(1, 5),
+       complex_entries=st.booleans(), transposed=st.booleans(),
+       zero_every=st.integers(1, 4), chunk=st.integers(1, 80), seed=seeds)
+def test_hermitize_matches_the_formula_bit_for_bit(
+        lead, n, complex_entries, transposed, zero_every, chunk, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (n, n)
+    M = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    if complex_entries:
+        M = M + 1j * rng.standard_normal(shape)
+    M.reshape(-1)[::zero_every] *= -0.0  # signed zeros among the entries
+    if transposed:  # a non-contiguous view
+        M = M.swapaxes(-1, -2)
+    with mock.patch.object(nk, "DEVIATION_CHUNK", chunk):
+        got = nk.hermitize(M, tol=np.inf)
+        dev = nk.herm_deviation(M)
+        assert dev == _deviation_formula(M)
+        if dev > 0.0:
+            with pytest.raises(nk.NotHermitianError):
+                nk.hermitize(M, tol=np.nextafter(dev, 0.0))
+        assert same_bits(nk.hermitize(M, tol=dev), got)
+    assert same_bits(got, _hermitize_formula(M))
+    assert got.flags.c_contiguous
 
 
 @pytest.mark.parametrize("kind", [GenTuple, HermTuple])

@@ -338,23 +338,27 @@ class TestNormalAtoms:
 class TestSpectrahedronInclusion:
     def test_reflexive(self):
         A = pauli_pair()
-        res = spectrahedron_inclusion(A, A)
-        assert res.status is Status.FEASIBLE
+        mode, res = spectrahedron_inclusion(A, A)
+        assert (mode, res.status) == (MapMode.UCP, Status.FEASIBLE)
 
     def test_scaled_pair_orientation(self):
         # Halving the target coefficients doubles its domain, so inclusion
         # holds for (A, A/2) and fails for (A, 2A).
         A = pauli_pair()
-        assert spectrahedron_inclusion(A, A.scaled(0.5)).status \
+        assert spectrahedron_inclusion(A, A.scaled(0.5))[1].status \
             is Status.FEASIBLE
-        assert spectrahedron_inclusion(A, A.scaled(2.0)).status \
+        assert spectrahedron_inclusion(A, A.scaled(2.0))[1].status \
             is Status.INFEASIBLE
 
     def test_undecided_when_interior_probe_fails(self):
+        # 0 is not interior to W_1(I, I), the segment from 0 to (1, 1): the
+        # half-plane x + y <= 1 is not in the unit disc of the Pauli pair.
+        # An interiority probe once gave Undecided here; the padded test
+        # certifies the answer.
         A = HermTuple([np.eye(2), np.eye(2)])
-        res = spectrahedron_inclusion(A, pauli_pair())
-        assert res.status is Status.UNDECIDED
-        assert "interiority" in res.message
+        mode, res = spectrahedron_inclusion(A, pauli_pair())
+        assert (mode, res.status) == (MapMode.CCP, Status.INFEASIBLE)
+        assert res.certificate is not None and res.certificate.value < 0
 
 
 class TestRelaxCube:

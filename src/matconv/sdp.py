@@ -21,11 +21,13 @@ Two solvers live here:
   Theory 79, 1994), which is such a functional; the solver reads a
   candidate off it every ``CERTIFICATE_EVERY`` iterations.  ``Feasible`` is
   returned only with a witness that the constraint map's raw family and one
-  batched eigensolve re-check.  On a one-block stack (the Choi test) the
-  solver also tries a low-rank Gauss--Newton polish of its iterate at
-  iterations 10, 40, 160, ..., which finds the rank-one and rank-two Choi
-  matrices of boundary instances that the projections approach only
-  sublinearly.  A gap that stops moving without a certificate gives
+  batched eigensolve re-check.  At iterations 10, 40, 160, ... the solver
+  also tries a Gauss--Newton polish of its iterate, which finds the points
+  of boundary instances that the projections approach only sublinearly:
+  the rank-one and rank-two Choi matrices of a one-block stack (the Choi
+  test), and the full-rank factors of the POVM blocks of a one-slot map
+  (the ``Wmin`` test), from a system whose size does not grow with the
+  number of blocks.  A gap that stops moving without a certificate gives
   ``Undecided``.
 
 * :func:`hull_weights` -- the one linear program: is ``x`` a convex
@@ -57,6 +59,7 @@ POLISH_GROWTH = 4          # factor between polish iterations
 POLISH_RANKS = (1, 2)      # factor ranks a polish tries, in order
 POLISH_STEPS = 35          # Gauss-Newton steps per rank
 POLISH_SLOW = 0.99         # a step keeping |F| above this share is slow
+POLISH_SLOW_POVM = 0.5     # the same share on the blocks of a POVM map
 POLISH_RIDGE = 1e-12       # ridge of the normal equations, times their trace
 
 
@@ -319,14 +322,15 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
     the gap up) gives way to its affine-side projection, PSD to within the
     gap.
 
-    On a one-block stack, at iteration ``POLISH_FIRST`` and every
-    ``POLISH_GROWTH``-fold iteration after it (10, 40, 160, ...), a
-    certificate check that finds no certificate is followed by
-    :func:`_polish` of the PSD-side point.  A polished ``K = V V^*`` with
-    ``rank V <= 2`` and ``cmap.residual(K) <= tol_feas`` is re-checked like
-    any candidate, and its ``Feasible`` result names the rank and the step
-    count.  Multi-block stacks (the POVM blocks of ``wmin_member``) are
-    never polished.
+    At iteration ``POLISH_FIRST`` and every ``POLISH_GROWTH``-fold
+    iteration after it (10, 40, 160, ...), a certificate check that finds
+    no certificate is followed by :func:`_polish` of the PSD-side point: to
+    rank at most 2 on a one-block stack, and from full-rank factors on the
+    blocks of a one-slot map with a real family (the POVM blocks of
+    ``wmin_member``; other multi-block stacks are not polished).  A
+    polished ``K = V V^*`` with ``cmap.residual(K) <= tol_feas`` is
+    re-checked like any candidate, and its ``Feasible`` result names the
+    rank or the number of blocks, and the step count.
 
     Every ``CERTIFICATE_EVERY`` iterations, while the gap exceeds
     ``10 tol_feas``, the PSD-side point ``y`` minus its projection ``y_aff``
@@ -356,7 +360,7 @@ def dykstra_solve(problem: BlockPsdProblem) -> FeasibilityResult:
     q = np.zeros(shape, dtype=complex)  # Dykstra correction, affine side
     gaps: list[float] = []
     tol = problem.tol_feas
-    polish_at = POLISH_FIRST if shape[0] == 1 else 0  # 0: never
+    polish_at = POLISH_FIRST
     for it in range(1, problem.max_iter + 1):
         y_in = x + p
         y, v = psd_project(y_in)
@@ -440,19 +444,63 @@ def _separation(y: np.ndarray, y_aff: np.ndarray, verify,
 
 def _polish(cmap: ConstraintMap, y: np.ndarray, tol: float,
             ) -> Optional[tuple[np.ndarray, float, str]]:
-    """A PSD point ``K = V V^*`` of rank at most 2 in the affine set of a
-    one-block ``cmap``, polished from the PSD-side iterate ``y``, or
-    ``None`` (Burer and Monteiro, Math. Program. 95, 2003).
+    """A PSD point ``K = V V^*`` in the affine set of ``cmap``, polished
+    from the PSD-side iterate ``y`` (Burer and Monteiro, Math. Program. 95,
+    2003), or ``None``: :func:`_polish_choi` on a one-block stack,
+    :func:`_polish_povm` on the blocks of a one-slot map with a real family
+    (the POVM blocks of ``wmin_member``); other stacks are not polished.
+
+    Returns ``(K, cmap.residual(K), message)`` once that residual is at most
+    ``tol``.  ``K`` is PSD by construction; the caller re-checks it as any
+    witness.
+    """
+    if cmap.shape[0] == 1:
+        return _polish_choi(cmap, y, tol)
+    if cmap.grid == 1 and np.isrealobj(cmap.family):
+        return _polish_povm(cmap, y, tol)
+    return None
+
+
+def _descend(V: np.ndarray, at, step, tol: float, slow_share: float,
+             ) -> tuple[np.ndarray, float, int]:
+    """At most ``POLISH_STEPS`` Gauss--Newton steps on the factor ``V``.
+
+    ``at(V)`` gives ``(aux, F(V))`` and ``step(V, aux, F)`` the step; each
+    step is halved until ``|F|`` falls.  The descent stops once ``|F| <=
+    tol``, after a step that cannot lower ``|F|``, or after two steps in a
+    row that each keep ``|F|`` above ``slow_share`` times its value before.
+    Returns the last factor, its ``|F|`` and the number of steps taken."""
+    aux, F = at(V)
+    norm = float(np.linalg.norm(F))
+    steps = slow = 0
+    while norm > tol and steps < POLISH_STEPS and slow < 2:
+        dV = step(V, aux, F)
+        t = 1.0
+        while True:
+            aux_t, F_t = at(V + t * dV)
+            new = float(np.linalg.norm(F_t))
+            if new < norm or t < 1e-6:
+                break
+            t /= 2.0
+        if not new < norm:
+            break
+        V, aux, F, steps = V + t * dV, aux_t, F_t, steps + 1
+        slow = slow + 1 if new > slow_share * norm else 0
+        norm = new
+    return V, norm, steps
+
+
+def _polish_choi(cmap: ConstraintMap, y: np.ndarray, tol: float,
+                 ) -> Optional[tuple[np.ndarray, float, str]]:
+    """:func:`_polish` of a one-block ``cmap`` to rank at most 2.
 
     The block is a ``g x g`` grid of ``s x s`` slots, so a factor ``V`` is a
     ``(g, s, r)`` stack and ``F(V) = A(V V^*) - b`` has the rows
     ``sum_ab f_r[a, b] V_a V_b^*`` minus ``b_r``.  For each rank ``r`` in
     ``POLISH_RANKS`` the start is ``Q_r sqrt(w_r)`` from the top ``r``
-    eigenpairs of ``y``, scaled so that ``tr V V^* = tr y``.  At most
-    ``POLISH_STEPS`` Gauss--Newton steps (:func:`_gauss_newton_step`)
-    follow, each halved until ``|F|`` falls.  A rank is given up after two
-    steps in a row that each keep ``|F|`` above ``POLISH_SLOW`` times its
-    value before, or a step that cannot lower it.
+    eigenpairs of ``y``, scaled so that ``tr V V^* = tr y``, and
+    :func:`_descend` takes :func:`_gauss_newton_step` steps from it with
+    the slow share ``POLISH_SLOW``.
 
     When ``cmap`` has a padding corner ``(a, i)`` (:func:`_padding_corner`),
     each start has ``1`` added at ``V[a, i, 0]``.  Only ``V[a, i]`` can
@@ -460,10 +508,6 @@ def _polish(cmap: ConstraintMap, y: np.ndarray, tol: float,
     derivative of ``(V V^*)[a i, a i]`` vanishes where ``V[a, i] = 0``, as
     it does in the eigenvector start of a zero-padded problem; the anchored
     start is the Kraus entry of the padded map ``diag(W, 1)``.
-
-    Returns ``(K, cmap.residual(K), message)`` once that residual is at most
-    ``tol``.  ``K`` is PSD by construction; the caller re-checks it as any
-    witness.
     """
     g, s = cmap.grid, cmap.target.shape[1]
     f = cmap.family.reshape(-1, g, g)
@@ -473,6 +517,9 @@ def _polish(cmap: ConstraintMap, y: np.ndarray, tol: float,
         p])``, from which it is formed."""
         G = np.einsum("rab,bjp->rajp", f, V.conj())
         return G, np.einsum("aip,rajp->rij", V, G) - cmap.target
+
+    def step(V, G, F):
+        return _gauss_newton_step(f, V, G, F)
 
     corner = _padding_corner(cmap)
     start = "" if corner is None else " from the padding-corner start"
@@ -485,23 +532,7 @@ def _polish(cmap: ConstraintMap, y: np.ndarray, tol: float,
         V = V.reshape(g, s, r)
         if corner is not None:
             V[corner + (0,)] += 1.0
-        G, F = at(V)
-        norm = float(np.linalg.norm(F))
-        steps = slow = 0
-        while norm > tol and steps < POLISH_STEPS and slow < 2:
-            dV = _gauss_newton_step(f, V, G, F)
-            t = 1.0
-            while True:
-                G_t, F_t = at(V + t * dV)
-                new = float(np.linalg.norm(F_t))
-                if new < norm or t < 1e-6:
-                    break
-                t /= 2.0
-            if not new < norm:
-                break
-            V, G, F, steps = V + t * dV, G_t, F_t, steps + 1
-            slow = slow + 1 if new > POLISH_SLOW * norm else 0
-            norm = new
+        V, norm, steps = _descend(V, at, step, tol, POLISH_SLOW)
         if norm <= tol:
             V = V.reshape(g * s, r)
             K = _sym((V @ V.conj().T)[None])
@@ -510,6 +541,108 @@ def _polish(cmap: ConstraintMap, y: np.ndarray, tol: float,
                 return K, resid, (f"polished to rank {r} in {steps} "
                                   f"Gauss-Newton steps{start}")
     return None
+
+
+def _polish_povm(cmap: ConstraintMap, y: np.ndarray, tol: float,
+                 ) -> Optional[tuple[np.ndarray, float, str]]:
+    """:func:`_polish` of the ``N`` blocks of a one-slot map with a real
+    family ``f`` (``povm_constraints``): ``A(K)_r = sum_v f_rv K_v``.
+
+    The start is the full-rank factor ``V_v = Q_v sqrt(w_v)`` of each block
+    of ``y``, from one batched ``eigh``, and :func:`_descend` takes the
+    steps of :func:`_povm_stepper` from it with the slow share
+    ``POLISH_SLOW_POVM``.  A system that ``np.linalg.solve`` finds singular
+    ends the try.
+    """
+    f = cmap.family
+    N, n = f.shape[1], cmap.target.shape[1]
+
+    def at(V):
+        K = V @ V.conj().swapaxes(1, 2)
+        return K, (f @ K.reshape(N, -1)).reshape(cmap.target.shape) \
+            - cmap.target
+
+    w, Q = np.linalg.eigh(_sym(y))
+    V = Q * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    try:
+        V, norm, steps = _descend(V, at, _povm_stepper(cmap), tol,
+                                  POLISH_SLOW_POVM)
+    except np.linalg.LinAlgError:
+        return None
+    if norm > tol:
+        return None
+    K = _sym(at(V)[0])
+    resid = cmap.residual(K)
+    if resid > tol:
+        return None
+    return K, resid, f"polished {N} blocks in {steps} Gauss-Newton steps"
+
+
+def _povm_stepper(cmap: ConstraintMap):
+    """The Gauss--Newton step of :func:`_polish_povm` on the blocks of the
+    one-slot map ``cmap``, as a function ``step(V, K, F)``.
+
+    ``step`` returns the minimum-norm ``E`` with ``J(E) = -F`` at the
+    factors ``V`` of ``K_v = V_v V_v^*``, where ``J(E)_r = sum_v a_rv (E_v
+    V_v^* + V_v E_v^*)`` is the derivative of ``F(V)_r = sum_v a_rv V_v
+    V_v^* - b_r`` for the real family ``a``.  It solves in the row space
+    of ``a``: with the thin SVD ``a = U S f`` of ``cmap`` the equation
+    reads ``J_f(E) = -F'``, ``F' = S^-1 U^T F``, the same equation whenever
+    ``F`` lies in the range of ``A``, as ``A(K) - b`` does on a consistent
+    map.  Then ``E = J_f^*(W)``, ``J_f^*(W)_v = 2 (sum_r f_rv W_r) V_v``,
+    with ``W`` the Hermitian solution of ``J_f J_f^*(W) = L(W) = -F'``,
+    ``L(W)_r = 2 sum_s (W_s M_rs + M_rs W_s)``, ``M_rs = sum_v f_rv f_sv
+    K_v``.  In the coordinates ``w_ra = tr(B_a W_r)`` of an orthonormal
+    basis ``B_a`` of the Hermitian matrices (:func:`_herm_basis`) the
+    system is real, with ``rank(a) n^2`` unknowns however many blocks there
+    are: ``L[(r, a), (s, b)] = 2 tr(B_a (B_b M_rs + M_rs B_b)) = 4 Re
+    tr(B_a B_b M_rs)``.  It is symmetric, and positive definite when the
+    ``K_v`` are, as the rows of ``f`` are independent.  A singular system
+    raises ``LinAlgError`` or gives a step that the line search rejects.
+    A step holds ``O(rank(a)^2 n^4)`` numbers at once, a few times the
+    size of ``L``."""
+    fit, f = cmap._fit, cmap._V
+    R, N = f.shape
+    n = cmap.target.shape[1]
+    n2 = n * n
+    # M_rs = M_sr, so only the pairs r <= s are formed; pair[r, s] is the
+    # index of the pair {r, s} among them.
+    lo, hi = np.triu_indices(R)
+    pair = np.zeros((R, R), dtype=int)
+    pair[lo, hi] = pair[hi, lo] = np.arange(len(lo))
+    ff = f[lo] * f[hi]
+    basis = _herm_basis(n)
+    Bc = basis.reshape(n2, n2).conj()
+
+    def step(V, K, F):
+        M = (ff @ K.reshape(N, -1)).reshape(-1, n, n)
+        # B_b M_rs for every b and pair from one product, as the columns of
+        # an (n^2, pairs n^2) matrix of vec(B_b M_rs).
+        BM = basis.reshape(n2 * n, n) @ M.transpose(1, 0, 2).reshape(n, -1)
+        BM = BM.reshape(n2, n, -1, n).transpose(1, 3, 2, 0)
+        L = 4.0 * (Bc @ BM.reshape(n2, -1)).real
+        L = L.reshape(n2, -1, n2)[:, pair].transpose(1, 0, 2, 3)
+        rhs = -((fit.T @ F.reshape(len(F), -1)) @ Bc.T).real
+        w = np.linalg.solve(L.reshape(R * n2, R * n2), rhs.ravel())
+        W = (w.reshape(R, n2) @ Bc.conj()).reshape(R, n, n)
+        return (2.0 * f.T @ W.reshape(R, -1)).reshape(N, n, n) @ V
+
+    return step
+
+
+def _herm_basis(n: int) -> np.ndarray:
+    """An ``(n^2, n, n)`` basis ``B_a`` of the Hermitian ``n x n`` matrices,
+    orthonormal for ``<X, Y> = tr(X Y)``: ``E_kk``, and for ``k < l`` the
+    matrices ``(E_kl + E_lk) / sqrt 2`` (at ``a = (k, l)``) and ``i (E_kl -
+    E_lk) / sqrt 2`` (at ``a = (l, k)``)."""
+    B = np.zeros((n, n, n, n), dtype=complex)
+    h = np.sqrt(0.5)
+    for k in range(n):
+        B[k, k, k, k] = 1.0
+        for l in range(k + 1, n):
+            B[k, l, k, l] = B[k, l, l, k] = h
+            B[l, k, k, l], B[l, k, l, k] = 1j * h, -1j * h
+    return B.reshape(n * n, n, n)
 
 
 def _padding_corner(cmap: ConstraintMap) -> Optional[tuple[int, int]]:

@@ -116,7 +116,8 @@ def random_ball_member(d: int, n: int, rng: np.random.Generator,
 
 def random_povm(n: int, atoms: int, rng) -> list[np.ndarray]:
     """Random POVM: PSD effects summing exactly (numerically) to the
-    identity."""
+    identity, each Hermitian to the last bit (the product ``S g S`` alone
+    is Hermitian only to about 1e-10 when ``S`` is ill-conditioned)."""
     G = []
     for _ in range(atoms):
         A = random_gen(n, rng)
@@ -124,7 +125,8 @@ def random_povm(n: int, atoms: int, rng) -> list[np.ndarray]:
     S = sum(G)
     w, Q = np.linalg.eigh((S + S.conj().T) / 2.0)
     S_isqrt = (Q / np.sqrt(w)) @ Q.conj().T
-    return [S_isqrt @ g @ S_isqrt for g in G]
+    effects = [S_isqrt @ g @ S_isqrt for g in G]
+    return [(E + E.conj().T) / 2.0 for E in effects]
 
 
 def spectra_match(a: JointSpectrum, b: JointSpectrum, tol: float) -> bool:

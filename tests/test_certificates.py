@@ -43,7 +43,12 @@ from matconv.ucp import (
 )
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (  # noqa: E402
+    example,
+    given,
+    settings,
+    strategies as st,
+)
 
 
 def check_pencil(cert, vertices, X):
@@ -286,6 +291,11 @@ def test_signed_sum_violators_certified_outside_wmin_diamond(d, n, top, seed):
 # ---------------------------------------------------------------------------
 
 
+# A seed whose one-effect POVM came out Hermitian only to 1.3e-10 before
+# ``random_povm`` took the Hermitian part, past the 1e-12 of ``HermTuple``.
+ILL_CONDITIONED_POVM_SEED = 2776183
+
+
 def degenerate_instance(d, n, N, line, rng):
     """N vertices on one point (``line`` False) or one line of R^d, a
     tuple ``X_j = sum_v v_j K_v`` of a random POVM on them, and a unit
@@ -306,6 +316,7 @@ def degenerate_instance(d, n, N, line, rng):
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(2, 3), n=sizes, N=st.integers(1, 4), line=st.booleans(),
        push=st.floats(0.01, 2.0), seed=seeds)
+@example(d=3, n=2, N=1, line=False, push=0.5, seed=ILL_CONDITIONED_POVM_SEED)
 def test_tuples_off_a_degenerate_hull_certified_at_once(d, n, N, line, push,
                                                         seed):
     # sum_j w_j X_j must be <w, p> I for any X the vertex constraints can
@@ -330,6 +341,7 @@ def test_tuples_off_a_degenerate_hull_certified_at_once(d, n, N, line, push,
 @settings(max_examples=30, deadline=None)
 @given(d=st.integers(2, 3), n=sizes, N=st.integers(1, 4), line=st.booleans(),
        seed=seeds)
+@example(d=3, n=2, N=1, line=False, seed=ILL_CONDITIONED_POVM_SEED)
 def test_tuples_on_a_degenerate_hull_never_short_cut(d, n, N, line, seed):
     rng = np.random.default_rng(seed)
     V, X, _ = degenerate_instance(d, n, N, line, rng)
